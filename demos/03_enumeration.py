@@ -32,8 +32,7 @@ print(f"|Aut| enumerated = {aut.size}, formula = {aut_group_order(decomp)}\n")
 
 print("per-box monoid orders (w^alpha * alpha^alpha):")
 for i in range(decomp.n_boxes):
-    w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
-    print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {w}, "
+    print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {decomp.wreath_base(i)}, "
           f"|End(B_{i})| = {box_end_order(decomp, i)}")
 
 print("\nfirst few endomorphisms (as image rows):")

@@ -22,6 +22,20 @@ DEFAULT_CELL_BUDGET = 1_000_000
 _FULL_COMPAT_WORK = 50_000_000
 
 
+@dataclass(frozen=True)
+class StabilizerTable:
+    """The distinct point stabilizers of a G-set.
+
+    `point_class[x]` is the position of x's stabilizer among the distinct
+    ones, `masks[a]` marks the group elements of stabilizer a, and
+    `within[a, b]` says stabilizer a is contained in stabilizer b.
+    """
+
+    point_class: np.ndarray
+    masks: np.ndarray
+    within: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class GSet:
     """A finite group action, validated on construction."""
@@ -48,31 +62,38 @@ class GSet:
         return int(self.action[g, x])
 
     def orbit(self, x: int) -> tuple[int, ...]:
-        return tuple(sorted(set(int(v) for v in self.action[:, x])))
+        return self.orbits[self.orbit_of_point[x]]
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """All orbits, ascending by smallest point."""
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for x in range(self.size):
-            if seen[x]:
-                continue
-            o = self.orbit(x)
-            seen[list(o)] = True
-            out.append(o)
-        return tuple(out)
+        n = int(self.orbit_of_point.max()) + 1 if self.size else 0
+        return tuple(tuple(pts.tolist()) for pts in _group_by(self.orbit_of_point, n))
 
     @cached_property
     def orbit_of_point(self) -> np.ndarray:
-        out = np.empty(self.size, dtype=np.int32)
-        for i, o in enumerate(self.orbits):
-            out[list(o)] = i
-        return out
+        """Per point, the position of its orbit in `orbits`.
+
+        Column x of the table is the orbit of x, so its minimum names the orbit.
+        """
+        _, ids = np.unique(self.action.min(axis=0), return_inverse=True)
+        return ids.astype(np.int32)
+
+    @cached_property
+    def stabilizer_table(self) -> StabilizerTable:
+        """Every point stabilizer, read off one (|G|, m) fixed-point table."""
+        fixes = self.action == np.arange(self.size, dtype=np.int32)
+        keys = np.ascontiguousarray(np.packbits(fixes, axis=0).T)
+        distinct, cls = np.unique(keys, axis=0, return_inverse=True)
+        masks = np.unpackbits(distinct, axis=1, count=self.group.order).astype(bool)
+        counts = masks.astype(np.int64)
+        within = counts @ (1 - counts).T == 0
+        return StabilizerTable(cls.reshape(-1), masks, within)
 
     def stabilizer(self, x: int) -> Subgroup:
-        members = np.nonzero(self.action[:, x] == x)[0]
-        return Subgroup(self.group, tuple(int(g) for g in members))
+        table = self.stabilizer_table
+        members = np.flatnonzero(table.masks[table.point_class[x]])
+        return Subgroup(self.group, tuple(members.tolist()))
 
     def fix(self, elements) -> tuple[int, ...]:
         """Points fixed by every element in `elements` (a Subgroup or iterable)."""
@@ -183,19 +204,13 @@ class BoxDecomposition:
     stab_index: np.ndarray                       # per point: subgroup index
     box_classes: tuple[int, ...]                 # lattice class position per box
     boxes: tuple[tuple[int, ...], ...]
+    box_of_point: np.ndarray
     sub_boxes: tuple[dict, ...]
     alpha: tuple[int, ...]
 
     @property
     def n_boxes(self) -> int:
         return len(self.boxes)
-
-    @cached_property
-    def box_of_point(self) -> np.ndarray:
-        out = np.empty(self.gset.size, dtype=np.int32)
-        for i, box in enumerate(self.boxes):
-            out[list(box)] = i
-        return out
 
     def box_subgroup(self, i: int) -> Subgroup:
         """The canonical representative stabilizer of box i."""
@@ -204,6 +219,14 @@ class BoxDecomposition:
     def box_normalizer(self, i: int) -> Subgroup:
         rep = self.lattice.class_reps[self.box_classes[i]]
         return self.lattice.subgroups[self.lattice.normalizer_idx[rep]]
+
+    def wreath_base(self, i: int) -> int:
+        """w = |N(H):H| for box i's stabilizer H.
+
+        Each orbit of the box is a copy of G/H, whose equivariant bijections
+        form N(H)/H; the box's End and Aut are wreath products over it.
+        """
+        return self.box_normalizer(i).order // self.box_subgroup(i).order
 
     @cached_property
     def kappa(self) -> tuple[int, ...]:
@@ -223,37 +246,43 @@ class BoxDecomposition:
         return self.lattice.group.order // self.box_normalizer(i).order
 
 
+def _group_by(labels: np.ndarray, n: int) -> list[np.ndarray]:
+    """Points grouped by their label 0, ..., n-1; each group ascending."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n)))[:-1]
+
+
 def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecomposition:
-    """Compute the box decomposition of a G-set."""
+    """Compute the box decomposition of a G-set.
+
+    Each distinct stabilizer of the G-set's table is looked up in the
+    lattice once; boxes, sub-boxes and orbit counts are groupings of the
+    resulting per-point subgroup indices.
+    """
     if lattice is None:
         lattice = build_lattice(gset.group)
-    m = gset.size
-    stab_index = np.empty(m, dtype=np.int32)
-    for x in range(m):
-        members = np.nonzero(gset.action[:, x] == x)[0]
-        stab_index[x] = lattice.subgroup_index(frozenset(int(g) for g in members))
-    class_of = lattice._class_of_subgroup
-    present = sorted(set(int(class_of[s]) for s in stab_index))
-    boxes = []
-    sub_boxes = []
-    alpha = []
-    orbit_ids = gset.orbit_of_point
-    for c in present:
-        pts = tuple(int(x) for x in np.nonzero(class_of[stab_index] == c)[0])
-        split: dict[int, list[int]] = {}
-        for x in pts:
-            split.setdefault(int(stab_index[x]), []).append(x)
-        boxes.append(pts)
-        sub_boxes.append({k: tuple(v) for k, v in sorted(split.items())})
-        alpha.append(len(set(int(orbit_ids[x]) for x in pts)))
+    table = gset.stabilizer_table
+    distinct = [lattice.subgroup_index(np.flatnonzero(mask)) for mask in table.masks]
+    stab_index = np.array(distinct, dtype=np.int32)[table.point_class]
+    box_classes, box_of_point = np.unique(lattice._class_of_subgroup[stab_index],
+                                          return_inverse=True)
+    n_boxes = len(box_classes)
+    box_of_point = box_of_point.astype(np.int32)
+    sub_boxes = tuple({} for _ in range(n_boxes))
+    subs, sub_of_point = np.unique(stab_index, return_inverse=True)
+    for s, pts in zip(subs.tolist(), _group_by(sub_of_point, len(subs))):
+        sub_boxes[box_of_point[pts[0]]][s] = tuple(pts.tolist())
+    orbit_reps = [o[0] for o in gset.orbits]
+    alpha = np.bincount(box_of_point[orbit_reps], minlength=n_boxes)
     return BoxDecomposition(
         gset=gset,
         lattice=lattice,
         stab_index=stab_index,
-        box_classes=tuple(present),
-        boxes=tuple(boxes),
-        sub_boxes=tuple(sub_boxes),
-        alpha=tuple(alpha),
+        box_classes=tuple(box_classes.tolist()),
+        boxes=tuple(tuple(pts.tolist()) for pts in _group_by(box_of_point, n_boxes)),
+        box_of_point=box_of_point,
+        sub_boxes=sub_boxes,
+        alpha=tuple(alpha.tolist()),
     )
 
 
@@ -268,75 +297,26 @@ def alpha_by_moebius(decomp: BoxDecomposition, i: int) -> int:
     """
     lat = decomp.lattice
     H_idx = lat.class_reps[decomp.box_classes[i]]
-    H = lat.subgroups[H_idx]
-    N = decomp.box_normalizer(i)
     total = 0
     for j, K in enumerate(lat.subgroups):
         if lat.leq[H_idx, j]:
             total += lat.moebius(H_idx, j) * len(decomp.gset.fix(K.elements))
-    share = N.order // H.order
+    share = decomp.wreath_base(i)
     if total % share != 0:
         raise PropertyFailure("sub-box size is not divisible by the normalizer index")
     return total // share
 
 
-# --- convenience entry points mirroring the method API -----------------------
+def aut_orbits_in_box(decomp: BoxDecomposition, i: int) -> int:
+    """Number of orbits of the equivariant bijections on box i.
 
-def orbit(gset: GSet, x: int) -> tuple[int, ...]:
-    return gset.orbit(x)
-
-
-def orbits(gset: GSet) -> tuple[tuple[int, ...], ...]:
-    return gset.orbits
-
-
-def stabilizer(gset: GSet, x: int) -> Subgroup:
-    return gset.stabilizer(x)
-
-
-def fix(gset: GSet, subgroup) -> tuple[int, ...]:
-    return gset.fix(subgroup)
-
-
-def box_decomposition(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecomposition:
-    return decompose(gset, lattice)
-
-
-def _box_of_subgroup(decomp: BoxDecomposition, H: Subgroup) -> int:
-    lat = decomp.lattice
-    cls = lat.class_of(lat.subgroup_index(H.element_set))
-    try:
-        return decomp.box_classes.index(cls)
-    except ValueError:
-        raise DomainError(
-            f"{{{','.join(map(str, H.elements))}}} is not a stabilizer of any point"
-        ) from None
-
-
-def alpha_moebius(gset: GSet, H: Subgroup, lattice: SubgroupLattice | None = None) -> int:
-    """Orbit count of H's box, by Moebius inversion of fixed-point counts."""
-    decomp = decompose(gset, lattice)
-    return alpha_by_moebius(decomp, _box_of_subgroup(decomp, H))
-
-
-def aut_orbits_in_box(gset: GSet, H: Subgroup, lattice: SubgroupLattice | None = None) -> int:
-    """Number of orbits of the equivariant bijections on H's box.
-
-    Returns the index of the normalizer N_G(H); checks that it matches the
-    number of nonempty sub-boxes, which is how the count is realized.
+    Returns the index of the box stabilizer's normalizer; checks that it
+    matches the number of nonempty sub-boxes, which is how the count is
+    realized.
     """
-    decomp = decompose(gset, lattice)
-    i = _box_of_subgroup(decomp, H)
-    lat = decomp.lattice
-    j = lat.subgroup_index(H.element_set)
-    expected = gset.group.order // lat.subgroups[lat.normalizer_idx[j]].order
+    expected = decomp.expected_aut_orbits(i)
     if expected != len(decomp.sub_boxes[i]):
         raise PropertyFailure(
             f"normalizer index {expected} != {len(decomp.sub_boxes[i])} sub-boxes in box {i}"
         )
     return expected
-
-
-def kappa(gset: GSet, lattice: SubgroupLattice | None = None) -> tuple[int, ...]:
-    """Positions of the single-orbit boxes."""
-    return decompose(gset, lattice).kappa

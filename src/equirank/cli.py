@@ -14,6 +14,7 @@ deterministic: same input, byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -396,10 +397,12 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
 
     def check_aut_orbits():
         for i in range(decomp.n_boxes):
-            aut_orbits_in_box(X, decomp.box_subgroup(i), lat)
+            aut_orbits_in_box(decomp, i)
+
+    rank_report = functools.cache(lambda: relative_rank(X, lat))
 
     def check_rank():
-        report = relative_rank(X, lat)
+        report = rank_report()
         census = collapse_type_census(X, lat)
         if len(census) != report.relative_rank:
             raise PropertyFailure(
@@ -416,7 +419,7 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
         aut = enumerate_aut(X, **kwargs)
         if aut.size != aut_group_order(decomp):
             raise PropertyFailure("bijection count disagrees with the wreath formula")
-        gens = aut_generators(X, lat, decomp) + list(relative_rank(X, lat).generating_set)
+        gens = aut_generators(X, lat, decomp) + list(rank_report().generating_set)
         if closure(X, gens, cap=max(end.size, 2)).size != end.size:
             raise PropertyFailure("Aut plus the push set does not generate the monoid")
 

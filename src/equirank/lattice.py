@@ -182,6 +182,24 @@ class SubgroupLattice:
             raise DomainError("moebius is only defined on containment pairs")
         return int(self.moebius_table[i, j])
 
+    def n_class(self, N: Subgroup, i: int) -> tuple[int, ...]:
+        """The subgroups n S n^-1 for S = subgroups[i] and n in N.
+
+        Returned as subgroup indices, ordered by element list.
+        """
+        S = self.subgroups[i].element_set
+        found = {self._index[conjugate_subgroup(self.group, S, n)] for n in N.elements}
+        return tuple(sorted(found, key=lambda j: self.subgroups[j].elements))
+
+    def conjugator(self, i: int, j: int) -> int:
+        """The smallest group element g with g S g^-1 = T, for S = subgroups[i]
+        and T = subgroups[j]."""
+        S, T = self.subgroups[i].element_set, self.subgroups[j].element_set
+        for g in range(self.group.order):
+            if conjugate_subgroup(self.group, S, g) == T:
+                return g
+        raise DomainError(f"subgroups {i} and {j} are not conjugate")
+
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """N_G(H) = {g : g H g^-1 = H}."""
@@ -189,15 +207,6 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     members = [g for g in range(G.order)
                if conjugate_subgroup(G, hs, g) == hs]
     return Subgroup(G, tuple(members))
-
-
-def n_conjugacy_class(G: FiniteGroup, H: Subgroup, N: Subgroup) -> list[Subgroup]:
-    """The subgroups g H g^-1 for g ranging over N, without duplicates."""
-    seen: dict[frozenset, None] = {}
-    for g in N.elements:
-        seen.setdefault(conjugate_subgroup(G, H.element_set, g))
-    ordered = sorted(seen, key=sorted)
-    return [Subgroup(G, tuple(sorted(s))) for s in ordered]
 
 
 def conjugacy_classes(G: FiniteGroup, subgroups: list[Subgroup]) -> list[list[int]]:
@@ -282,8 +291,3 @@ def conj_order_graph(lattice: SubgroupLattice) -> set[tuple[int, int]]:
             if any(lattice.leq[H, k] for k in cj):
                 edges.add((i, j))
     return edges
-
-
-def moebius(lattice: SubgroupLattice, H, K) -> int:
-    """Functional spelling of SubgroupLattice.moebius."""
-    return lattice.moebius(H, K)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .lattice import SubgroupLattice, Subgroup, build_lattice, conjugate_subgrou
 from .transform import (
     DEFAULT_ENUM_BUDGET,
     EquivariantMap,
+    _kernel_classes,
     compose,
     enumerate_aut,
     enumerate_end,
@@ -57,16 +58,6 @@ class RankReport:
     tags: tuple[str, ...]
 
 
-def _n_class(lattice: SubgroupLattice, N: Subgroup, sub_idx: int) -> tuple[int, ...]:
-    """The N-conjugacy class of a subgroup, as sorted subgroup indices."""
-    G = lattice.group
-    K = lattice.subgroups[sub_idx].element_set
-    found = {sub_idx}
-    for n in N.elements:
-        found.add(lattice.subgroup_index(conjugate_subgroup(G, K, n)))
-    return tuple(sorted(found, key=lambda j: lattice.subgroups[j].elements))
-
-
 def _sorted_classes(lattice: SubgroupLattice, classes) -> tuple:
     return tuple(sorted(classes, key=lambda cl: (lattice.subgroups[cl[0]].order,
                                                  lattice.subgroups[cl[0]].elements)))
@@ -85,11 +76,8 @@ def u_set(X: GSet, lattice: SubgroupLattice, i: int,
         raise DomainError(f"box {i} does not exist; X has {decomp.n_boxes} boxes")
     H_idx = lattice.class_reps[decomp.box_classes[i]]
     N = decomp.box_normalizer(i)
-    occurring = sorted(set(int(s) for s in decomp.stab_index))
-    classes = set()
-    for k in occurring:
-        if lattice.leq[H_idx, k]:
-            classes.add(_n_class(lattice, N, k))
+    occurring = (k for sub in decomp.sub_boxes for k in sub)
+    classes = {lattice.n_class(N, k) for k in occurring if lattice.leq[H_idx, k]}
     return _sorted_classes(lattice, classes)
 
 
@@ -100,12 +88,12 @@ def _all_u_sets(decomp: BoxDecomposition) -> tuple:
 
 def _min_point_with_stab(decomp: BoxDecomposition, sub_idx: int,
                          exclude_orbit: int | None = None) -> int:
-    orbit_ids = decomp.gset.orbit_of_point
-    for x in range(decomp.gset.size):
-        if decomp.stab_index[x] == sub_idx:
-            if exclude_orbit is None or orbit_ids[x] != exclude_orbit:
-                return x
-    raise PropertyFailure(f"no point with stabilizer #{sub_idx} found")
+    pts = np.flatnonzero(decomp.stab_index == sub_idx)
+    if exclude_orbit is not None:
+        pts = pts[decomp.gset.orbit_of_point[pts] != exclude_orbit]
+    if not len(pts):
+        raise PropertyFailure(f"no point with stabilizer #{sub_idx} found")
+    return int(pts[0])
 
 
 def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
@@ -138,15 +126,6 @@ def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
             maps.append(point_push(X, x_i, y))
             tags.append(f"push {i + 1}->({i + 1},{j})")
     return tuple(maps), tuple(tags)
-
-
-def generating_set_v(X: GSet, lattice: SubgroupLattice | None = None) -> list[EquivariantMap]:
-    """A minimum-size set of pushes generating End together with Aut."""
-    if lattice is None:
-        lattice = build_lattice(X.group)
-    decomp = decompose(X, lattice)
-    maps, _ = _v_with_tags(decomp, _all_u_sets(decomp))
-    return list(maps)
 
 
 def relative_rank(X: GSet, lattice: SubgroupLattice | None = None) -> RankReport:
@@ -202,13 +181,6 @@ def decompose_by_boxes(tau: EquivariantMap,
 def recompose(factors) -> EquivariantMap:
     """Compose a factor list in ascending order (last factor applied first)."""
     return reduce(compose, factors)
-
-
-def _kernel_classes(tau: EquivariantMap) -> list[list[int]]:
-    by_value: dict[int, list[int]] = {}
-    for x, v in enumerate(tau.image):
-        by_value.setdefault(int(v), []).append(x)
-    return [cls for cls in by_value.values() if len(cls) >= 2]
 
 
 def _collapse_shape(tau: EquivariantMap):
@@ -270,16 +242,13 @@ def collapse_type(tau: EquivariantMap, lattice: SubgroupLattice | None = None,
         witness = src_orbit[0]
     elif witness not in src_orbit:
         raise DomainError(f"witness {witness} is not in the source orbit")
-    G = lat.group
     box_i = int(decomp.box_of_point[witness])
-    H = lat.subgroups[lat.class_reps[decomp.box_classes[box_i]]]
-    Gx = lat.subgroups[decomp.stab_index[witness]].element_set
-    g = next(g for g in range(G.order)
-             if conjugate_subgroup(G, Gx, g) == H.element_set)
+    g = lat.conjugator(int(decomp.stab_index[witness]),
+                       lat.class_reps[decomp.box_classes[box_i]])
     moved = int(decomp.gset.action[g, witness])
     target_idx = int(decomp.stab_index[int(tau.image[moved])])
     N = decomp.box_normalizer(box_i)
-    return CollapseType(box_index=box_i, target_class=_n_class(lat, N, target_idx))
+    return CollapseType(box_index=box_i, target_class=lat.n_class(N, target_idx))
 
 
 def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set:
@@ -295,10 +264,8 @@ def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set
     decomp = decompose(X, lattice)
     lat = lattice
     G = lat.group
-    orbit_ids = X.orbit_of_point
-    orbits_with: dict[int, set] = {}
-    for x in range(X.size):
-        orbits_with.setdefault(int(decomp.stab_index[x]), set()).add(int(orbit_ids[x]))
+    orbits_with = {s: set(X.orbit_of_point[list(pts)].tolist())
+                   for sub in decomp.sub_boxes for s, pts in sub.items()}
     out = set()
     for s, s_orbits in orbits_with.items():
         for t, t_orbits in orbits_with.items():
@@ -308,15 +275,12 @@ def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set
                 continue          # only one orbit available: nothing to merge
             box_i = int(lat.class_of(s))
             box_pos = decomp.box_classes.index(box_i)
-            H = lat.subgroups[lat.class_reps[box_i]]
-            K = lat.subgroups[s].element_set
-            g = next(g for g in range(G.order)
-                     if conjugate_subgroup(G, K, g) == H.element_set)
+            g = lat.conjugator(s, lat.class_reps[box_i])
             moved_t = lat.subgroup_index(
                 conjugate_subgroup(G, lat.subgroups[t].element_set, g))
             N = decomp.box_normalizer(box_pos)
             out.add(CollapseType(box_index=box_pos,
-                                 target_class=_n_class(lat, N, moved_t)))
+                                 target_class=lat.n_class(N, moved_t)))
     return out
 
 
@@ -336,11 +300,12 @@ class WreathFactor:
 
 
 def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> list[int]:
+    """Per orbit of box i, its smallest point whose stabilizer is the box's
+    canonical subgroup."""
     H_idx = decomp.lattice.class_reps[decomp.box_classes[i]]
-    reps = []
-    for orbit in decomp.orbits_in_box(i):
-        reps.append(min(x for x in orbit if decomp.stab_index[x] == H_idx))
-    return reps
+    pts = np.array(decomp.sub_boxes[i][H_idx])
+    _, first = np.unique(decomp.gset.orbit_of_point[pts], return_index=True)
+    return pts[first].tolist()
 
 
 def _coset_min(G, t: int, H: Subgroup) -> int:
@@ -409,21 +374,20 @@ def aut_generators(X: GSet, lattice: SubgroupLattice | None = None,
     return gens
 
 
+def _box_aut_order(decomp: BoxDecomposition, i: int) -> int:
+    a = decomp.alpha[i]
+    return decomp.wreath_base(i) ** a * factorial(a)
+
+
 def aut_group_order(decomp: BoxDecomposition) -> int:
     """Predicted |Aut| from the per-box wreath structure."""
-    total = 1
-    for i in range(decomp.n_boxes):
-        w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
-        a = decomp.alpha[i]
-        total *= (w ** a) * factorial(a)
-    return total
+    return prod(_box_aut_order(decomp, i) for i in range(decomp.n_boxes))
 
 
 def box_end_order(decomp: BoxDecomposition, i: int) -> int:
     """Predicted |End| of box i on its own."""
-    w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
     a = decomp.alpha[i]
-    return (w ** a) * (a ** a)
+    return decomp.wreath_base(i) ** a * a ** a
 
 
 def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
@@ -439,9 +403,7 @@ def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
     boxes = []
     for i in range(decomp.n_boxes):
         end_pred = box_end_order(decomp, i)
-        w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
-        a = decomp.alpha[i]
-        aut_pred = (w ** a) * factorial(a)
+        aut_pred = _box_aut_order(decomp, i)
         sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
         try:
             end_enum = enumerate_end(sub, budget=budget).size
@@ -459,8 +421,8 @@ def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
                 f"box {i}: predicted |Aut| {aut_pred}, enumerated {aut_enum}")
         boxes.append({
             "box": i,
-            "alpha": a,
-            "wreath_base_order": w,
+            "alpha": decomp.alpha[i],
+            "wreath_base_order": decomp.wreath_base(i),
             "end_order_predicted": end_pred,
             "end_order_enumerated": end_enum,
             "aut_order_predicted": aut_pred,

@@ -8,6 +8,7 @@ machinery builds on these primitives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -102,28 +103,18 @@ def _transporters(X: GSet) -> np.ndarray:
     return np.argmax(X.action[:, reps] == np.arange(X.size), axis=0).astype(np.int32)
 
 
-def _fixers(X: GSet, x: int) -> np.ndarray:
-    """Which group elements fix the point x."""
-    return X.action[:, x] == x
-
-
 def point_push(X: GSet, x: int, y: int) -> EquivariantMap:
     """The map sending g.x to g.y and fixing everything else.
 
     Well-defined exactly when the stabilizer of x is contained in the
-    stabilizer of y; non-invertible exactly when the containment is proper
-    or the two orbits differ in size... in fact whenever Gx != Gy.
+    stabilizer of y; non-invertible exactly when the two stabilizers differ.
     """
-    if (_fixers(X, x) & ~_fixers(X, y)).any():
+    table = X.stabilizer_table
+    if not table.within[table.point_class[x], table.point_class[y]]:
         raise StabilizerError(
             f"stabilizer of {x} is not contained in the stabilizer of {y}")
     img = np.arange(X.size, dtype=np.int32)
-    seen = set()
-    for g in range(X.group.order):
-        p = int(X.action[g, x])
-        if p not in seen:
-            seen.add(p)
-            img[p] = X.action[g, y]
+    img[X.action[:, x]] = X.action[:, y]       # g.x = h.x implies g.y = h.y
     return EquivariantMap(X, img)
 
 
@@ -134,20 +125,16 @@ def point_swap(X: GSet, x: int, y: int) -> EquivariantMap:
     translation moving x to y (a bijection of that single orbit); when the
     orbits differ it is an involution exchanging them.
     """
-    if (_fixers(X, x) != _fixers(X, y)).any():
+    cls = X.stabilizer_table.point_class
+    if cls[x] != cls[y]:
         raise StabilizerError(f"stabilizers of {x} and {y} differ")
-    if y in X.orbit(x):
+    if X.orbit_of_point[x] == X.orbit_of_point[y]:
         out = point_push(X, x, y)
         assert out.is_bijective()
         return out
     img = np.arange(X.size, dtype=np.int32)
-    seen = set()
-    for g in range(X.group.order):
-        p, q = int(X.action[g, x]), int(X.action[g, y])
-        if p not in seen:
-            seen.add(p)
-            img[p] = q
-            img[q] = p
+    img[X.action[:, x]] = X.action[:, y]
+    img[X.action[:, y]] = X.action[:, x]
     return EquivariantMap(X, img)
 
 
@@ -214,21 +201,6 @@ def _lex_sorted(rows: np.ndarray) -> bool:
     return True
 
 
-def _stabilizer_classes(X: GSet) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct point stabilizers, read off one (|G|, m) fixed-point table.
-
-    Returns `cls`, the index of each point's stabilizer among the distinct
-    ones, and `within`, with within[a, b] true when stabilizer a is
-    contained in stabilizer b.
-    """
-    fixes = X.action == np.arange(X.size, dtype=np.int32)
-    keys = np.ascontiguousarray(np.packbits(fixes, axis=0).T)
-    distinct, cls = np.unique(keys, axis=0, return_inverse=True)
-    stabs = np.unpackbits(distinct, axis=1, count=X.group.order).astype(np.int64)
-    within = stabs @ (1 - stabs).T == 0
-    return cls.reshape(-1), within
-
-
 def _targets(X: GSet, bijective: bool):
     """Per orbit representative, the number of admissible targets, and a
     function listing them.
@@ -238,7 +210,8 @@ def _targets(X: GSet, bijective: bool):
     many orbits there are, so a budget can be checked on their product
     before the lists (O(m) per distinct representative stabilizer) are built.
     """
-    cls, within = _stabilizer_classes(X)
+    table = X.stabilizer_table
+    cls, within = table.point_class, table.within
     if bijective:
         within = np.eye(len(within), dtype=bool)
     rep_cls = cls[[o[0] for o in X.orbits]]
@@ -427,18 +400,16 @@ def _sym_seed(X: GSet, n: int) -> list[EquivariantMap]:
     return [EquivariantMap(X, swap), EquivariantMap(X, cycle)]
 
 
+def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:
+    """The points f sends to one value, for every value hit at least twice."""
+    order = np.argsort(f.image, kind="stable")
+    cuts = np.flatnonzero(np.diff(f.image[order])) + 1
+    return [cls for cls in np.split(order, cuts) if len(cls) >= 2]
+
+
 def kernel_pairs(f: EquivariantMap) -> set:
     """All ordered pairs (a, b), a != b, with f(a) = f(b)."""
-    by_value: dict[int, list[int]] = {}
-    for x, v in enumerate(f.image):
-        by_value.setdefault(int(v), []).append(x)
-    out = set()
-    for cls in by_value.values():
-        for a in cls:
-            for b in cls:
-                if a != b:
-                    out.add((a, b))
-    return out
+    return {pair for cls in _kernel_classes(f) for pair in itertools.permutations(cls.tolist(), 2)}
 
 
 def map_rank(f: EquivariantMap) -> int:

@@ -8,6 +8,7 @@ from equirank import (
     Subgroup,
     alpha_by_moebius,
     build_lattice,
+    build_shift,
     burnside_orbit_count,
     coset_action,
     decompose,
@@ -48,11 +49,16 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
         X = parts[0]
         for p in parts[1:]:
             X = disjoint_union(X, p)
-        assert [set(o) for o in X.orbits] == \
-            [set(o) for o in oracles.orbit_partition(X.action)]
-        for x in range(X.size):
-            assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
-        assert burnside_orbit_count(X) == oracles.burnside_count(X.action) == len(X.orbits)
+        instances = [X] + ([build_shift(G, 2).gset] if name == "D4" else [])
+        for X in instances:
+            assert [set(o) for o in X.orbits] == \
+                [set(o) for o in oracles.orbit_partition(X.action)]
+            assert X.orbits == tuple(tuple(sorted(o)) for o in oracles.orbit_partition(X.action))
+            D = decompose(X, L)
+            for x in range(X.size):
+                assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
+                assert D.stab_index[x] == L.subgroup_index(oracles.stabilizer_of(X.action, x))
+            assert burnside_orbit_count(X) == oracles.burnside_count(X.action) == len(X.orbits)
 
 
 def test_fix_against_oracle(zoo):

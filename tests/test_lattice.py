@@ -12,7 +12,6 @@ from equirank import (
     generated_subgroup,
     make_cyclic,
     make_symmetric,
-    n_conjugacy_class,
     normalizer,
 )
 import oracles
@@ -85,8 +84,10 @@ def test_normalizer_and_n_classes():
     N = normalizer(G, H)
     assert N.elements == (0, 2)
     full = Subgroup(G, tuple(range(6)))
-    assert [s.elements for s in n_conjugacy_class(G, H, N)] == [(0, 2)]
-    assert [s.elements for s in n_conjugacy_class(G, H, full)] == [
+    L = build_lattice(G)
+    h = L.subgroup_index(H)
+    assert [L.subgroups[j].elements for j in L.n_class(N, h)] == [(0, 2)]
+    assert [L.subgroups[j].elements for j in L.n_class(full, h)] == [
         (0, 1), (0, 2), (0, 5)]
     assert conjugate_subgroup(G, frozenset({0, 2}), 3) == frozenset({0, 1})
 

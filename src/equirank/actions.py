@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
 from .groups import FiniteGroup
-from .lattice import Subgroup, SubgroupLattice, build_lattice
+from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
 _FULL_COMPAT_WORK = 50_000_000
@@ -86,9 +86,7 @@ class GSet:
         keys = np.ascontiguousarray(np.packbits(fixes, axis=0).T)
         distinct, cls = np.unique(keys, axis=0, return_inverse=True)
         masks = np.unpackbits(distinct, axis=1, count=self.group.order).astype(bool)
-        counts = masks.astype(np.int64)
-        within = counts @ (1 - counts).T == 0
-        return StabilizerTable(cls.reshape(-1), masks, within)
+        return StabilizerTable(cls.reshape(-1), masks, containment(masks))
 
     def stabilizer(self, x: int) -> Subgroup:
         table = self.stabilizer_table
@@ -166,17 +164,18 @@ def disjoint_union(a: GSet, b: GSet, name: str = "") -> GSet:
 
 def restrict_to_invariant(gset: GSet, points, name: str = "") -> GSet:
     """The induced action on an invariant subset, points kept in ascending order."""
-    pts = sorted(set(int(x) for x in points))
-    if not pts:
+    given = np.fromiter(points, dtype=np.int64)
+    if not len(given):
         raise DomainError("cannot restrict to an empty point set")
-    new_index = {x: i for i, x in enumerate(pts)}
+    if given.min() < 0 or given.max() >= gset.size:
+        raise DomainError(f"points must lie in 0..{gset.size - 1}")
+    member = np.zeros(gset.size, dtype=bool)
+    member[given] = True
+    pts = np.flatnonzero(member)
     sub = gset.action[:, pts]
-    hit = set(int(v) for v in sub.ravel())
-    if not hit <= set(pts):
+    if not member[sub].all():
         raise DomainError("point set is not invariant under the action")
-    remap = np.zeros(gset.size, dtype=np.int32)
-    for x, i in new_index.items():
-        remap[x] = i
+    remap = np.cumsum(member, dtype=np.int32) - 1
     return GSet(gset.group, remap[sub], name=name or f"{gset.name}|{len(pts)}")
 
 
@@ -262,9 +261,8 @@ def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecompos
     if lattice is None:
         lattice = build_lattice(gset.group)
     table = gset.stabilizer_table
-    distinct = [lattice.subgroup_index(np.flatnonzero(mask)) for mask in table.masks]
-    stab_index = np.array(distinct, dtype=np.int32)[table.point_class]
-    box_classes, box_of_point = np.unique(lattice._class_of_subgroup[stab_index],
+    stab_index = lattice.index_of_masks(table.masks)[table.point_class]
+    box_classes, box_of_point = np.unique(lattice.subgroup_class[stab_index],
                                           return_inverse=True)
     n_boxes = len(box_classes)
     box_of_point = box_of_point.astype(np.int32)

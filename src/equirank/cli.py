@@ -69,9 +69,18 @@ _COSETS = re.compile(r"^cosets:(\d+(,\d+)*)$")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed command line: the spec strings as given, plus their parsed values.
+
+    `group` is ("perm", degree, generators) or ("product", ((kind, n), ...));
+    `gset` is ("shift", q), ("cosets", elements) or ("union", ((token, gset), ...)),
+    or None.
+    """
+
     command: str
     group_spec: str
     gset_spec: str | None
+    group: tuple
+    gset: tuple | None
     rule_spec: str | None = None
     paper_layout: bool = False
     aut_only: bool = False
@@ -80,42 +89,59 @@ class RunConfig:
     output: str = "json"
 
 
-def _check_group_syntax(token: str, position: int) -> None:
-    if _PERM.match(token):
-        return
+def _parse_group(token: str, position: int) -> tuple:
+    m = _PERM.match(token)
+    if m:
+        degree = int(m.group(1))
+        gens = []
+        for word in m.group(2).split(";"):
+            perm = list(range(degree))
+            for cyc in re.findall(r"\(([^)]*)\)", word):
+                words = [t for t in re.split(r"[ ,]+", cyc.strip()) if t]
+                entries = [int(t) for t in words if t.isdecimal()]
+                if (len(entries) != len(words) or any(not 0 <= e < degree for e in entries)
+                        or len(set(entries)) != len(entries)):
+                    raise SpecStringError(f"malformed cycle ({cyc}) in {token!r}", token=token)
+                for a, b in zip(entries, entries[1:] + entries[:1]):
+                    perm[a] = b
+            gens.append(tuple(perm))
+        return ("perm", degree, tuple(gens))
+    atoms = []
     for part in token.split("x"):
-        if not _ATOM.match(part):
+        m = _ATOM.match(part)
+        if m is None:
             raise SpecStringError(
                 f"unknown group token {part!r} in {token!r} (argument {position})",
                 token=part, position=position)
+        atoms.append((m.group(1), int(m.group(2))))
+    return ("product", tuple(atoms))
 
 
-def _check_gset_syntax(token: str, position: int) -> None:
+def _parse_gset(token: str, position: int) -> tuple:
     if token.startswith("union:"):
         parts = token[len("union:"):].split("+")
         if len(parts) < 2:
             raise SpecStringError(
                 f"union spec {token!r} needs at least two parts (argument {position})",
                 token=token, position=position)
-        for part in parts:
-            _check_gset_syntax(part, position)
-        return
+        return ("union", tuple((part, _parse_gset(part, position)) for part in parts))
     m = _SHIFT.match(token)
     if m:
         if int(m.group(1)) < 2:
             raise SpecStringError(
                 f"alphabet size must be at least 2 in {token!r} (argument {position})",
                 token=token, position=position)
-        return
-    if _COSETS.match(token):
-        return
+        return ("shift", int(m.group(1)))
+    m = _COSETS.match(token)
+    if m:
+        return ("cosets", tuple(int(t) for t in m.group(1).split(",")))
     raise SpecStringError(
         f"unknown G-set token {token!r} (argument {position})",
         token=token, position=position)
 
 
 def parse_specs(args) -> RunConfig:
-    """Validate the argument list; raises SpecStringError on bad tokens."""
+    """Parse and validate the argument list; raises SpecStringError on bad tokens."""
     parser = argparse.ArgumentParser(
         prog="equirank",
         description="structure of the equivariant self-maps of a finite group action")
@@ -139,16 +165,12 @@ def parse_specs(args) -> RunConfig:
 
     if ns.budget is not None and ns.budget <= 0:
         raise SpecStringError(f"budget must be positive, got {ns.budget}")
-    _check_group_syntax(ns.group, 2)
-    if ns.command == "lattice":
-        if ns.gset is not None:
-            _check_gset_syntax(ns.gset, 3)
-    else:
-        if ns.gset is None:
-            raise SpecStringError(f"command {ns.command!r} needs a G-set spec")
-        _check_gset_syntax(ns.gset, 3)
+    group = _parse_group(ns.group, 2)
+    if ns.gset is None and ns.command != "lattice":
+        raise SpecStringError(f"command {ns.command!r} needs a G-set spec")
+    gset = None if ns.gset is None else _parse_gset(ns.gset, 3)
     if ns.command == "ca":
-        if not _SHIFT.match(ns.gset):
+        if gset[0] != "shift":
             raise SpecStringError("the ca command needs a shift:q=<n> G-set")
         if ns.rule is None:
             raise SpecStringError("the ca command needs --rule <memory>:<table>")
@@ -159,6 +181,8 @@ def parse_specs(args) -> RunConfig:
         command=ns.command,
         group_spec=ns.group,
         gset_spec=ns.gset,
+        group=group,
+        gset=gset,
         rule_spec=ns.rule,
         paper_layout=ns.paper_layout,
         aut_only=ns.aut_only,
@@ -168,53 +192,30 @@ def parse_specs(args) -> RunConfig:
     )
 
 
-def _build_group(token: str) -> FiniteGroup:
-    m = _PERM.match(token)
-    if m:
-        degree = int(m.group(1))
-        gens = []
-        for word in m.group(2).split(";"):
-            perm = list(range(degree))
-            for cyc in re.findall(r"\(([^)]*)\)", word):
-                entries = [int(t) for t in re.split(r"[ ,]+", cyc.strip()) if t]
-                if any(not 0 <= e < degree for e in entries) or len(set(entries)) != len(entries):
-                    raise SpecStringError(f"malformed cycle ({cyc}) in {token!r}", token=token)
-                for a, b in zip(entries, entries[1:] + entries[:1]):
-                    perm[a] = b
-            gens.append(tuple(perm))
-        return from_permutation_generators(degree, gens, name=token)
-    parts = []
-    for part in token.split("x"):
-        kind, n = _ATOM.match(part).groups()
-        n = int(n)
-        maker = {"Z": make_cyclic, "S": make_symmetric, "D": make_dihedral}[kind]
-        parts.append(maker(n))
-    G = parts[0]
-    for other in parts[1:]:
-        G = direct_product(G, other)
-    return G
+_MAKERS = {"Z": make_cyclic, "S": make_symmetric, "D": make_dihedral}
 
 
-def _build_gset(G: FiniteGroup, token: str):
+def _build_group(parsed: tuple, name: str) -> FiniteGroup:
+    if parsed[0] == "perm":
+        _, degree, gens = parsed
+        return from_permutation_generators(degree, gens, name=name)
+    groups = [_MAKERS[kind](n) for kind, n in parsed[1]]
+    return functools.reduce(direct_product, groups)
+
+
+def _build_gset(G: FiniteGroup, parsed: tuple, token: str):
     """Returns (gset, shift-space-or-None)."""
-    if token.startswith("union:"):
-        pieces = [_build_gset(G, part)[0] for part in token[len("union:"):].split("+")]
-        out = pieces[0]
-        for nxt in pieces[1:]:
-            out = disjoint_union(out, nxt)
-        return out, None
-    m = _SHIFT.match(token)
-    if m:
-        space = build_shift(G, int(m.group(1)))
+    kind, value = parsed
+    if kind == "union":
+        pieces = [_build_gset(G, sub, part)[0] for part, sub in value]
+        return functools.reduce(disjoint_union, pieces), None
+    if kind == "shift":
+        space = build_shift(G, value)
         return space.gset, space
-    m = _COSETS.match(token)
-    if m is None:
-        raise SpecStringError(f"unknown G-set token {token!r}", token=token)
-    elements = [int(t) for t in m.group(1).split(",")]
-    if any(not 0 <= e < G.order for e in elements):
+    if any(not 0 <= e < G.order for e in value):
         raise SpecStringError(f"coset spec {token!r} names elements outside the group",
                               token=token)
-    H = Subgroup(G, tuple(sorted(generated_subgroup(G, elements))))
+    H = Subgroup(G, tuple(sorted(generated_subgroup(G, value))))
     return coset_action(G, H), None
 
 
@@ -459,11 +460,11 @@ def _verify_report(X: GSet, space: ShiftSpace | None, config: RunConfig) -> tupl
 
 def run(config: RunConfig) -> tuple[int, dict | str]:
     """Execute a parsed config; returns (exit code, report)."""
-    G = _build_group(config.group_spec)
+    G = _build_group(config.group, config.group_spec)
     if config.command == "lattice":
         return 0, _lattice_report(G)
 
-    X, space = _build_gset(G, config.gset_spec)
+    X, space = _build_gset(G, config.gset, config.gset_spec)
     code = 0
     if config.command == "boxes":
         report = _paper_table(X) if config.paper_layout else _boxes_report(X)

@@ -241,7 +241,3 @@ def from_permutation_generators(degree: int, perms, budget: int = DEFAULT_GROUP_
         frontier = nxt
     return _group_from_permutations(sorted(elements), name=name)
 
-
-def conjugate_element(G: FiniteGroup, g: int, h: int) -> int:
-    """The conjugate of h by g, i.e. g^-1 * h * g."""
-    return int(G.mul[G.inv[g], G.mul[h, g]])

@@ -7,7 +7,7 @@ verification tool, not a general-purpose CAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -94,12 +94,6 @@ def generated_subgroup(G: FiniteGroup, gens) -> frozenset:
     return frozenset(elems)
 
 
-def conjugate_subgroup(G: FiniteGroup, H: frozenset, g: int) -> frozenset:
-    """The set g H g^-1."""
-    gi = int(G.inv[g])
-    return frozenset(int(G.mul[int(G.mul[g, h]), gi]) for h in H)
-
-
 def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, element list).
 
@@ -135,41 +129,53 @@ def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
 class SubgroupLattice:
     """All subgroups of a group plus the structure the rank machinery needs.
 
-    subgroups are in the canonical (order, elements) sort; `leq[i, j]` says
-    subgroup i is contained in subgroup j; classes list conjugacy classes
-    in ascending size of their members, each with a representative (the
-    lexicographically smallest member).
+    subgroups are in the canonical (order, elements) sort and `masks[i]`
+    marks the elements of subgroup i.  `conj[g, i]` is the index of
+    g S_i g^-1, the one conjugation table: classes, normalizers, N-classes
+    and conjugators are all read off it.  `leq[i, j]` says subgroup i is
+    contained in subgroup j.  classes list conjugacy classes in ascending
+    size of their members, each with a representative (the
+    lexicographically smallest member, always first); `subgroup_class[i]`
+    is the position of subgroup i's class.
     """
 
     group: FiniteGroup
     subgroups: list[Subgroup]
+    masks: np.ndarray                       # (subgroups, |G|) bool
     leq: np.ndarray
+    conj: np.ndarray                        # (|G|, subgroups) int32
+    subgroup_class: np.ndarray              # per subgroup, its class position
     classes: list[tuple[int, ...]]          # tuples of subgroup indices
     class_reps: tuple[int, ...]             # representative subgroup index per class
     normalizer_idx: tuple[int, ...]         # per subgroup, index of its normalizer
     moebius_table: np.ndarray               # valid where leq holds
-    _index: dict = field(repr=False)
+
+    def index_of_masks(self, masks) -> np.ndarray:
+        """Subgroup index of each row of a boolean (k, |G|) element-mask array."""
+        masks = np.asarray(masks, dtype=bool)
+        if masks.shape[1] != self.group.order:
+            raise DomainError(f"element masks have {masks.shape[1]} columns, "
+                              f"the group has order {self.group.order}")
+        found = _lookup(np.packbits(self.masks, axis=1), np.packbits(masks, axis=1))
+        missing = np.flatnonzero(found < 0)
+        if len(missing):
+            members = np.flatnonzero(masks[missing[0]]).tolist()
+            raise DomainError(f"{members} is not a subgroup of this group")
+        return found
 
     def subgroup_index(self, H) -> int:
         """Index of a subgroup given as a Subgroup or an element collection."""
-        key = frozenset(H.elements) if isinstance(H, Subgroup) else frozenset(int(x) for x in H)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise DomainError(f"{sorted(key)} is not a subgroup of this group") from None
+        members = sorted(H.element_set if isinstance(H, Subgroup) else {int(x) for x in H})
+        if not all(0 <= x < self.group.order for x in members):
+            raise DomainError(f"{members} is not a subgroup of this group")
+        mask = np.zeros((1, self.group.order), dtype=bool)
+        mask[0, members] = True
+        return int(self.index_of_masks(mask)[0])
 
     def class_of(self, H) -> int:
         """Position (in the canonical class order) of the class containing H."""
         i = H if isinstance(H, (int, np.integer)) else self.subgroup_index(H)
-        return self._class_of_subgroup[i]
-
-    @cached_property
-    def _class_of_subgroup(self) -> np.ndarray:
-        out = np.empty(len(self.subgroups), dtype=np.int32)
-        for c, members in enumerate(self.classes):
-            for i in members:
-                out[i] = c
-        return out
+        return int(self.subgroup_class[i])
 
     def normalizer_of(self, H) -> Subgroup:
         return self.subgroups[self.normalizer_idx[self.subgroup_index(H)]]
@@ -187,69 +193,49 @@ class SubgroupLattice:
 
         Returned as subgroup indices, ordered by element list.
         """
-        S = self.subgroups[i].element_set
-        found = {self._index[conjugate_subgroup(self.group, S, n)] for n in N.elements}
-        return tuple(sorted(found, key=lambda j: self.subgroups[j].elements))
+        return tuple(np.unique(self.conj[list(N.elements), i]).tolist())
 
     def conjugator(self, i: int, j: int) -> int:
         """The smallest group element g with g S g^-1 = T, for S = subgroups[i]
         and T = subgroups[j]."""
-        S, T = self.subgroups[i].element_set, self.subgroups[j].element_set
-        for g in range(self.group.order):
-            if conjugate_subgroup(self.group, S, g) == T:
-                return g
-        raise DomainError(f"subgroups {i} and {j} are not conjugate")
+        hits = self.conj[:, i] == j
+        if not hits.any():
+            raise DomainError(f"subgroups {i} and {j} are not conjugate")
+        return int(hits.argmax())
 
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """N_G(H) = {g : g H g^-1 = H}."""
-    hs = H.element_set
-    members = [g for g in range(G.order)
-               if conjugate_subgroup(G, hs, g) == hs]
-    return Subgroup(G, tuple(members))
+def containment(masks: np.ndarray) -> np.ndarray:
+    """`out[a, b]` says the element set of mask row a lies inside row b."""
+    counts = masks.astype(np.int64)
+    return counts @ (1 - counts).T == 0
 
 
-def conjugacy_classes(G: FiniteGroup, subgroups: list[Subgroup]) -> list[list[int]]:
-    """Partition subgroup indices into conjugacy classes.
+def _lookup(known: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each row of `queries` among the distinct rows of `known`, -1 if absent.
 
-    Classes come out ascending by member order; ties are broken by the
-    element list of each class's smallest member, and that smallest member
-    is the designated representative (always first in its class tuple).
+    Rows are bit-packed element masks.
     """
-    index = {S.element_set: i for i, S in enumerate(subgroups)}
-    unassigned = set(range(len(subgroups)))
-    classes = []
-    for i, S in enumerate(subgroups):
-        if i not in unassigned:
-            continue
-        members = set()
-        for g in range(G.order):
-            c = conjugate_subgroup(G, S.element_set, g)
-            members.add(index[c])
-        unassigned -= members
-        classes.append(sorted(members, key=lambda k: subgroups[k].elements))
-    classes.sort(key=lambda cl: (subgroups[cl[0]].order, subgroups[cl[0]].elements))
-    return classes
+    n = len(known)
+    keys = np.vstack([known, queries])
+    _, ids = np.unique(keys, axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    position = np.full(len(keys), -1, dtype=np.int32)
+    position[ids[:n]] = np.arange(n)
+    return position[ids[n:]]
 
 
-def _moebius_table(leq: np.ndarray, order_key: list[int]) -> np.ndarray:
-    """mu(i, j) by the recursion mu(i,i)=1, sum over i<=k<=j of mu(i,k) = 0.
+def _moebius_table(leq: np.ndarray) -> np.ndarray:
+    """mu as the inverse of the zeta matrix, by forward substitution.
 
-    `order_key` gives subgroup sizes so intermediate subgroups can be
-    swept smallest-to-largest.
+    Subgroups are sorted by order, so the zeta matrix `leq` is unitriangular
+    and mu zeta = I gives each column from the earlier ones:
+    mu[:, j] = e_j - sum of mu[:, k] over k < j with k <= j.
     """
-    n = leq.shape[0]
-    by_size = sorted(range(n), key=lambda k: order_key[k])
+    n = len(leq)
     table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        table[i, i] = 1
-        above = [j for j in by_size if leq[i, j] and j != i]
-        for j in above:
-            acc = 0
-            for k in range(n):
-                if k != j and leq[i, k] and leq[k, j]:
-                    acc += table[i, k]
-            table[i, j] = -acc
+    for j in range(n):
+        table[:, j] = -table[:, np.flatnonzero(leq[:j, j])].sum(axis=1)
+        table[j, j] = 1
     return table
 
 
@@ -257,24 +243,31 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     """Enumerate everything: subgroups, containment, classes, normalizers, Moebius."""
     subs = all_subgroups(G, budget=budget)
     n = len(subs)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, A in enumerate(subs):
-        for j, B in enumerate(subs):
-            leq[i, j] = A.element_set <= B.element_set
-    index = {S.element_set: i for i, S in enumerate(subs)}
-    classes = conjugacy_classes(G, subs)
-    reps = tuple(cl[0] for cl in classes)
-    norm_idx = tuple(index[normalizer(G, S).element_set] for S in subs)
-    moeb = _moebius_table(leq, [S.order for S in subs])
+    masks = np.zeros((n, G.order), dtype=bool)
+    for i, S in enumerate(subs):
+        masks[i, list(S.elements)] = True
+    keys = np.packbits(masks, axis=1)
+    # g S g^-1 holds x exactly when S holds g^-1 x g = mul[mul[g^-1], g][x];
+    # one lookup per g keeps the temporaries at the size of one table row
+    conj = np.stack([_lookup(keys, np.packbits(masks[:, G.mul[G.mul[G.inv[g]], g]], axis=1))
+                     for g in range(G.order)])
+    # a class's smallest index is its lexicographically smallest member
+    reps, subgroup_class = np.unique(conj.min(axis=0), return_inverse=True)
+    subgroup_class = subgroup_class.reshape(-1).astype(np.int32)
+    # N(S_i) is the set of g with conj[g, i] == i
+    normalizers = _lookup(keys, np.packbits((conj == np.arange(n)).T, axis=1))
+    leq = containment(masks)
     return SubgroupLattice(
         group=G,
         subgroups=subs,
+        masks=masks,
         leq=leq,
-        classes=[tuple(cl) for cl in classes],
-        class_reps=reps,
-        normalizer_idx=norm_idx,
-        moebius_table=moeb,
-        _index=index,
+        conj=conj,
+        subgroup_class=subgroup_class,
+        classes=[tuple(np.flatnonzero(subgroup_class == c).tolist()) for c in range(len(reps))],
+        class_reps=tuple(reps.tolist()),
+        normalizer_idx=tuple(normalizers.tolist()),
+        moebius_table=_moebius_table(leq),
     )
 
 
@@ -284,10 +277,6 @@ def conj_order_graph(lattice: SubgroupLattice) -> set[tuple[int, int]]:
     Class [H] is below [K] when H is contained in some conjugate of K.
     The relation is reflexive, and transitive because containment is.
     """
-    edges = set()
-    for i, ci in enumerate(lattice.classes):
-        H = ci[0]
-        for j, cj in enumerate(lattice.classes):
-            if any(lattice.leq[H, k] for k in cj):
-                edges.add((i, j))
-    return edges
+    member = np.eye(len(lattice.classes), dtype=np.int64)[lattice.subgroup_class]
+    below = lattice.leq[list(lattice.class_reps)].astype(np.int64) @ member
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(below))}

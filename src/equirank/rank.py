@@ -15,9 +15,9 @@ from math import factorial, prod
 
 import numpy as np
 
-from .actions import BoxDecomposition, GSet, decompose, restrict_to_invariant
+from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .lattice import SubgroupLattice, Subgroup, build_lattice, conjugate_subgroup
+from .lattice import SubgroupLattice, Subgroup, build_lattice
 from .transform import (
     DEFAULT_ENUM_BUDGET,
     EquivariantMap,
@@ -263,7 +263,6 @@ def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set
         lattice = build_lattice(X.group)
     decomp = decompose(X, lattice)
     lat = lattice
-    G = lat.group
     orbits_with = {s: set(X.orbit_of_point[list(pts)].tolist())
                    for sub in decomp.sub_boxes for s, pts in sub.items()}
     out = set()
@@ -276,11 +275,9 @@ def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set
             box_i = int(lat.class_of(s))
             box_pos = decomp.box_classes.index(box_i)
             g = lat.conjugator(s, lat.class_reps[box_i])
-            moved_t = lat.subgroup_index(
-                conjugate_subgroup(G, lat.subgroups[t].element_set, g))
             N = decomp.box_normalizer(box_pos)
             out.add(CollapseType(box_index=box_pos,
-                                 target_class=lat.n_class(N, moved_t)))
+                                 target_class=lat.n_class(N, int(lat.conj[g, t]))))
     return out
 
 
@@ -353,12 +350,18 @@ def aut_generators(X: GSet, lattice: SubgroupLattice | None = None,
     Per box: swaps between the canonical representatives of its orbits
     (these permute the orbits), and for each representative a translation
     to every other point of its orbit sharing its exact stabilizer (these
-    realize the per-orbit coset group).
+    realize the per-orbit coset group).  Refuses, before building any map,
+    when the generators would hold more than DEFAULT_CELL_BUDGET cells.
     """
     if decomp is None:
         if lattice is None:
             lattice = build_lattice(X.group)
         decomp = decompose(X, lattice)
+    count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
+    if count * X.size > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"aut_generators would build {count} maps of {X.size} points, "
+            f"over the budget of {DEFAULT_CELL_BUDGET} cells")
     gens = []
     for i in range(decomp.n_boxes):
         H = decomp.box_subgroup(i)

@@ -219,3 +219,46 @@ def all_subgroup_element_sets(mul: np.ndarray) -> set:
             if closed:
                 out.add(cand)
     return out
+
+
+def conjugate_set(mul: np.ndarray, inv: np.ndarray, g: int, elements) -> frozenset:
+    """The set g S g^-1, one product at a time."""
+    return frozenset(int(mul[mul[g, h], inv[g]]) for h in elements)
+
+
+def conjugation_table(mul: np.ndarray, inv: np.ndarray, subgroups: list) -> np.ndarray:
+    """out[g, i] = position of g S_i g^-1 in the list of subgroup element sets."""
+    index = {frozenset(s): i for i, s in enumerate(subgroups)}
+    n = mul.shape[0]
+    out = np.zeros((n, len(subgroups)), dtype=np.int64)
+    for g in range(n):
+        for i, s in enumerate(subgroups):
+            out[g, i] = index[conjugate_set(mul, inv, g, s)]
+    return out
+
+
+def subgroup_classes(mul: np.ndarray, inv: np.ndarray, subgroups: list) -> list[tuple]:
+    """Conjugacy classes of subgroups as position tuples.
+
+    Members sorted by element list; classes sorted by the size and element
+    list of their first member.
+    """
+    index = {frozenset(s): i for i, s in enumerate(subgroups)}
+    key = lambda i: (len(subgroups[i]), sorted(subgroups[i]))
+    classes = set()
+    for s in subgroups:
+        members = {index[conjugate_set(mul, inv, g, s)] for g in range(mul.shape[0])}
+        classes.add(tuple(sorted(members, key=key)))
+    return sorted(classes, key=lambda cl: key(cl[0]))
+
+
+def normalizer_elements(mul: np.ndarray, inv: np.ndarray, elements) -> frozenset:
+    s = frozenset(elements)
+    return frozenset(g for g in range(mul.shape[0]) if conjugate_set(mul, inv, g, s) == s)
+
+
+def smallest_conjugator(mul: np.ndarray, inv: np.ndarray, source, target):
+    """The smallest g with g S g^-1 = T, or None."""
+    target = frozenset(target)
+    return next((g for g in range(mul.shape[0])
+                 if conjugate_set(mul, inv, g, source) == target), None)

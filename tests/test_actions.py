@@ -153,6 +153,11 @@ def test_restrict_to_invariant():
     X = shift_gset(make_cyclic(6), 2)
     R = restrict_to_invariant(X, [0, 63, 21, 42])
     assert R.orbits == ((0,), (1, 2), (3,))
+    new = {x: i for i, x in enumerate([0, 21, 42, 63])}
+    assert R.action.tolist() == [[new[int(X.action[g, x])] for x in new] for g in range(6)]
+    for outside in ([0, 64], [-1, 0]):
+        with pytest.raises(DomainError):
+            restrict_to_invariant(X, outside)
     with pytest.raises(DomainError):
         restrict_to_invariant(X, [1, 2])              # not closed under the action
     with pytest.raises(DomainError):

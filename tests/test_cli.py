@@ -1,5 +1,6 @@
 """CLI parsing, exit codes, and golden outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,7 @@ def test_perm_group_spec(capsys):
     assert code == 0 and report["group_order"] == 6
     assert report["class_reps"] == [0, 1, 4, 5]
     assert main(["lattice", "perm:3:(0 9)"]) == 2
+    assert main(["lattice", "perm:3:(a b)"]) == 2       # not a number: a spec error
     capsys.readouterr()
 
 
@@ -180,6 +182,20 @@ def test_lattice_s3_golden(capsys):
     assert report["classes"] == [[0], [1, 2, 3], [4], [5]]
     assert report["normalizers"] == [5, 1, 2, 3, 5, 5]
     assert [m for m in report["moebius"] if m[0] == 0 and m[1] == 5] == [[0, 5, 3]]
+
+
+# sha256 of the stdout bytes, recorded before subgroup conjugation became one table
+LATTICE_JSON_SHA256 = {
+    "S4": "3b1d17940bb7401bdda03d19d95ead7f43663a04a71f4c5a56a0d274ea0436fe",
+    "D4": "23703859c44da8c3fbfac27cf226e0ee7ce80c48e0c63eabfb99fcd3289d6234",
+}
+
+
+@pytest.mark.parametrize("group", sorted(LATTICE_JSON_SHA256))
+def test_lattice_json_frozen(capsys, group):
+    assert main(["lattice", group]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == LATTICE_JSON_SHA256[group]
 
 
 def test_table_output(capsys):

@@ -5,7 +5,6 @@ from equirank import (
     BudgetExceeded,
     DomainError,
     FiniteGroup,
-    conjugate_element,
     direct_product,
     from_permutation_generators,
     make_cyclic,
@@ -104,10 +103,12 @@ def test_direct_product_labels():
 
 def test_conjugation_golden():
     G = make_symmetric(3)
+    # conj[g, h] = g h g^-1, one row per conjugating element
+    conj = G.mul[G.mul, G.inv[:, None]]
     # conjugating the 3-cycle (0 2 1) by the transposition (0 1) yields (0 1 2)
-    assert conjugate_element(G, 2, 4) == 3
-    # conjugating (0 1) by (0 2 1) yields (1 2)
-    assert conjugate_element(G, 4, 2) == 1
+    assert conj[2, 4] == 3 == G.mul[G.mul[2], G.inv[2]][4]
+    # g^-1 (0 1) g for g = (0 2 1) is (1 2)
+    assert conj[G.inv[4], 2] == 1
 
 
 def test_order_budget():

@@ -8,11 +8,9 @@ from equirank import (
     all_subgroups,
     build_lattice,
     conj_order_graph,
-    conjugate_subgroup,
     generated_subgroup,
     make_cyclic,
     make_symmetric,
-    normalizer,
 )
 import oracles
 
@@ -81,15 +79,47 @@ def test_moebius_rejects_incomparable():
 def test_normalizer_and_n_classes():
     G = make_symmetric(3)
     H = Subgroup(G, (0, 2))
-    N = normalizer(G, H)
+    L = build_lattice(G)
+    N = L.normalizer_of(H)
     assert N.elements == (0, 2)
     full = Subgroup(G, tuple(range(6)))
-    L = build_lattice(G)
     h = L.subgroup_index(H)
     assert [L.subgroups[j].elements for j in L.n_class(N, h)] == [(0, 2)]
     assert [L.subgroups[j].elements for j in L.n_class(full, h)] == [
         (0, 1), (0, 2), (0, 5)]
-    assert conjugate_subgroup(G, frozenset({0, 2}), 3) == frozenset({0, 1})
+    assert L.subgroups[L.conj[3, L.subgroup_index({0, 2})]].element_set == frozenset({0, 1})
+
+
+def test_conjugation_table_against_oracle(zoo):
+    groups = dict(zoo, S4=make_symmetric(4))
+    for name, G in groups.items():
+        L = build_lattice(G)
+        sets = [S.elements for S in L.subgroups]
+        index = {frozenset(s): i for i, s in enumerate(sets)}
+        assert (L.conj == oracles.conjugation_table(G.mul, G.inv, sets)).all(), name
+        classes = oracles.subgroup_classes(G.mul, G.inv, sets)
+        assert L.classes == classes, name
+        assert L.class_reps == tuple(cl[0] for cl in classes), name
+        assert [L.classes[L.class_of(i)] for i in range(len(sets))] == [
+            next(cl for cl in classes if i in cl) for i in range(len(sets))], name
+        assert L.normalizer_idx == tuple(
+            index[oracles.normalizer_elements(G.mul, G.inv, s)] for s in sets), name
+        for n in sorted(set(L.normalizer_idx)):
+            N = L.subgroups[n]
+            for i, s in enumerate(sets):
+                found = {oracles.conjugate_set(G.mul, G.inv, g, s) for g in N.elements}
+                assert L.n_class(N, i) == tuple(sorted(index[t] for t in found)), (name, n, i)
+        for cl in classes:
+            for i in cl:
+                for j in cl:
+                    assert L.conjugator(i, j) == oracles.smallest_conjugator(
+                        G.mul, G.inv, sets[i], sets[j]), (name, i, j)
+
+
+def test_conjugator_rejects_non_conjugate_pair():
+    L = build_lattice(make_symmetric(3))
+    with pytest.raises(DomainError):
+        L.conjugator(1, 4)
 
 
 def test_conj_order_graph_s3():

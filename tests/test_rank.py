@@ -1,9 +1,12 @@
 """Relative rank, collapse types, and the wreath structure of the boxes."""
 
+import time
+
 import numpy as np
 import pytest
 
 from equirank import (
+    BudgetExceeded,
     CollapseType,
     DomainError,
     EquivariantMap,
@@ -235,6 +238,19 @@ def test_aut_generators_close_to_full_group(z2_shift):
     decomp2 = decompose(z2_shift)
     assert closure(z2_shift, aut_generators(z2_shift, decomp=decomp2)).size == 4
     assert aut_group_order(decomp2) == 4
+
+
+def test_aut_generators_budget_before_any_map():
+    X = build_shift(make_cyclic(3), 2).gset
+    decomp = decompose(X)
+    count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
+    assert len(aut_generators(X, decomp=decomp)) == count
+    # about 19,400 maps of 117,649 points (9 GB) if it were built
+    big = build_shift(make_symmetric(3), 7).gset
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"aut_generators would build \d+ maps of 117649 "):
+        aut_generators(big)
+    assert time.perf_counter() - start < 30
 
 
 def test_aut_order_prediction(s3_shift):

@@ -400,17 +400,17 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
         for i in range(decomp.n_boxes):
             aut_orbits_in_box(decomp, i)
 
-    rank_report = functools.cache(lambda: relative_rank(X, lat))
+    rank_report = functools.cache(lambda: relative_rank(X, lat, decomp))
 
     def check_rank():
         report = rank_report()
-        census = collapse_type_census(X, lat)
+        census = collapse_type_census(X, lat, decomp)
         if len(census) != report.relative_rank:
             raise PropertyFailure(
                 f"census has {len(census)} types, rank is {report.relative_rank}")
 
     def check_wreath():
-        wreath_order_checks(X, lat, **({"budget": budget} if budget else {}))
+        wreath_order_checks(X, lat, decomp=decomp, **({"budget": budget} if budget else {}))
 
     def check_enumeration():
         kwargs = {"budget": budget} if budget else {}

@@ -62,67 +62,135 @@ class Subgroup:
 def _check_subgroup(G: FiniteGroup, elements: tuple[int, ...]) -> None:
     if not elements:
         raise DomainError("a subgroup cannot be empty")
-    s = frozenset(elements)
-    if G.identity not in s:
+    if G.identity not in elements:
         raise DomainError("subgroup does not contain the identity")
-    for a in elements:
-        if not (0 <= a < G.order):
-            raise DomainError(f"element {a} out of range")
-        if int(G.inv[a]) not in s:
-            raise DomainError(f"subgroup not closed under inverses at {a}")
-        for b in elements:
-            if int(G.mul[a, b]) not in s:
-                raise DomainError(f"subgroup not closed under product at ({a},{b})")
-    if G.order % len(s) != 0:
+    outside = [a for a in elements if not 0 <= a < G.order]
+    if outside:
+        raise DomainError(f"element {outside[0]} out of range")
+    e = np.asarray(elements)
+    member = np.zeros(G.order, dtype=bool)
+    member[e] = True
+    # per row a (in sorted order): the inverse test comes before any product (a, b)
+    bad_inverse = ~member[G.inv[e]]
+    closed = member[G.mul[e[:, None], e]]
+    bad_row = bad_inverse | ~closed.all(axis=1)
+    if bad_row.any():
+        a = int(bad_row.argmax())
+        if bad_inverse[a]:
+            raise DomainError(f"subgroup not closed under inverses at {elements[a]}")
+        b = int((~closed[a]).argmax())
+        raise DomainError(
+            f"subgroup not closed under product at ({elements[a]},{elements[b]})")
+    if G.order % int(member.sum()) != 0:
         raise DomainError("subgroup order does not divide the group order")
+
+
+def _closure(mul: np.ndarray, mask: np.ndarray, gens) -> np.ndarray:
+    """The smallest superset of `mask` closed under right multiplication by `gens`.
+
+    When `mask` holds the identity and lies inside <gens>, that is the
+    subgroup <gens>: in a finite group products alone give the inverses.
+    Each step multiplies every member at once by the columns `mul[:, gens]`.
+    """
+    mask = mask.copy()
+    steps = mul[:, list(gens)]
+    while True:
+        reached = steps[mask]
+        if mask[reached].all():
+            return mask
+        mask[reached] = True
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> frozenset:
     """Element set of the subgroup generated by `gens` (may be empty -> trivial)."""
-    elems = {G.identity}
-    frontier = [G.identity]
-    gens = [int(g) for g in gens]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = int(G.mul[a, g])
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(elems)
+    seed = np.zeros(G.order, dtype=bool)
+    seed[G.identity] = True
+    return frozenset(np.flatnonzero(_closure(G.mul, seed, [int(g) for g in gens])).tolist())
+
+
+def _conjugation_perms(G: FiniteGroup) -> np.ndarray:
+    """`out[g, x]` = g^-1 x g, so `mask[out[g]]` marks g S g^-1 when `mask` marks S."""
+    return G.mul[G.mul[G.inv], np.arange(G.order)[:, None]]
+
+
+def _subgroup_masks(G: FiniteGroup, budget: int) -> np.ndarray:
+    """Every subgroup of G as a row of a bool (subgroups, |G|) array, in the
+    (order, element list) sort.
+
+    Found one conjugacy class at a time.  Starting from the trivial
+    subgroup, each class representative R (kept with a short generating
+    list) is joined with the cyclic subgroups <g> not inside it; a join J
+    not seen before brings in its whole class, the rows of
+    `J[_conjugation_perms(G)]`, and only J itself goes on the worklist.
+    Two joins are skipped because an earlier one stands for them:
+    <R, y g y^-1> = y <R, g> y^-1 for y in N(R), so one <g> per N(R)-orbit
+    is enough, and <R, x> = <R, g> for x in the double coset R g R.
+
+    This is complete.  Every subgroup H ends a chain 1 < <c1> < <c1, c2>
+    < ... = H.  If one step is x R x^-1 for a representative R, the next is
+    x <R, x^-1 c x> x^-1, and <R, x^-1 c x> is a join the loop makes (or
+    one it skipped for the reasons above), so the next step's class is
+    recorded too.  Unlike extending subgroups by cyclic subgroups they
+    normalize, this reaches perfect subgroups such as A5.
+    """
+    if G.order > budget:
+        raise BudgetExceeded(
+            f"subgroup enumeration limited to order {budget}, group has {G.order}")
+    n = G.order
+    rows = np.arange(n)
+    cyclic = np.zeros((n, n), dtype=bool)            # row g marks <g>
+    power = rows.copy()
+    while True:
+        cyclic[rows, power] = True
+        if (power == G.identity).all():
+            break
+        power = G.mul[power, rows]
+    # cyclic_gen[c] generates the c-th distinct cyclic subgroup, <g> is number cyclic_id[g]
+    _, cyclic_gen, cyclic_id = np.unique(_row_keys(cyclic), return_index=True,
+                                         return_inverse=True)
+    perms = _conjugation_perms(G)
+
+    trivial = cyclic[G.identity]
+    seen = {np.packbits(trivial).tobytes()}
+    found = [trivial[None]]
+    worklist = [(trivial, [], rows)]
+    while worklist:
+        R, gens, normalizer = worklist.pop()
+        todo = np.flatnonzero(~R[cyclic_gen])
+        orbit_min = cyclic_id[perms[normalizer][:, cyclic_gen[todo]]].min(axis=0)
+        inside = np.flatnonzero(R)
+        done = np.zeros(len(cyclic_gen), dtype=bool)
+        for c in todo[orbit_min == todo].tolist():
+            if done[c]:
+                continue
+            g = int(cyclic_gen[c])
+            done[cyclic_id[G.mul[G.mul[inside, g][:, None], inside]]] = True
+            J = _closure(G.mul, R | cyclic[g], gens + [g])
+            if np.packbits(J).tobytes() in seen:
+                continue
+            conjugates = J[perms]
+            keys, members = np.unique(_row_keys(conjugates), return_index=True)
+            seen.update(keys.tolist())                 # one bytes object per row
+            if len(seen) > _SUBGROUP_COUNT_CAP:
+                raise BudgetExceeded("subgroup count exceeds internal cap")
+            found.append(conjugates[members])
+            worklist.append((J, gens + [g], np.flatnonzero((conjugates == J).all(axis=1))))
+    masks = np.concatenate(found)
+    elements = [np.flatnonzero(m).tolist() for m in masks]
+    return masks[sorted(range(len(masks)), key=lambda i: (len(elements[i]), elements[i]))]
+
+
+def _subgroups_of(G: FiniteGroup, masks: np.ndarray) -> list[Subgroup]:
+    return [Subgroup(G, tuple(np.flatnonzero(m).tolist())) for m in masks]
 
 
 def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, element list).
 
-    Found by closing the set of cyclic subgroups under pairwise join;
-    since every subgroup is the join of the cyclic subgroups it contains,
-    the fixed point of that process is the complete list.
+    Enumerated by conjugacy class, joining class representatives with
+    cyclic subgroups on element masks (see `_subgroup_masks`).
     """
-    if G.order > budget:
-        raise BudgetExceeded(
-            f"subgroup enumeration limited to order {budget}, group has {G.order}")
-    found: set[frozenset] = set()
-    for g in range(G.order):
-        found.add(generated_subgroup(G, [g]))
-    worklist = list(found)
-    while worklist:
-        fresh = []
-        for A in worklist:
-            for B in list(found):
-                if A <= B or B <= A:
-                    continue
-                J = generated_subgroup(G, A | B)
-                if J not in found:
-                    found.add(J)
-                    fresh.append(J)
-                    if len(found) > _SUBGROUP_COUNT_CAP:
-                        raise BudgetExceeded("subgroup count exceeds internal cap")
-        worklist = fresh
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [Subgroup(G, tuple(sorted(s))) for s in ordered]
+    return _subgroups_of(G, _subgroup_masks(G, budget))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +218,17 @@ class SubgroupLattice:
     normalizer_idx: tuple[int, ...]         # per subgroup, index of its normalizer
     moebius_table: np.ndarray               # valid where leq holds
 
+    @cached_property
+    def _index(self) -> _MaskIndex:
+        return _MaskIndex(self.masks)
+
     def index_of_masks(self, masks) -> np.ndarray:
         """Subgroup index of each row of a boolean (k, |G|) element-mask array."""
         masks = np.asarray(masks, dtype=bool)
         if masks.shape[1] != self.group.order:
             raise DomainError(f"element masks have {masks.shape[1]} columns, "
                               f"the group has order {self.group.order}")
-        found = _lookup(np.packbits(self.masks, axis=1), np.packbits(masks, axis=1))
+        found = self._index(masks)
         missing = np.flatnonzero(found < 0)
         if len(missing):
             members = np.flatnonzero(masks[missing[0]]).tolist()
@@ -210,18 +282,29 @@ def containment(masks: np.ndarray) -> np.ndarray:
     return counts @ (1 - counts).T == 0
 
 
-def _lookup(known: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Position of each row of `queries` among the distinct rows of `known`, -1 if absent.
+class _MaskIndex:
+    """Finds bool element-mask rows among a fixed set of distinct rows.
 
-    Rows are bit-packed element masks.
+    The known rows are bit-packed, viewed as one void scalar each and
+    sorted once; each query is then a binary search.
     """
-    n = len(known)
-    keys = np.vstack([known, queries])
-    _, ids = np.unique(keys, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
-    position = np.full(len(keys), -1, dtype=np.int32)
-    position[ids[:n]] = np.arange(n)
-    return position[ids[n:]]
+
+    def __init__(self, masks: np.ndarray):
+        keys = _row_keys(masks)
+        self._order = np.argsort(keys).astype(np.int32)
+        self._sorted = keys[self._order]
+
+    def __call__(self, masks: np.ndarray) -> np.ndarray:
+        """Position of each row of `masks` among the known rows, -1 if absent."""
+        keys = _row_keys(masks)
+        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[at] == keys, self._order[at], np.int32(-1))
+
+
+def _row_keys(masks: np.ndarray) -> np.ndarray:
+    """One void scalar per mask row, holding the row's bit-packed bytes."""
+    packed = np.packbits(np.ascontiguousarray(masks), axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def _moebius_table(leq: np.ndarray) -> np.ndarray:
@@ -241,21 +324,19 @@ def _moebius_table(leq: np.ndarray) -> np.ndarray:
 
 def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> SubgroupLattice:
     """Enumerate everything: subgroups, containment, classes, normalizers, Moebius."""
-    subs = all_subgroups(G, budget=budget)
+    masks = _subgroup_masks(G, budget)
+    subs = _subgroups_of(G, masks)
     n = len(subs)
-    masks = np.zeros((n, G.order), dtype=bool)
-    for i, S in enumerate(subs):
-        masks[i, list(S.elements)] = True
-    keys = np.packbits(masks, axis=1)
-    # g S g^-1 holds x exactly when S holds g^-1 x g = mul[mul[g^-1], g][x];
-    # one lookup per g keeps the temporaries at the size of one table row
-    conj = np.stack([_lookup(keys, np.packbits(masks[:, G.mul[G.mul[G.inv[g]], g]], axis=1))
-                     for g in range(G.order)])
+    index = _MaskIndex(masks)
+    # g S g^-1 holds x exactly when S holds g^-1 x g; one lookup per g keeps
+    # the temporaries at the size of one table row
+    perms = _conjugation_perms(G)
+    conj = np.stack([index(masks[:, perms[g]]) for g in range(G.order)])
     # a class's smallest index is its lexicographically smallest member
     reps, subgroup_class = np.unique(conj.min(axis=0), return_inverse=True)
     subgroup_class = subgroup_class.reshape(-1).astype(np.int32)
     # N(S_i) is the set of g with conj[g, i] == i
-    normalizers = _lookup(keys, np.packbits((conj == np.arange(n)).T, axis=1))
+    normalizers = index((conj == np.arange(n)).T)
     leq = containment(masks)
     return SubgroupLattice(
         group=G,

@@ -128,17 +128,18 @@ def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
     return tuple(maps), tuple(tags)
 
 
-def relative_rank(X: GSet, lattice: SubgroupLattice | None = None) -> RankReport:
+def relative_rank(X: GSet, lattice: SubgroupLattice | None = None,
+                  decomp: BoxDecomposition | None = None) -> RankReport:
     """How many generators End needs beyond Aut, with an explicit witness set.
 
     The count is sum over boxes of |U(H_i)|, minus one for every box made
     of a single orbit; the constructed generating set realizes one
     elementary collapse per collapse type, and its size is asserted to
-    match the formula.
+    match the formula.  Pass `decomp` (X's decomposition) to reuse it.
     """
-    if lattice is None:
-        lattice = build_lattice(X.group)
-    decomp = decompose(X, lattice)
+    if decomp is None:
+        decomp = decompose(X, lattice)
+    lattice = decomp.lattice
     u_sets = _all_u_sets(decomp)
     kappa = decomp.kappa
     rank = sum(len(u) for u in u_sets) - len(kappa)
@@ -251,18 +252,19 @@ def collapse_type(tau: EquivariantMap, lattice: SubgroupLattice | None = None,
     return CollapseType(box_index=box_i, target_class=lat.n_class(N, target_idx))
 
 
-def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None) -> set:
+def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None,
+                         decomp: BoxDecomposition | None = None) -> set:
     """Every collapse type realizable on X, found by scanning stabilizer pairs.
 
     A type (i, [K]) is realizable exactly when some point with stabilizer
     conjugate to H_i can be pushed onto a point with stabilizer K sitting
     in a different orbit.  This route never touches U(H_i) or the rank
     formula, so the two can be compared as independent computations.
+    Pass `decomp` (X's decomposition) to reuse it.
     """
-    if lattice is None:
-        lattice = build_lattice(X.group)
-    decomp = decompose(X, lattice)
-    lat = lattice
+    if decomp is None:
+        decomp = decompose(X, lattice)
+    lat = decomp.lattice
     orbits_with = {s: set(X.orbit_of_point[list(pts)].tolist())
                    for sub in decomp.sub_boxes for s, pts in sub.items()}
     out = set()
@@ -394,15 +396,16 @@ def box_end_order(decomp: BoxDecomposition, i: int) -> int:
 
 
 def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+                        budget: int = DEFAULT_ENUM_BUDGET,
+                        decomp: BoxDecomposition | None = None) -> dict:
     """Compare predicted wreath-product orders with enumeration where feasible.
 
     Returns a report dict; a mismatch raises immediately, because a wrong
     order means the structural bookkeeping is broken, not the input.
+    Pass `decomp` (X's decomposition) to reuse it.
     """
-    if lattice is None:
-        lattice = build_lattice(X.group)
-    decomp = decompose(X, lattice)
+    if decomp is None:
+        decomp = decompose(X, lattice)
     boxes = []
     for i in range(decomp.n_boxes):
         end_pred = box_end_order(decomp, i)

@@ -262,3 +262,67 @@ def smallest_conjugator(mul: np.ndarray, inv: np.ndarray, source, target):
     target = frozenset(target)
     return next((g for g in range(mul.shape[0])
                  if conjugate_set(mul, inv, g, source) == target), None)
+
+
+def subgroups_by_pairwise_join(mul: np.ndarray) -> list[tuple]:
+    """Every subgroup, by closing the cyclic subgroups under pairwise join.
+
+    Each join is a breadth-first search over products of the two element
+    sets; every subgroup is the join of the cyclic subgroups it contains,
+    so the fixed point is the complete list.  Returned as element tuples
+    sorted by (order, elements).
+    """
+    table = mul.tolist()
+    n = len(table)
+    identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
+
+    def generated(gens):
+        elems = {identity}
+        frontier = [identity]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    b = table[a][g]
+                    if b not in elems:
+                        elems.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return frozenset(elems)
+
+    found = {generated([g]) for g in range(n)}
+    worklist = list(found)
+    while worklist:
+        fresh = []
+        for A in worklist:
+            for B in list(found):
+                if A <= B or B <= A:
+                    continue
+                J = generated(A | B)
+                if J not in found:
+                    found.add(J)
+                    fresh.append(J)
+        worklist = fresh
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+
+
+def subgroup_violation(mul: np.ndarray, inv: np.ndarray, identity: int, elements) -> str | None:
+    """The first reason a sorted element tuple is not a subgroup, or None.
+
+    Scans a in order, testing its inverse and then each product (a, b) in
+    order, one product at a time.
+    """
+    s = set(elements)
+    if not elements:
+        return "a subgroup cannot be empty"
+    if identity not in s:
+        return "subgroup does not contain the identity"
+    for a in elements:
+        if int(inv[a]) not in s:
+            return f"subgroup not closed under inverses at {a}"
+        for b in elements:
+            if int(mul[a, b]) not in s:
+                return f"subgroup not closed under product at ({a},{b})"
+    if mul.shape[0] % len(s) != 0:
+        return "subgroup order does not divide the group order"
+    return None

@@ -157,6 +157,25 @@ def test_verify_command(capsys):
     assert code == 0 and report["failures"] == 0
 
 
+def test_verify_decomposes_once(capsys, monkeypatch):
+    import equirank.cli
+    import equirank.rank
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (equirank.cli, equirank.rank):
+        monkeypatch.setattr(module, "decompose", counted(module.decompose))
+    code, report = _json_out(capsys, ["verify", "S3", "shift:q=2"])
+    assert code == 0 and report["failures"] == 0
+    assert len(calls) == 1
+
+
 def test_verify_skips_over_budget_checks(capsys):
     code, report = _json_out(capsys, ["verify", "Z6", "shift:q=2"])
     assert code == 0 and report["failures"] == 0
@@ -184,10 +203,13 @@ def test_lattice_s3_golden(capsys):
     assert [m for m in report["moebius"] if m[0] == 0 and m[1] == 5] == [[0, 5, 3]]
 
 
-# sha256 of the stdout bytes, recorded before subgroup conjugation became one table
+# sha256 of the stdout bytes: S4 and D4 recorded before subgroup conjugation
+# became one table, S5 and A5 before subgroups were enumerated by class
 LATTICE_JSON_SHA256 = {
     "S4": "3b1d17940bb7401bdda03d19d95ead7f43663a04a71f4c5a56a0d274ea0436fe",
     "D4": "23703859c44da8c3fbfac27cf226e0ee7ce80c48e0c63eabfb99fcd3289d6234",
+    "S5": "f74d280dd73b9f13b3187e3ab0ca7e480b9d1d1092d2463b98ce62fd90be02a4",
+    "perm:5:(0 1 2);(2 3 4)": "c0feb15282b1bc3b92d11323d80c112acec8c54fa1cd3353483dc2dddb031594",
 }
 
 

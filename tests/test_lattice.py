@@ -1,3 +1,7 @@
+import itertools
+import re
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -8,11 +12,17 @@ from equirank import (
     all_subgroups,
     build_lattice,
     conj_order_graph,
+    direct_product,
+    from_permutation_generators,
     generated_subgroup,
     make_cyclic,
     make_symmetric,
 )
 import oracles
+
+# Alt(5) and Alt(6) as the CLI specs perm:5:(0 1 2);(2 3 4) and perm:6:(0 1 2);(1 2 3 4 5)
+A5_GENS = [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]
+A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
 
 
 def test_all_subgroups_against_subset_scan(zoo):
@@ -20,6 +30,33 @@ def test_all_subgroups_against_subset_scan(zoo):
         ours = {s.element_set for s in all_subgroups(G)}
         brute = oracles.all_subgroup_element_sets(G.mul)
         assert ours == brute
+
+
+def test_all_subgroups_against_pairwise_join():
+    groups = {
+        "A5": from_permutation_generators(5, A5_GENS),
+        "S4": make_symmetric(4),
+        "S3xS3": direct_product(make_symmetric(3), make_symmetric(3)),
+        "Z2^4": reduce(direct_product, [make_cyclic(2)] * 4),
+        "Z2xS4": direct_product(make_cyclic(2), make_symmetric(4)),
+    }
+    for name, G in groups.items():
+        ours = [s.elements for s in all_subgroups(G)]
+        assert ours == oracles.subgroups_by_pairwise_join(G.mul), name
+
+
+def test_lattice_counts_past_order_100():
+    A5 = build_lattice(from_permutation_generators(5, A5_GENS))
+    assert (len(A5.subgroups), len(A5.classes)) == (59, 9)
+    assert A5.moebius(0, len(A5.subgroups) - 1) == -60
+    S5 = build_lattice(make_symmetric(5))
+    assert (len(S5.subgroups), len(S5.classes)) == (156, 19)
+    A6 = build_lattice(from_permutation_generators(6, A6_GENS))
+    assert (len(A6.subgroups), len(A6.classes)) == (501, 22)
+    # A5 is perfect: no chain of cyclic extensions reaches it, joins do
+    even = tuple(i for i, p in enumerate(itertools.permutations(range(5)))
+                 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0)
+    assert even in [s.elements for s in S5.subgroups]
 
 
 def test_subgroup_counts(zoo):
@@ -37,6 +74,24 @@ def test_subgroup_validation():
         Subgroup(G, (1, 2))            # missing the identity
     with pytest.raises(DomainError):
         Subgroup(G, ())
+
+
+def test_subgroup_validation_against_loop(zoo):
+    rng = np.random.default_rng(5)
+    for G in [*zoo.values(), make_symmetric(4)]:
+        for _ in range(60):
+            size = int(rng.integers(1, G.order + 1))
+            elements = tuple(sorted(rng.choice(G.order, size, replace=False).tolist()))
+            if rng.random() < 0.5 and G.identity not in elements:
+                elements = tuple(sorted(elements + (G.identity,)))
+            expected = oracles.subgroup_violation(G.mul, G.inv, G.identity, elements)
+            if expected is None:
+                assert Subgroup(G, elements).elements == elements
+            else:
+                with pytest.raises(DomainError, match=re.escape(expected)):
+                    Subgroup(G, elements)
+    with pytest.raises(DomainError, match="element 9 out of range"):
+        Subgroup(make_symmetric(3), (0, 1, 9))
 
 
 def test_generated_subgroup():

@@ -3,7 +3,8 @@
 Elements are always the integers 0..n-1.  Every other module speaks these
 indices; optional labels exist purely for display.  Keeping the whole
 group as a flat numpy table makes actions, stabilizers and closures plain
-array indexing.
+array indexing.  Rows of point indices (permutations here, self-map
+images in `transform`) are packed into sortable keys by `_RowKeys`.
 """
 
 from __future__ import annotations
@@ -132,26 +133,85 @@ def _perm_cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
+# Cells of the (rows, order, degree) product block that
+# `_group_from_permutations` composes at once.
+_PRODUCT_BLOCK_CELLS = 1 << 22
+
+
+class _RowKeys:
+    """Packs rows of point indices in 0..m-1 (permutations in one-line form,
+    images of self-maps) into keys that sort like the rows.
+
+    Each entry takes ceil(log2 m) bits (at least one), first entry most
+    significant, so comparing keys compares rows lexicographically.  One
+    uint64 word holds a row when m <= 16; a longer row becomes a void
+    scalar over its big-endian words, which also sorts and searches as one
+    value.  `row_dtype` is the narrowest unsigned type holding a point.
+    """
+
+    def __init__(self, m: int):
+        bits = max(1, (m - 1).bit_length())
+        per_word = 64 // bits
+        col = np.arange(m)
+        self.m = m
+        self.words = max(1, -(-m // per_word))
+        self.word_of = (col // per_word).tolist()
+        self.shift = [np.uint64(s) for s in bits * (per_word - 1 - col % per_word)]
+        self.low = np.uint64((1 << bits) - 1)
+        self.row_dtype = np.min_scalar_type(max(m - 1, 0))
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row of an (n, m) array."""
+        words = np.zeros((self.words, len(rows)), dtype=np.uint64)
+        for c in range(self.m):
+            words[self.word_of[c]] |= rows[:, c].astype(np.uint64) << self.shift[c]
+        if self.words == 1:
+            return words[0]
+        return np.ascontiguousarray(words.T, dtype=">u8").view(
+            np.dtype((np.void, 8 * self.words))).ravel()
+
+    def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
+        """The (n, m) rows of n keys, as `dtype`."""
+        words = (keys[None] if self.words == 1
+                 else keys.view(">u8").reshape(len(keys), self.words).T.astype(np.uint64))
+        rows = np.empty((len(keys), self.m), dtype=dtype)
+        for c in range(self.m):
+            rows[:, c] = (words[self.word_of[c]] >> self.shift[c]) & self.low
+        return rows
+
+
 def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     """Build the table for a closed set of permutations under composition.
 
-    The product p*q is the composite "apply q first, then p".
+    The product p*q is the composite "apply q first, then p".  A block of
+    table rows is composed in one gather, and every product is found among
+    the elements by binary search on packed keys (`_RowKeys`).
     """
-    order = len(perms)
-    index = {p: i for i, p in enumerate(perms)}
+    keys = _RowKeys(len(perms[0]))
+    P = np.array(perms, dtype=keys.row_dtype).reshape(len(perms), keys.m)
+    order = len(P)
+    elements = keys.pack(P)
+    by_key = np.argsort(elements)
+    sorted_keys = elements[by_key]
+
+    def index(rows: np.ndarray) -> np.ndarray:
+        found = keys.pack(rows)
+        at = np.minimum(np.searchsorted(sorted_keys, found), order - 1)
+        if (sorted_keys[at] != found).any():
+            raise DomainError("permutations are not closed under composition")
+        return by_key[at]
+
     mul = np.empty((order, order), dtype=np.int32)
-    inv = np.empty(order, dtype=np.int32)
-    degree = len(perms[0])
-    ident = tuple(range(degree))
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(degree))]
-        inv_p = [0] * degree
-        for k in range(degree):
-            inv_p[p[k]] = k
-        inv[i] = index[tuple(inv_p)]
+    step = max(1, _PRODUCT_BLOCK_CELLS // max(1, order * keys.m))
+    for start in range(0, order, step):
+        block = np.take(P[start:start + step], P, axis=1)    # block[a, j] = p_(start+a) p_j
+        mul[start:start + len(block)] = index(
+            block.reshape(len(block) * order, keys.m)).reshape(len(block), order)
+    inverse = np.empty_like(P)
+    inverse[np.arange(order)[:, None], P] = np.arange(keys.m)
+    identity = int(index(np.arange(keys.m)[None])[0])
     labels = tuple(_perm_cycle_label(p) for p in perms)
-    return FiniteGroup(order, mul, index[ident], inv, labels, name=name)
+    return FiniteGroup(order, mul, identity, index(inverse), labels, name=name)
 
 
 def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:

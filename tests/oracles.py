@@ -163,8 +163,13 @@ def count_maps_formula(alpha: list[int], quotient_orders: list[int]) -> int:
 
 
 def closure_of_maps(images: set, cap: int = 5_000_000) -> set:
-    """Smallest composition-closed set containing the given image tuples."""
+    """Smallest composition-closed set containing the given image tuples.
+
+    Raises exactly when that set has more than `cap` elements.
+    """
     out = set(images)
+    if len(out) > cap:
+        raise ValueError("oracle closure exceeded cap")
     frontier = list(images)
     while frontier:
         fresh = []
@@ -178,6 +183,29 @@ def closure_of_maps(images: set, cap: int = 5_000_000) -> set:
                             raise ValueError("oracle closure exceeded cap")
         frontier = fresh
     return out
+
+
+def monoid_by_bfs(size: int, generators, cap: int = ORACLE_MAP_LIMIT) -> np.ndarray:
+    """The monoid generated by image arrays on `size` points, identity included.
+
+    Breadth-first over a set of row bytes: each level composes every
+    generator after every frontier element and keeps the products not seen
+    before.  More than `cap` elements raises.  Returned as int32 rows in
+    lexicographic order.
+    """
+    gens = np.asarray(generators, dtype=np.int32).reshape(-1, size)
+    width = 4 * size
+    known = {np.arange(size, dtype=np.int32).tobytes(), *(g.tobytes() for g in gens)}
+    frontier = known
+    while frontier:
+        if len(known) > cap:
+            raise ValueError("oracle closure exceeded cap")
+        rows = np.frombuffer(b"".join(frontier), dtype=np.int32).reshape(len(frontier), size)
+        products = gens[:, rows].tobytes()
+        frontier = {products[i:i + width] for i in range(0, len(products), width)} - known
+        known |= frontier
+    rows = np.frombuffer(b"".join(known), dtype=np.int32).reshape(len(known), size)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def orbit_classes_under(images, size: int) -> list[frozenset]:

@@ -11,6 +11,7 @@ from equirank import (
     make_dihedral,
     make_symmetric,
 )
+from equirank.groups import _RowKeys
 
 # The classic 6x6 table for the symmetric group on three letters, with the
 # two 3-cycles written f, g and the transpositions a=(0 1), b=(0 2), c=(1 2).
@@ -127,3 +128,18 @@ def test_bad_tables_rejected():
         FiniteGroup(order=2, mul=good.mul, identity=0, inv=np.array([1, 0]))
     with pytest.raises(DomainError):
         from_permutation_generators(3, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 40, 300])
+def test_row_keys_sort_like_rows(m):
+    # one uint64 word up to 16 points, several words (void keys) beyond
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, max(m, 1), size=(200, m))
+    rows[100:] = rows[:100]                    # ties must compare equal
+    keys = _RowKeys(m)
+    packed = keys.pack(rows)
+    assert (keys.unpack(packed, np.int64) == rows).all()
+    by_key = np.argsort(packed, kind="stable")
+    by_row = np.lexsort(rows.T[::-1])
+    assert (rows[by_key] == rows[by_row]).all()
+    assert len(np.unique(packed)) == len(np.unique(rows, axis=0))

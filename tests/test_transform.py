@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirank import (
     BudgetExceeded,
@@ -12,11 +14,14 @@ from equirank import (
     EquivariantMap,
     MonoidClosure,
     StabilizerError,
+    aut_generators,
     build_lattice,
     build_shift,
     closure,
     compose,
     coset_action,
+    decompose,
+    direct_product,
     disjoint_union,
     end_monoid_order,
     enumerate_aut,
@@ -29,6 +34,7 @@ from equirank import (
     map_rank,
     point_push,
     point_swap,
+    relative_rank,
     sym_generators_check,
     trans_generators_check,
     trivial_gset,
@@ -213,6 +219,83 @@ def test_closure(z2_shift):
         closure(X, gens, cap=5)
     assert info.value.cap == 5 and info.value.partial_size >= 5
     assert e in closure(X, [p])
+
+
+def test_closure_cap_counts_the_seed():
+    # identity plus three distinct generators already exceed a cap of 1
+    X = trivial_gset(make_cyclic(1), 3)
+    gens = [[0, 0, 2], [1, 1, 2], [2, 2, 2]]
+    with pytest.raises(ClosureCapExceeded) as info:
+        closure(X, gens, cap=1)
+    assert info.value.partial_size > 1
+    size = closure(X, gens).size
+    assert closure(X, gens, cap=size).size == size
+    with pytest.raises(ClosureCapExceeded):
+        closure(X, gens, cap=size - 1)
+
+
+@pytest.mark.parametrize("group, q", [
+    (direct_product(make_cyclic(2), make_cyclic(2)), 2),
+    (make_cyclic(4), 2),
+    (make_cyclic(1), 6),
+    (make_cyclic(3), 2),
+    (make_cyclic(2), 3),
+], ids=["Z2xZ2-q2", "Z4-q2", "Z1-q6", "Z3-q2", "Z2-q3"])
+def test_closure_matches_bfs_oracle_on_verify_instances(group, q):
+    # the closure CLI verify runs: Aut generators plus the push set
+    X = build_shift(group, q).gset
+    lat = build_lattice(group)
+    decomp = decompose(X, lat)
+    gens = aut_generators(X, lat, decomp) + list(relative_rank(X, lat, decomp).generating_set)
+    got = closure(X, gens)
+    expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
+    assert got.images.tobytes() == expected.tobytes()
+    assert got.size == end_monoid_order(X)
+
+
+_ORACLE_CAP = 64
+
+
+@st.composite
+def _generator_sets(draw, sizes):
+    """Maps on m letters that move only a few drawn points among themselves."""
+    m = draw(sizes)
+    moved = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 6), unique=True))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        img = list(range(m))
+        for x in moved:
+            img[x] = draw(st.sampled_from(moved))
+        gens.append(img)
+    return m, gens
+
+
+def _check_closure_against_oracle(m, gens):
+    X = trivial_gset(make_cyclic(1), m)
+    seed = {tuple(range(m)), *map(tuple, gens)}
+    try:
+        expected = oracles.closure_of_maps(seed, cap=_ORACLE_CAP)
+    except ValueError:
+        with pytest.raises(ClosureCapExceeded):
+            closure(X, gens, cap=_ORACLE_CAP)
+        return
+    got = closure(X, gens, cap=len(expected))
+    assert got.images.tolist() == sorted(map(list, expected))
+    with pytest.raises(ClosureCapExceeded):
+        closure(X, gens, cap=len(expected) - 1)
+
+
+@given(_generator_sets(st.integers(1, 6)))
+@settings(max_examples=40, deadline=None)
+def test_closure_matches_oracle_on_few_letters(case):
+    _check_closure_against_oracle(*case)
+
+
+@given(_generator_sets(st.integers(17, 40)))
+@settings(max_examples=40, deadline=None)
+def test_closure_matches_oracle_on_multiword_keys(case):
+    # over 16 letters a packed row spans more than one 64-bit word
+    _check_closure_against_oracle(*case)
 
 
 def test_sym_and_trans_generator_checks():

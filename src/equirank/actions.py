@@ -15,11 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _RowKeys
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
-_FULL_COMPAT_WORK = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,40 @@ class GSet:
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """All orbits, ascending by smallest point."""
-        n = int(self.orbit_of_point.max()) + 1 if self.size else 0
-        return tuple(tuple(pts.tolist()) for pts in _group_by(self.orbit_of_point, n))
+        return tuple(_group_by(self.orbit_of_point, len(self.orbit_reps)))
+
+    @cached_property
+    def orbit_reps(self) -> np.ndarray:
+        """The smallest point of each orbit, ascending (the order of `orbits`).
+
+        Column x of the table is the orbit of x, so x is its orbit's
+        smallest point exactly when it is its column's minimum.
+        """
+        return np.flatnonzero(self._orbit_minima == np.arange(self.size))
 
     @cached_property
     def orbit_of_point(self) -> np.ndarray:
-        """Per point, the position of its orbit in `orbits`.
+        """Per point, the position of its orbit in `orbits`."""
+        return np.searchsorted(self.orbit_reps, self._orbit_minima).astype(np.int32)
 
-        Column x of the table is the orbit of x, so its minimum names the orbit.
-        """
-        _, ids = np.unique(self.action.min(axis=0), return_inverse=True)
-        return ids.astype(np.int32)
+    @cached_property
+    def _orbit_minima(self) -> np.ndarray:
+        return self.action.min(axis=0)
 
     @cached_property
     def stabilizer_table(self) -> StabilizerTable:
-        """Every point stabilizer, read off one (|G|, m) fixed-point table."""
+        """Every point stabilizer, read off one (|G|, m) fixed-point table.
+
+        Each point's column of fixed flags is packed into a key, one bit
+        per group element with element 0 most significant, so the distinct
+        keys come out of `np.unique` in the lexicographic order of the
+        flag columns.
+        """
+        keys = _RowKeys(2, self.group.order)
         fixes = self.action == np.arange(self.size, dtype=np.int32)
-        keys = np.ascontiguousarray(np.packbits(fixes, axis=0).T)
-        distinct, cls = np.unique(keys, axis=0, return_inverse=True)
-        masks = np.unpackbits(distinct, axis=1, count=self.group.order).astype(bool)
-        return StabilizerTable(cls.reshape(-1), masks, containment(masks))
+        distinct, cls = np.unique(keys.pack(fixes.T), return_inverse=True)
+        masks = keys.unpack(distinct, bool)
+        return StabilizerTable(cls, masks, containment(masks))
 
     def stabilizer(self, x: int) -> Subgroup:
         table = self.stabilizer_table
@@ -118,17 +131,14 @@ def _check_action(G: FiniteGroup, act: np.ndarray, budget: int = DEFAULT_CELL_BU
         raise DomainError("action table entries out of range")
     if (act[G.identity] != np.arange(m)).any():
         raise DomainError("identity does not act trivially")
-    if n * n * m <= _FULL_COMPAT_WORK:
-        pairs = ((g, h) for g in range(n) for h in range(n))
-    else:
-        rng = np.random.default_rng(0)
-        pairs = zip(rng.integers(0, n, 20_000), rng.integers(0, n, 20_000))
-        for g in range(n):
-            if (np.sort(act[g]) != np.arange(m)).any():
-                raise DomainError(f"element {g} does not act by a permutation")
-    for g, h in pairs:
-        if (act[g][act[h]] != act[int(G.mul[g, h])]).any():
-            raise DomainError(f"action is not compatible with the product at ({g},{h})")
+    # act[g] act[s] = act[gs] for every g and generator s extends to every
+    # product by induction on word length; with the identity acting
+    # trivially it also makes each row a permutation (act[g^-1] undoes it).
+    for s in G.generators:
+        bad = (act[:, act[s]] != act[G.mul[:, s]]).any(axis=1)
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise DomainError(f"action is not compatible with the product at ({g},{s})")
 
 
 def trivial_gset(G: FiniteGroup, m: int, name: str = "") -> GSet:
@@ -233,8 +243,9 @@ class BoxDecomposition:
         return tuple(i for i, a in enumerate(self.alpha) if a == 1)
 
     def orbits_in_box(self, i: int) -> tuple[tuple[int, ...], ...]:
-        member = set(self.boxes[i])
-        return tuple(o for o in self.gset.orbits if o[0] in member)
+        orbits = self.gset.orbits
+        in_box = self.box_of_point[self.gset.orbit_reps] == i
+        return tuple(orbits[k] for k in np.flatnonzero(in_box).tolist())
 
     @cached_property
     def orbits_per_box(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -245,39 +256,38 @@ class BoxDecomposition:
         return self.lattice.group.order // self.box_normalizer(i).order
 
 
-def _group_by(labels: np.ndarray, n: int) -> list[np.ndarray]:
+def _group_by(labels: np.ndarray, n: int) -> list[tuple[int, ...]]:
     """Points grouped by their label 0, ..., n-1; each group ascending."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n)))[:-1]
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=n)).tolist()
+    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecomposition:
     """Compute the box decomposition of a G-set.
 
     Each distinct stabilizer of the G-set's table is looked up in the
-    lattice once; boxes, sub-boxes and orbit counts are groupings of the
-    resulting per-point subgroup indices.
+    lattice once and placed in its box; boxes, sub-boxes and orbit counts
+    are groupings of the points by distinct stabilizer.
     """
     if lattice is None:
         lattice = build_lattice(gset.group)
     table = gset.stabilizer_table
-    stab_index = lattice.index_of_masks(table.masks)[table.point_class]
-    box_classes, box_of_point = np.unique(lattice.subgroup_class[stab_index],
-                                          return_inverse=True)
+    subs = lattice.index_of_masks(table.masks)            # per distinct stabilizer
+    box_classes, box_of_sub = np.unique(lattice.subgroup_class[subs], return_inverse=True)
     n_boxes = len(box_classes)
-    box_of_point = box_of_point.astype(np.int32)
+    box_of_point = box_of_sub.astype(np.int32)[table.point_class]
     sub_boxes = tuple({} for _ in range(n_boxes))
-    subs, sub_of_point = np.unique(stab_index, return_inverse=True)
-    for s, pts in zip(subs.tolist(), _group_by(sub_of_point, len(subs))):
-        sub_boxes[box_of_point[pts[0]]][s] = tuple(pts.tolist())
-    orbit_reps = [o[0] for o in gset.orbits]
-    alpha = np.bincount(box_of_point[orbit_reps], minlength=n_boxes)
+    by_stabilizer = _group_by(table.point_class, len(subs))
+    for a in np.argsort(subs).tolist():
+        sub_boxes[box_of_sub[a]][int(subs[a])] = by_stabilizer[a]
+    alpha = np.bincount(box_of_point[gset.orbit_reps], minlength=n_boxes)
     return BoxDecomposition(
         gset=gset,
         lattice=lattice,
-        stab_index=stab_index,
+        stab_index=subs[table.point_class],
         box_classes=tuple(box_classes.tolist()),
-        boxes=tuple(tuple(pts.tolist()) for pts in _group_by(box_of_point, n_boxes)),
+        boxes=tuple(_group_by(box_of_point, n_boxes)),
         box_of_point=box_of_point,
         sub_boxes=sub_boxes,
         alpha=tuple(alpha.tolist()),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +23,9 @@ from .errors import BudgetExceeded, DomainError
 # that nothing accidentally allocates gigabytes.
 DEFAULT_GROUP_BUDGET = 10_080
 
-# Full associativity verification is cubic; past this order we verify a
-# random sample of triples instead (constructors are correct by
-# construction, the check guards hand-built tables).
-_FULL_ASSOC_LIMIT = 400
+# Cells of the (rows, order, ...) blocks that `_group_from_permutations`
+# composes and `_check_group_axioms` compares at once.
+_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +61,34 @@ class FiniteGroup:
             return self.labels[a]
         return str(a)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily in element order.
+
+        Each element not yet reached from the identity by right
+        multiplication with the generators so far becomes a generator, and
+        the reached set is closed again.  Every element is then a product
+        of generators, so a property that holds on the generators and
+        survives products holds everywhere; the validation checks rely on
+        this.  A group of order n gets at most log2(n) generators.
+        """
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        gens = []
+        for g in range(self.order):
+            if reached[g]:
+                continue
+            gens.append(g)
+            frontier = np.flatnonzero(reached)
+            while len(frontier):
+                products = self.mul[np.ix_(frontier, gens)].ravel()
+                fresh = np.zeros(self.order, dtype=bool)
+                fresh[products] = True
+                fresh &= ~reached
+                reached |= fresh
+                frontier = np.flatnonzero(fresh)
+        return tuple(gens)
+
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -90,15 +118,15 @@ def _check_group_axioms(G: FiniteGroup) -> None:
     if (np.sort(mul, axis=1) != np.arange(n)[None, :]).any() or \
             (np.sort(mul, axis=0) != np.arange(n)[:, None]).any():
         raise DomainError("multiplication table is not a Latin square")
-    if n <= _FULL_ASSOC_LIMIT:
-        for a in range(n):
-            if not (mul[mul[a], :] == mul[a][mul]).all():
-                raise DomainError(f"associativity fails for left factor {a}")
-    else:
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.integers(0, n, 20_000) for _ in range(3))
-        if not (mul[mul[a, b], c] == mul[a, mul[b, c]]).all():
-            raise DomainError("associativity fails on sampled triples")
+    # Light's test: (x s) y = x (s y) for every generator s is enough.  The
+    # elements z with (x z) y = x (z y) for all x, y are closed under
+    # products, so they form the whole table once they hold the generators.
+    step = max(1, _BLOCK_CELLS // n)
+    for s in G.generators:
+        for start in range(0, n, step):
+            rows = mul[start:start + step]
+            if not (mul[rows[:, s]] == np.take(rows, mul[s], axis=1)).all():
+                raise DomainError(f"associativity fails for middle factor {s}")
 
 
 def _guard_order(n: int, budget: int) -> None:
@@ -133,28 +161,27 @@ def _perm_cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-# Cells of the (rows, order, degree) product block that
-# `_group_from_permutations` composes at once.
-_PRODUCT_BLOCK_CELLS = 1 << 22
-
-
 class _RowKeys:
     """Packs rows of point indices in 0..m-1 (permutations in one-line form,
     images of self-maps) into keys that sort like the rows.
 
-    Each entry takes ceil(log2 m) bits (at least one), first entry most
-    significant, so comparing keys compares rows lexicographically.  One
-    uint64 word holds a row when m <= 16; a longer row becomes a void
-    scalar over its big-endian words, which also sorts and searches as one
-    value.  `row_dtype` is the narrowest unsigned type holding a point.
+    Rows have m entries unless `length` says otherwise (fixed-point rows
+    over the group elements use m = 2).  Each entry takes ceil(log2 m) bits
+    (at least one), first entry most significant, so comparing keys
+    compares rows lexicographically.  One uint64 word holds a row of up to
+    64 // bits entries (m <= 16 for a self-map); a longer row becomes a
+    void scalar over its big-endian words, which also sorts and searches
+    as one value.  `row_dtype` is the narrowest unsigned type holding a
+    point.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, length: int | None = None):
         bits = max(1, (m - 1).bit_length())
         per_word = 64 // bits
-        col = np.arange(m)
-        self.m = m
-        self.words = max(1, -(-m // per_word))
+        length = m if length is None else length
+        col = np.arange(length)
+        self.length = length
+        self.words = max(1, -(-length // per_word))
         self.word_of = (col // per_word).tolist()
         self.shift = [np.uint64(s) for s in bits * (per_word - 1 - col % per_word)]
         self.low = np.uint64((1 << bits) - 1)
@@ -163,7 +190,7 @@ class _RowKeys:
     def pack(self, rows: np.ndarray) -> np.ndarray:
         """One key per row of an (n, m) array."""
         words = np.zeros((self.words, len(rows)), dtype=np.uint64)
-        for c in range(self.m):
+        for c in range(self.length):
             words[self.word_of[c]] |= rows[:, c].astype(np.uint64) << self.shift[c]
         if self.words == 1:
             return words[0]
@@ -174,8 +201,8 @@ class _RowKeys:
         """The (n, m) rows of n keys, as `dtype`."""
         words = (keys[None] if self.words == 1
                  else keys.view(">u8").reshape(len(keys), self.words).T.astype(np.uint64))
-        rows = np.empty((len(keys), self.m), dtype=dtype)
-        for c in range(self.m):
+        rows = np.empty((len(keys), self.length), dtype=dtype)
+        for c in range(self.length):
             rows[:, c] = (words[self.word_of[c]] >> self.shift[c]) & self.low
         return rows
 
@@ -188,7 +215,7 @@ def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteG
     the elements by binary search on packed keys (`_RowKeys`).
     """
     keys = _RowKeys(len(perms[0]))
-    P = np.array(perms, dtype=keys.row_dtype).reshape(len(perms), keys.m)
+    P = np.array(perms, dtype=keys.row_dtype).reshape(len(perms), keys.length)
     order = len(P)
     elements = keys.pack(P)
     by_key = np.argsort(elements)
@@ -202,14 +229,14 @@ def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteG
         return by_key[at]
 
     mul = np.empty((order, order), dtype=np.int32)
-    step = max(1, _PRODUCT_BLOCK_CELLS // max(1, order * keys.m))
+    step = max(1, _BLOCK_CELLS // max(1, order * keys.length))
     for start in range(0, order, step):
         block = np.take(P[start:start + step], P, axis=1)    # block[a, j] = p_(start+a) p_j
         mul[start:start + len(block)] = index(
-            block.reshape(len(block) * order, keys.m)).reshape(len(block), order)
+            block.reshape(len(block) * order, keys.length)).reshape(len(block), order)
     inverse = np.empty_like(P)
-    inverse[np.arange(order)[:, None], P] = np.arange(keys.m)
-    identity = int(index(np.arange(keys.m)[None])[0])
+    inverse[np.arange(order)[:, None], P] = np.arange(keys.length)
+    identity = int(index(np.arange(keys.length)[None])[0])
     labels = tuple(_perm_cycle_label(p) for p in perms)
     return FiniteGroup(order, mul, identity, index(inverse), labels, name=name)
 

@@ -26,7 +26,8 @@ DEFAULT_CLOSURE_CAP = 2_000_000
 class EquivariantMap:
     """A G-equivariant self-map, stored as an image array.
 
-    Equivariance (image[g.x] = g.image[x]) is checked on construction; it
+    Equivariance (image[g.x] = g.image[x]) is checked on construction, on
+    the group's generators, which decides it for every element; it
     already implies that stabilizers can only grow along the map.
     """
 
@@ -41,10 +42,9 @@ class EquivariantMap:
             raise DomainError(f"image has shape {img.shape}, expected ({m},)")
         if m and (img.min() < 0 or img.max() >= m):
             raise DomainError("image entries out of range")
-        act = self.gset.action
-        for g in range(self.gset.group.order):
-            if (img[act[g]] != act[g][img]).any():
-                raise DomainError(f"map is not equivariant at group element {g}")
+        g = _first_non_commuting_generator(self.gset, img)
+        if g is not None:
+            raise DomainError(f"map is not equivariant at group element {g}")
         object.__setattr__(self, "_hash", hash(img.tobytes()))
 
     def __call__(self, x: int) -> int:
@@ -62,7 +62,7 @@ class EquivariantMap:
         return tuple(int(v) for v in self.image)
 
     def is_bijective(self) -> bool:
-        return len(np.unique(self.image)) == self.gset.size
+        return map_rank(self) == self.gset.size
 
     def __repr__(self):
         shown = ",".join(str(int(v)) for v in self.image[:12])
@@ -92,14 +92,25 @@ def is_equivariant(X: GSet, image) -> bool:
         raise DomainError(f"image has shape {img.shape}, expected ({X.size},)")
     if X.size and (img.min() < 0 or img.max() >= X.size):
         raise DomainError("image entries out of range")
-    act = X.action
-    return all((img[act[g]] == act[g][img]).all() for g in range(X.group.order))
+    return _first_non_commuting_generator(X, img) is None
+
+
+def _first_non_commuting_generator(X: GSet, img: np.ndarray) -> int | None:
+    """The first generator s with img(s.x) != s.img(x) for some x, else None.
+
+    A map commuting with the generators commutes with their products, so
+    this decides equivariance for the whole group (X is already an action).
+    """
+    gens = list(X.group.generators)
+    act = X.action[gens]
+    bad = (img[act] != np.take(act, img, axis=1)).any(axis=1)
+    return gens[int(np.argmax(bad))] if bad.any() else None
 
 
 def _transporters(X: GSet) -> np.ndarray:
     """Per point p, the first group element g with g.r = p, r the minimal
     point of p's orbit."""
-    reps = np.array([o[0] for o in X.orbits], dtype=np.int64)[X.orbit_of_point]
+    reps = X.orbit_reps[X.orbit_of_point]
     return np.argmax(X.action[:, reps] == np.arange(X.size), axis=0).astype(np.int32)
 
 
@@ -214,7 +225,7 @@ def _targets(X: GSet, bijective: bool):
     cls, within = table.point_class, table.within
     if bijective:
         within = np.eye(len(within), dtype=bool)
-    rep_cls = cls[[o[0] for o in X.orbits]]
+    rep_cls = cls[X.orbit_reps]
     per_class = within.astype(np.int64) @ np.bincount(cls, minlength=len(within))
     counts = [int(c) for c in per_class[rep_cls]]
 
@@ -433,4 +444,4 @@ def kernel_pairs(f: EquivariantMap) -> set:
 
 def map_rank(f: EquivariantMap) -> int:
     """Number of distinct image points."""
-    return int(len(np.unique(f.image)))
+    return int(np.count_nonzero(np.bincount(f.image, minlength=f.gset.size)))

@@ -54,6 +54,51 @@ def is_equivariant(act: np.ndarray, img) -> bool:
     return True
 
 
+def action_violation(mul: np.ndarray, act: np.ndarray, identity: int) -> str | None:
+    """The first reason a table is not a group action, or None.
+
+    Entries must lie in 0..m-1, the identity must act trivially, and
+    act[g][act[h]] must equal act[g*h] for every pair (g, h), scanned in
+    row-major order one pair at a time.
+    """
+    n, m = act.shape
+    if m and (act.min() < 0 or act.max() >= m):
+        return "out of range"
+    if (act[identity] != np.arange(m)).any():
+        return "identity acts nontrivially"
+    for g in range(n):
+        for h in range(n):
+            if (act[g][act[h]] != act[int(mul[g, h])]).any():
+                return f"incompatible at ({g},{h})"
+    return None
+
+
+def associativity_failures(mul: np.ndarray) -> int:
+    """Number of triples (a, b, c) with (ab)c != a(bc), one triple at a time."""
+    n = mul.shape[0]
+    return sum(int(mul[mul[a, b], c]) != int(mul[a, mul[b, c]])
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def generated_elements(table: list, identity: int, gens) -> frozenset:
+    """Every product of the given elements, breadth-first from the identity.
+
+    `table` is the multiplication table as nested lists (`mul.tolist()`).
+    """
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = table[a][g]
+                if b not in elems:
+                    elems.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(elems)
+
+
 def is_bijection(img) -> bool:
     return sorted(int(v) for v in img) == list(range(len(img)))
 
@@ -304,21 +349,7 @@ def subgroups_by_pairwise_join(mul: np.ndarray) -> list[tuple]:
     n = len(table)
     identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
 
-    def generated(gens):
-        elems = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = table[a][g]
-                    if b not in elems:
-                        elems.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(elems)
-
-    found = {generated([g]) for g in range(n)}
+    found = {generated_elements(table, identity, [g]) for g in range(n)}
     worklist = list(found)
     while worklist:
         fresh = []
@@ -326,7 +357,7 @@ def subgroups_by_pairwise_join(mul: np.ndarray) -> list[tuple]:
             for B in list(found):
                 if A <= B or B <= A:
                     continue
-                J = generated(A | B)
+                J = generated_elements(table, identity, A | B)
                 if J not in found:
                     found.add(J)
                     fresh.append(J)

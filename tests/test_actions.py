@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equirank import (
     BudgetExceeded,
@@ -19,6 +21,7 @@ from equirank import (
     trivial_gset,
 )
 import oracles
+from catalog import small_groups
 
 S3_DISPLAY = [0, 2, 5, 1, 4, 3]   # element order used when reading configurations
 
@@ -41,6 +44,45 @@ def test_action_validation():
         trivial_gset(make_cyclic(100), 20_000)
 
 
+def test_action_check_sees_non_generator_rows():
+    Z6 = make_cyclic(6)
+    assert Z6.generators == (1,)
+    act = Z6.mul.copy()                   # the regular action g.x = g + x
+    act[4] = act[2]                       # still a permutation, but 4 = 1+1+1+1
+    assert oracles.action_violation(Z6.mul, act, Z6.identity) is not None
+    with pytest.raises(DomainError, match="compatible"):
+        GSet(Z6, act)
+
+
+def _flip_instances():
+    out = []
+    for G in small_groups().values():
+        subgroups = build_lattice(G).subgroups
+        out += [coset_action(G, H) for H in subgroups[:3]]
+        out.append(disjoint_union(coset_action(G, subgroups[0]), coset_action(G, subgroups[len(subgroups) // 2])))
+    return out
+
+
+FLIP_INSTANCES = _flip_instances()
+
+
+@given(st.sampled_from(FLIP_INSTANCES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_action_check_matches_pair_loop_on_flipped_entries(X, data):
+    n, m = X.action.shape
+    act = X.action.copy()
+    g = data.draw(st.integers(0, n - 1))
+    x = data.draw(st.integers(0, m - 1))
+    act[g, x] = data.draw(st.integers(0, m - 1))
+    expected = oracles.action_violation(X.group.mul, act, X.group.identity) is None
+    try:
+        GSet(X.group, act)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == expected
+
+
 def test_orbits_and_stabilizers_against_oracle(zoo):
     for name in ("Z6", "S3", "D4", "Q8"):
         G = zoo[name]
@@ -59,6 +101,22 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
                 assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
                 assert D.stab_index[x] == L.subgroup_index(oracles.stabilizer_of(X.action, x))
             assert burnside_orbit_count(X) == oracles.burnside_count(X.action) == len(X.orbits)
+            assert X.orbit_reps.tolist() == [min(o) for o in oracles.orbit_partition(X.action)]
+
+
+def test_stabilizers_past_one_key_word():
+    # |G| = 120 > 64: each point's fixed flags span two key words
+    G = make_symmetric(5)
+    L = build_lattice(G)
+    X = coset_action(G, L.subgroups[0])
+    for k in (1, 40, 100, 150):
+        X = disjoint_union(X, coset_action(G, L.subgroups[k]))
+    table = X.stabilizer_table
+    for x in range(X.size):
+        assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
+    flags = table.masks.astype(int)
+    assert (np.lexsort(flags.T[::-1]) == np.arange(len(flags))).all()   # ascending
+    assert len(np.unique(flags, axis=0)) == len(flags)                  # distinct
 
 
 def test_fix_against_oracle(zoo):

@@ -13,6 +13,8 @@ from equirank import (
 )
 from equirank.groups import _RowKeys
 
+import oracles
+
 # The classic 6x6 table for the symmetric group on three letters, with the
 # two 3-cycles written f, g and the transpositions a=(0 1), b=(0 2), c=(1 2).
 CLASSIC_LETTERS = "eabcfg"
@@ -130,6 +132,54 @@ def test_bad_tables_rejected():
         from_permutation_generators(3, [(0, 0, 1)])
 
 
+# A Latin square with two-sided identity 0 in which every element is its
+# own inverse, but (ab)c != a(bc) for 36 of the 125 triples.
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+# Inverses 0, 1, 5, 4, 3, 2.  The greedy generators are 1 and 2; every
+# triple with middle factor 1 associates, so only the second generator
+# exposes the 32 failing triples.
+LOOP_FAILING_AT_SECOND_GENERATOR = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 5, 4, 1, 0],
+    [3, 2, 4, 5, 0, 1],
+    [4, 5, 1, 0, 3, 2],
+    [5, 4, 0, 1, 2, 3],
+]
+
+
+@pytest.mark.parametrize("table, inv, failures", [
+    (NON_ASSOCIATIVE_LOOP, [0, 1, 2, 3, 4], 36),
+    (LOOP_FAILING_AT_SECOND_GENERATOR, [0, 1, 5, 4, 3, 2], 32),
+])
+def test_non_associative_loop_rejected(table, inv, failures):
+    mul = np.array(table)
+    assert oracles.associativity_failures(mul) == failures
+    with pytest.raises(DomainError, match="associativity"):
+        FiniteGroup(order=len(inv), mul=mul, identity=0, inv=np.array(inv))
+
+
+def test_generators_generate(zoo):
+    groups = dict(zoo, S4=make_symmetric(4), S5=make_symmetric(5), D6=make_dihedral(6),
+                  Z2xS4=direct_product(make_cyclic(2), make_symmetric(4)))
+    for name, G in groups.items():
+        table = G.mul.tolist()
+        gens = G.generators
+        assert oracles.generated_elements(table, G.identity, gens) == frozenset(range(G.order))
+        # greedy: no generator is a product of the earlier ones
+        for k, g in enumerate(gens):
+            assert g not in oracles.generated_elements(table, G.identity, gens[:k]), name
+        assert 2 ** len(gens) <= G.order, name
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 40, 300])
 def test_row_keys_sort_like_rows(m):
     # one uint64 word up to 16 points, several words (void keys) beyond
@@ -143,3 +193,15 @@ def test_row_keys_sort_like_rows(m):
     by_row = np.lexsort(rows.T[::-1])
     assert (rows[by_key] == rows[by_row]).all()
     assert len(np.unique(packed)) == len(np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("length", [1, 8, 64, 65, 130])
+def test_bit_row_keys_sort_like_rows(length):
+    # fixed-point flags over |G| elements: one bit each, 64 to a word
+    rng = np.random.default_rng(length)
+    rows = rng.integers(0, 2, size=(200, length)).astype(bool)
+    rows[100:] = rows[:100]
+    keys = _RowKeys(2, length)
+    packed = keys.pack(rows)
+    assert (keys.unpack(packed, bool) == rows).all()
+    assert (rows[np.argsort(packed, kind="stable")] == rows[np.lexsort(rows.T[::-1])]).all()

@@ -1,5 +1,7 @@
 """Shift spaces, configuration encoding, and cellular automata."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from equirank import (
     DomainError,
     EquivariantMap,
     LocalRule,
+    PropertyFailure,
+    ShiftSpace,
     build_shift,
     ca_from_rule,
     compose,
@@ -17,11 +21,13 @@ from equirank import (
     enumerate_end,
     identity_map,
     make_cyclic,
+    make_dihedral,
     make_symmetric,
     map_rank,
     minimal_memory_set,
     rule_from_map,
 )
+from equirank.shift import _verify_shift_rows
 
 import oracles
 
@@ -73,13 +79,26 @@ def test_build_shift_guards():
         build_shift(make_cyclic(3), 2, display=(0, 0, 1))
 
 
-def test_shift_tables_match_oracle():
-    cases = [(make_cyclic(n), 2) for n in range(2, 7)]
-    cases += [(make_cyclic(2), 3), (make_cyclic(2), 4), (make_symmetric(3), 2)]
-    for G, q in cases:
-        space = build_shift(G, q)
+def test_shift_tables_match_oracle(zoo):
+    cases = [(make_cyclic(n), 2, None) for n in range(2, 7)]
+    cases += [(make_cyclic(2), 3, None), (make_cyclic(2), 4, None), (make_symmetric(3), 2, None)]
+    cases += [(zoo[name], 2, None) for name in ("D4", "V4", "Q8")]
+    cases += [(make_cyclic(3), 3, None), (make_symmetric(3), 2, (5, 3, 1, 0, 2, 4)),
+              (zoo["D4"], 2, (6, 1, 7, 0, 3, 5, 2, 4)), (make_cyclic(4), 3, (2, 0, 3, 1))]
+    for G, q, display in cases:
+        space = build_shift(G, q, display=display)
         expected = oracles.shift_action_table(G.mul, G.inv, q, list(space.display))
         assert (space.gset.action == expected).all()
+
+
+def test_shift_rows_checked_against_the_formula():
+    # a valid action of the same group, read with the wrong display order
+    G = make_cyclic(4)
+    shuffled = build_shift(G, 2, display=(0, 2, 1, 3))
+    _verify_shift_rows(shuffled)
+    wrong = ShiftSpace(group=G, q=2, display=(0, 1, 2, 3), gset=shuffled.gset)
+    with pytest.raises(PropertyFailure, match="shift row 1"):
+        _verify_shift_rows(wrong)
 
 
 def test_local_rule_validation(z4):
@@ -125,6 +144,30 @@ def test_ca_matches_pointwise_oracle(s3):
         out = oracles.cellular_step(s3.group.mul, 2, list(s3.display),
                                     [0, 2], table, config)
         assert s3.decode(int(tau.image[c])) == tuple(out[h] for h in s3.display)
+
+
+_CA_SPACES = {name: build_shift(G, 2) for name, G in
+              (("Z4", make_cyclic(4)), ("S3", make_symmetric(3)), ("D4", make_dihedral(4)))}
+
+
+@given(st.sampled_from(sorted(_CA_SPACES)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_ca_from_rule_matches_pointwise_oracle(name, data):
+    space = _CA_SPACES[name]
+    n = space.group.order
+    memory = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
+    table = data.draw(st.lists(st.integers(0, 1), min_size=2 ** len(memory),
+                               max_size=2 ** len(memory)))
+    rule = LocalRule(space=space, memory=tuple(memory), table=table)
+    patterns = itertools.product((0, 1), repeat=len(rule.memory))
+    lookup = dict(zip(patterns, rule.table.tolist()))
+    tau = ca_from_rule(space, rule)
+    for c in range(space.size):
+        digits = space.decode(c)
+        config = {space.display[i]: digits[i] for i in range(n)}
+        out = oracles.cellular_step(space.group.mul, 2, list(space.display),
+                                    memory, lookup, config)
+        assert space.decode(int(tau.image[c])) == tuple(out[h] for h in space.display)
 
 
 def test_rule_space_mismatch(z4, z6):

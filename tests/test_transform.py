@@ -41,7 +41,7 @@ from equirank import (
 )
 
 import oracles
-from catalog import make_quaternion
+from catalog import make_quaternion, small_groups
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,36 @@ def test_is_equivariant_scan_matches_oracle(z2_shift):
     for flat in range(4 ** 4):
         img = [(flat // 4 ** k) % 4 for k in range(4)]
         assert is_equivariant(X, img) == oracles.is_equivariant(X.action, img)
+
+
+def _map_instances():
+    out = []
+    for G in small_groups().values():
+        subgroups = build_lattice(G).subgroups
+        X = disjoint_union(coset_action(G, subgroups[0]),
+                           coset_action(G, subgroups[len(subgroups) // 2]))
+        out += [(X, img) for img in enumerate_end(X).images[::7]]
+    return out
+
+
+MAP_INSTANCES = _map_instances()
+
+
+@given(st.sampled_from(MAP_INSTANCES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_equivariance_checks_match_oracle_on_flipped_entries(case, data):
+    X, img = case
+    img = img.copy()
+    x = data.draw(st.integers(0, X.size - 1))
+    img[x] = data.draw(st.integers(0, X.size - 1))
+    expected = oracles.is_equivariant(X.action, img)
+    assert is_equivariant(X, img) == expected
+    try:
+        EquivariantMap(X, img)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == expected
 
 
 def test_identity_and_compose(z2_shift):

@@ -28,12 +28,12 @@ print(f"binary shift on {G.name}: {X.size} points, "
 end = enumerate_end(X)
 aut = enumerate_aut(X)
 print(f"|End| enumerated = {end.size}, formula = {end_monoid_order(X)}")
-print(f"|Aut| enumerated = {aut.size}, formula = {aut_group_order(decomp)}\n")
+print(f"|Aut| enumerated = {aut.size}, formula = {aut_group_order(X)}\n")
 
 print("per-box monoid orders (w^alpha * alpha^alpha):")
 for i in range(decomp.n_boxes):
     print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {decomp.wreath_base(i)}, "
-          f"|End(B_{i})| = {box_end_order(decomp, i)}")
+          f"|End(B_{i})| = {box_end_order(X, i)}")
 
 print("\nfirst few endomorphisms (as image rows):")
 for row in end.images[:5]:

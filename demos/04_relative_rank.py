@@ -22,14 +22,14 @@ report = relative_rank(X)
 decomp = report.decomposition
 
 print(f"binary shift on {G.name}: {X.size} configurations")
-print(f"alpha profile {decomp.alpha}, kappa = {report.kappa}")
+print(f"alpha profile {decomp.alpha}, kappa = {decomp.kappa}")
 print(f"relative rank = {report.relative_rank}\n")
 
 print("U-set sizes per box and the generating maps:")
 for i, u in enumerate(report.u_sets):
     print(f"  box {i}: |U| = {len(u)}")
 for tag, gen in zip(report.tags, report.generating_set):
-    print(f"  {tag:<16} type {collapse_type(gen, decomp=decomp)}")
+    print(f"  {tag:<16} type {collapse_type(gen)}")
 
 census = collapse_type_census(X)
 print(f"\ncollapse-type census has {len(census)} entries "

@@ -9,6 +9,7 @@ equivariant bijections additionally preserve the exact stabilizer.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,11 +111,8 @@ class GSet:
         """Points fixed by every element in `elements` (a Subgroup or iterable)."""
         if isinstance(elements, Subgroup):
             elements = elements.elements
-        mask = np.ones(self.size, dtype=bool)
-        pts = np.arange(self.size)
-        for h in elements:
-            mask &= self.action[int(h)] == pts
-        return tuple(int(x) for x in np.nonzero(mask)[0])
+        rows = self.action[np.fromiter(elements, dtype=np.intp)]
+        return tuple(np.flatnonzero((rows == np.arange(self.size)).all(axis=0)).tolist())
 
     def __repr__(self):
         return f"GSet({self.name or self.group.name}, {self.size} points)"
@@ -149,17 +147,9 @@ def coset_action(G: FiniteGroup, H: Subgroup, name: str = "") -> GSet:
     """G acting on the left cosets of H, cosets ordered by smallest member."""
     if H.group is not G:
         raise DomainError("subgroup belongs to a different group")
-    hs = H.elements
-    cosets = sorted({frozenset(int(G.mul[g, h]) for h in hs) for g in range(G.order)},
-                    key=min)
-    idx_by_min = {min(c): i for i, c in enumerate(cosets)}
-    reps = [min(c) for c in cosets]
-    act = np.zeros((G.order, len(cosets)), dtype=np.int32)
-    for g in range(G.order):
-        for i, r in enumerate(reps):
-            moved = int(G.mul[g, r])
-            act[g, i] = idx_by_min[min(int(G.mul[moved, h]) for h in hs)]
-    label = name or f"{G.name}/{{{','.join(G.label(e) for e in hs)}}}"
+    reps = np.unique(H.coset_min)           # each coset's smallest member, ascending
+    act = np.searchsorted(reps, H.coset_min[G.mul[:, reps]])
+    label = name or f"{G.name}/{{{','.join(G.label(e) for e in H.elements)}}}"
     return GSet(G, act, name=label)
 
 
@@ -247,10 +237,6 @@ class BoxDecomposition:
         in_box = self.box_of_point[self.gset.orbit_reps] == i
         return tuple(orbits[k] for k in np.flatnonzero(in_box).tolist())
 
-    @cached_property
-    def orbits_per_box(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(self.orbits_in_box(i) for i in range(self.n_boxes))
-
     def expected_aut_orbits(self, i: int) -> int:
         """Index of the box stabilizer's normalizer; equals the sub-box count."""
         return self.lattice.group.order // self.box_normalizer(i).order
@@ -263,15 +249,24 @@ def _group_by(labels: np.ndarray, n: int) -> list[tuple[int, ...]]:
     return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecomposition:
-    """Compute the box decomposition of a G-set.
+def decompose(gset: GSet) -> BoxDecomposition:
+    """The box decomposition of a G-set, one object per G-set while it is held.
 
-    Each distinct stabilizer of the G-set's table is looked up in the
-    lattice once and placed in its box; boxes, sub-boxes and orbit counts
-    are groupings of the points by distinct stabilizer.
+    Every call returns the same object for as long as any caller holds it.
+    The G-set keeps only a weak reference: a strong one both ways would
+    form a cycle that keeps each finished G-set's tables alive until the
+    cyclic garbage collector runs.
+
+    To build it, each distinct stabilizer of the G-set's table is looked
+    up once in the group's subgroup lattice and placed in its box; boxes,
+    sub-boxes and orbit counts are groupings of the points by distinct
+    stabilizer.
     """
-    if lattice is None:
-        lattice = build_lattice(gset.group)
+    held = gset.__dict__.get("_decomposition")        # weak reference, set below
+    decomp = held() if held is not None else None
+    if decomp is not None:
+        return decomp
+    lattice = build_lattice(gset.group)
     table = gset.stabilizer_table
     subs = lattice.index_of_masks(table.masks)            # per distinct stabilizer
     box_classes, box_of_sub = np.unique(lattice.subgroup_class[subs], return_inverse=True)
@@ -282,7 +277,7 @@ def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecompos
     for a in np.argsort(subs).tolist():
         sub_boxes[box_of_sub[a]][int(subs[a])] = by_stabilizer[a]
     alpha = np.bincount(box_of_point[gset.orbit_reps], minlength=n_boxes)
-    return BoxDecomposition(
+    decomp = BoxDecomposition(
         gset=gset,
         lattice=lattice,
         stab_index=subs[table.point_class],
@@ -292,9 +287,11 @@ def decompose(gset: GSet, lattice: SubgroupLattice | None = None) -> BoxDecompos
         sub_boxes=sub_boxes,
         alpha=tuple(alpha.tolist()),
     )
+    object.__setattr__(gset, "_decomposition", weakref.ref(decomp))
+    return decomp
 
 
-def alpha_by_moebius(decomp: BoxDecomposition, i: int) -> int:
+def alpha_by_moebius(X: GSet, i: int) -> int:
     """Orbit count of box i from fixed-point counts alone.
 
     Moebius inversion over the subgroup order turns the fixed-point counts
@@ -303,25 +300,27 @@ def alpha_by_moebius(decomp: BoxDecomposition, i: int) -> int:
     orbit count.  An independent route to `alpha`, kept separate so the
     two can be compared.
     """
+    decomp = decompose(X)
     lat = decomp.lattice
     H_idx = lat.class_reps[decomp.box_classes[i]]
     total = 0
     for j, K in enumerate(lat.subgroups):
         if lat.leq[H_idx, j]:
-            total += lat.moebius(H_idx, j) * len(decomp.gset.fix(K.elements))
+            total += lat.moebius(H_idx, j) * len(X.fix(K.elements))
     share = decomp.wreath_base(i)
     if total % share != 0:
         raise PropertyFailure("sub-box size is not divisible by the normalizer index")
     return total // share
 
 
-def aut_orbits_in_box(decomp: BoxDecomposition, i: int) -> int:
+def aut_orbits_in_box(X: GSet, i: int) -> int:
     """Number of orbits of the equivariant bijections on box i.
 
     Returns the index of the box stabilizer's normalizer; checks that it
     matches the number of nonempty sub-boxes, which is how the count is
     realized.
     """
+    decomp = decompose(X)
     expected = decomp.expected_aut_orbits(i)
     if expected != len(decomp.sub_boxes[i]):
         raise PropertyFailure(

@@ -234,33 +234,25 @@ def _parse_rule(space: ShiftSpace, spec: str) -> LocalRule:
     return LocalRule(space=space, memory=memory, table=np.array(table, dtype=np.int64))
 
 
-def _subgroup_elements(lattice, idx: int) -> list[int]:
-    return [int(e) for e in lattice.subgroups[idx].elements]
-
-
 def _lattice_report(G: FiniteGroup) -> dict:
     lat = build_lattice(G)
-    moebius = []
-    for i in range(len(lat.subgroups)):
-        for j in range(len(lat.subgroups)):
-            if lat.leq[i, j]:
-                moebius.append([i, j, int(lat.moebius(i, j))])
+    below, above = np.nonzero(lat.leq)                  # row-major: by i, then j
+    moebius = np.stack([below, above, lat.moebius_table[below, above]], axis=1)
     return {
         "schema": 1,
         "command": "lattice",
         "group": G.name,
         "group_order": G.order,
-        "subgroups": [_subgroup_elements(lat, i) for i in range(len(lat.subgroups))],
+        "subgroups": [list(s.elements) for s in lat.subgroups],
         "classes": [list(c) for c in lat.classes],
         "class_reps": [int(r) for r in lat.class_reps],
         "normalizers": [int(n) for n in lat.normalizer_idx],
-        "moebius": moebius,
+        "moebius": moebius.tolist(),
     }
 
 
 def _boxes_report(X: GSet) -> dict:
-    lat = build_lattice(X.group)
-    decomp = decompose(X, lat)
+    decomp = decompose(X)
     boxes = []
     for i in range(decomp.n_boxes):
         H = decomp.box_subgroup(i)
@@ -308,7 +300,7 @@ def _enumerate_report(X: GSet, config: RunConfig) -> dict:
     kwargs = {"budget": config.budget} if config.budget else {}
     if config.aut_only:
         found = enumerate_aut(X, **kwargs)
-        predicted = aut_group_order(decompose(X))
+        predicted = aut_group_order(X)
     else:
         found = enumerate_end(X, **kwargs)
         predicted = end_monoid_order(X)
@@ -329,8 +321,7 @@ def _enumerate_report(X: GSet, config: RunConfig) -> dict:
 
 
 def _rank_report(X: GSet) -> dict:
-    lat = build_lattice(X.group)
-    report = relative_rank(X, lat)
+    report = relative_rank(X)
     decomp = report.decomposition
     out = {
         "schema": 1,
@@ -342,10 +333,10 @@ def _rank_report(X: GSet) -> dict:
         "u_sizes": [len(u) for u in report.u_sets],
         "u_sets": [[list(cls) for cls in u] for u in report.u_sets],
         "alpha": [int(a) for a in decomp.alpha],
-        "kappa": [int(i) for i in report.kappa],
-        "kappa_size": len(report.kappa),
+        "kappa": [int(i) for i in decomp.kappa],
+        "kappa_size": len(decomp.kappa),
         "tags": list(report.tags),
-        "aut_order": aut_group_order(decomp),
+        "aut_order": aut_group_order(X),
     }
     if X.size <= _IMAGE_LIMIT:
         out["generators"] = [[int(v) for v in g.image] for g in report.generating_set]
@@ -384,8 +375,7 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
         except (PropertyFailure, AssertionError) as e:
             checks.append({"name": name, "status": "fail", "detail": str(e)})
 
-    lat = build_lattice(X.group)
-    decomp = decompose(X, lat)
+    decomp = decompose(X)
 
     def check_burnside():
         if burnside_orbit_count(X) != len(X.orbits):
@@ -393,24 +383,24 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
 
     def check_moebius():
         for i in range(decomp.n_boxes):
-            if alpha_by_moebius(decomp, i) != decomp.alpha[i]:
+            if alpha_by_moebius(X, i) != decomp.alpha[i]:
                 raise PropertyFailure(f"box {i}: Moebius route disagrees with direct count")
 
     def check_aut_orbits():
         for i in range(decomp.n_boxes):
-            aut_orbits_in_box(decomp, i)
+            aut_orbits_in_box(X, i)
 
-    rank_report = functools.cache(lambda: relative_rank(X, lat, decomp))
+    rank_report = functools.cache(lambda: relative_rank(X))
 
     def check_rank():
         report = rank_report()
-        census = collapse_type_census(X, lat, decomp)
+        census = collapse_type_census(X)
         if len(census) != report.relative_rank:
             raise PropertyFailure(
                 f"census has {len(census)} types, rank is {report.relative_rank}")
 
     def check_wreath():
-        wreath_order_checks(X, lat, decomp=decomp, **({"budget": budget} if budget else {}))
+        wreath_order_checks(X, **({"budget": budget} if budget else {}))
 
     def check_enumeration():
         kwargs = {"budget": budget} if budget else {}
@@ -418,9 +408,9 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
         if end.size != end_monoid_order(X):
             raise PropertyFailure("enumeration disagrees with the order formula")
         aut = enumerate_aut(X, **kwargs)
-        if aut.size != aut_group_order(decomp):
+        if aut.size != aut_group_order(X):
             raise PropertyFailure("bijection count disagrees with the wreath formula")
-        gens = aut_generators(X, lat, decomp) + list(rank_report().generating_set)
+        gens = aut_generators(X) + list(rank_report().generating_set)
         if closure(X, gens, cap=max(end.size, 2)).size != end.size:
             raise PropertyFailure("Aut plus the push set does not generate the monoid")
 

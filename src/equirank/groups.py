@@ -53,9 +53,6 @@ class FiniteGroup:
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
     def label(self, a: int) -> str:
         if self.labels is not None:
             return self.labels[a]
@@ -114,13 +111,11 @@ def _check_group_axioms(G: FiniteGroup) -> None:
         raise DomainError(f"element {e} is not a two-sided identity")
     if not (mul[np.arange(n), inv] == e).all() or not (mul[inv, np.arange(n)] == e).all():
         raise DomainError("inverse table is wrong")
-    # Each row and column must be a permutation (cancellation).
-    if (np.sort(mul, axis=1) != np.arange(n)[None, :]).any() or \
-            (np.sort(mul, axis=0) != np.arange(n)[:, None]).any():
-        raise DomainError("multiplication table is not a Latin square")
     # Light's test: (x s) y = x (s y) for every generator s is enough.  The
     # elements z with (x z) y = x (z y) for all x, y are closed under
     # products, so they form the whole table once they hold the generators.
+    # An associative table with identity and inverses is a group, so its
+    # rows and columns are permutations without a separate check.
     step = max(1, _BLOCK_CELLS // n)
     for s in G.generators:
         for start in range(0, n, step):

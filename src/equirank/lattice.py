@@ -38,8 +38,10 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_in_group(self) -> int:
-        return self.group.order // self.order
+    @cached_property
+    def coset_min(self) -> np.ndarray:
+        """Per group element t, the smallest member of the left coset tH."""
+        return self.group.mul[:, list(self.elements)].min(axis=1)
 
     def __contains__(self, g: int) -> bool:
         return g in self.element_set

@@ -17,7 +17,7 @@ import numpy as np
 
 from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .lattice import SubgroupLattice, Subgroup, build_lattice
+from .lattice import Subgroup
 from .transform import (
     DEFAULT_ENUM_BUDGET,
     EquivariantMap,
@@ -46,44 +46,36 @@ class CollapseType:
 
 @dataclass(frozen=True, eq=False)
 class RankReport:
-    """Everything the rank computation produces, in one bundle."""
+    """Everything the rank computation produces, in one bundle.
 
-    gset: GSet
-    lattice: SubgroupLattice
+    The G-set, its lattice and kappa are `decomposition.gset`, `.lattice`
+    and `.kappa`.
+    """
+
     decomposition: BoxDecomposition
     u_sets: tuple                       # per box: tuple of N-classes (subgroup-index tuples)
-    kappa: tuple[int, ...]
     relative_rank: int
     generating_set: tuple[EquivariantMap, ...]
     tags: tuple[str, ...]
 
 
-def _sorted_classes(lattice: SubgroupLattice, classes) -> tuple:
-    return tuple(sorted(classes, key=lambda cl: (lattice.subgroups[cl[0]].order,
-                                                 lattice.subgroups[cl[0]].elements)))
-
-
-def u_set(X: GSet, lattice: SubgroupLattice, i: int,
-          decomp: BoxDecomposition | None = None) -> tuple:
+def u_set(X: GSet, i: int) -> tuple:
     """The N_i-classes of occurring stabilizers that contain box i's subgroup.
 
     Returned in canonical order (ascending member order, then elements);
-    the class of the box's own subgroup always sorts first.
+    the class of the box's own subgroup always sorts first.  Each class is
+    an ascending tuple of subgroup indices, and indices follow that order,
+    so sorting the disjoint classes as tuples sorts them by first member.
     """
-    if decomp is None:
-        decomp = decompose(X, lattice)
+    decomp = decompose(X)
     if not 0 <= i < decomp.n_boxes:
         raise DomainError(f"box {i} does not exist; X has {decomp.n_boxes} boxes")
-    H_idx = lattice.class_reps[decomp.box_classes[i]]
+    lat = decomp.lattice
+    H_idx = lat.class_reps[decomp.box_classes[i]]
     N = decomp.box_normalizer(i)
     occurring = (k for sub in decomp.sub_boxes for k in sub)
-    classes = {lattice.n_class(N, k) for k in occurring if lattice.leq[H_idx, k]}
-    return _sorted_classes(lattice, classes)
-
-
-def _all_u_sets(decomp: BoxDecomposition) -> tuple:
-    lat = decomp.lattice
-    return tuple(u_set(decomp.gset, lat, i, decomp) for i in range(decomp.n_boxes))
+    classes = {lat.n_class(N, k) for k in occurring if lat.leq[H_idx, k]}
+    return tuple(sorted(classes))
 
 
 def _min_point_with_stab(decomp: BoxDecomposition, sub_idx: int,
@@ -128,39 +120,31 @@ def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
     return tuple(maps), tuple(tags)
 
 
-def relative_rank(X: GSet, lattice: SubgroupLattice | None = None,
-                  decomp: BoxDecomposition | None = None) -> RankReport:
+def relative_rank(X: GSet) -> RankReport:
     """How many generators End needs beyond Aut, with an explicit witness set.
 
     The count is sum over boxes of |U(H_i)|, minus one for every box made
     of a single orbit; the constructed generating set realizes one
     elementary collapse per collapse type, and its size is asserted to
-    match the formula.  Pass `decomp` (X's decomposition) to reuse it.
+    match the formula.
     """
-    if decomp is None:
-        decomp = decompose(X, lattice)
-    lattice = decomp.lattice
-    u_sets = _all_u_sets(decomp)
-    kappa = decomp.kappa
-    rank = sum(len(u) for u in u_sets) - len(kappa)
+    decomp = decompose(X)
+    u_sets = tuple(u_set(X, i) for i in range(decomp.n_boxes))
+    rank = sum(len(u) for u in u_sets) - len(decomp.kappa)
     maps, tags = _v_with_tags(decomp, u_sets)
     if len(maps) != rank:
         raise PropertyFailure(
             f"generating set has {len(maps)} pushes but the formula gives {rank}")
     return RankReport(
-        gset=X,
-        lattice=lattice,
         decomposition=decomp,
         u_sets=u_sets,
-        kappa=kappa,
         relative_rank=rank,
         generating_set=maps,
         tags=tags,
     )
 
 
-def decompose_by_boxes(tau: EquivariantMap,
-                       decomp: BoxDecomposition | None = None) -> list[EquivariantMap]:
+def decompose_by_boxes(tau: EquivariantMap) -> list[EquivariantMap]:
     """Split tau into per-box factors whose ascending-order composition is tau.
 
     Factor k acts like tau on box k and fixes everything else.  Because
@@ -168,10 +152,8 @@ def decompose_by_boxes(tau: EquivariantMap,
     from the last box down to the first (i.e. composing in ascending box
     order) reproduces tau exactly.
     """
-    if decomp is None:
-        decomp = decompose(tau.gset)
     out = []
-    for box in decomp.boxes:
+    for box in decompose(tau.gset).boxes:
         img = np.arange(tau.gset.size, dtype=np.int32)
         pts = list(box)
         img[pts] = tau.image[pts]
@@ -219,9 +201,7 @@ def is_elementary_collapse(tau: EquivariantMap) -> bool:
     return _collapse_shape(tau) is not None
 
 
-def collapse_type(tau: EquivariantMap, lattice: SubgroupLattice | None = None,
-                  decomp: BoxDecomposition | None = None,
-                  witness: int | None = None) -> CollapseType:
+def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseType:
     """Classify an elementary collapse by source box and image-stabilizer class.
 
     The witness (any point of the collapse's source orbit) is first moved
@@ -229,10 +209,7 @@ def collapse_type(tau: EquivariantMap, lattice: SubgroupLattice | None = None,
     subgroup; the type is then the normalizer-conjugacy class of the
     image point's stabilizer.  Any valid witness yields the same type.
     """
-    if decomp is None:
-        if lattice is None:
-            lattice = build_lattice(tau.gset.group)
-        decomp = decompose(tau.gset, lattice)
+    decomp = decompose(tau.gset)
     lat = decomp.lattice
     shape = _collapse_shape(tau)
     if shape is None:
@@ -252,18 +229,15 @@ def collapse_type(tau: EquivariantMap, lattice: SubgroupLattice | None = None,
     return CollapseType(box_index=box_i, target_class=lat.n_class(N, target_idx))
 
 
-def collapse_type_census(X: GSet, lattice: SubgroupLattice | None = None,
-                         decomp: BoxDecomposition | None = None) -> set:
+def collapse_type_census(X: GSet) -> set:
     """Every collapse type realizable on X, found by scanning stabilizer pairs.
 
     A type (i, [K]) is realizable exactly when some point with stabilizer
     conjugate to H_i can be pushed onto a point with stabilizer K sitting
     in a different orbit.  This route never touches U(H_i) or the rank
     formula, so the two can be compared as independent computations.
-    Pass `decomp` (X's decomposition) to reuse it.
     """
-    if decomp is None:
-        decomp = decompose(X, lattice)
+    decomp = decompose(X)
     lat = decomp.lattice
     orbits_with = {s: set(X.orbit_of_point[list(pts)].tolist())
                    for sub in decomp.sub_boxes for s, pts in sub.items()}
@@ -307,19 +281,12 @@ def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> list[int]:
     return pts[first].tolist()
 
 
-def _coset_min(G, t: int, H: Subgroup) -> int:
-    return min(int(G.mul[t, h]) for h in H.elements)
-
-
-def wreath_factorize(tau: EquivariantMap, i: int,
-                     decomp: BoxDecomposition | None = None) -> WreathFactor:
+def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
     """Split tau's action on box i into an orbit map and per-orbit cosets."""
-    if decomp is None:
-        decomp = decompose(tau.gset)
+    decomp = decompose(tau.gset)
     box = set(decomp.boxes[i])
     if any(int(tau.image[x]) not in box for x in box):
         raise DomainError(f"map does not keep box {i} inside itself")
-    G = decomp.lattice.group
     H = decomp.box_subgroup(i)
     N = decomp.box_normalizer(i)
     reps = _box_orbit_reps(decomp, i)
@@ -330,7 +297,7 @@ def wreath_factorize(tau: EquivariantMap, i: int,
         k = orbit_pos[int(decomp.gset.orbit_of_point[y])]
         f.append(k)
         t = next(t for t in N.elements if int(decomp.gset.action[t, reps[k]]) == y)
-        cosets.append(_coset_min(G, t, H))
+        cosets.append(int(H.coset_min[t]))
     return WreathFactor(box_index=i, orbit_map=tuple(f), cosets=tuple(cosets))
 
 
@@ -340,13 +307,12 @@ def wreath_multiply(pi: WreathFactor, tau: WreathFactor, H: Subgroup) -> WreathF
         raise DomainError("factors belong to different boxes")
     G = H.group
     f = tuple(pi.orbit_map[k] for k in tau.orbit_map)
-    cosets = tuple(_coset_min(G, int(G.mul[tau.cosets[k], pi.cosets[tau.orbit_map[k]]]), H)
+    cosets = tuple(int(H.coset_min[G.mul[tau.cosets[k], pi.cosets[tau.orbit_map[k]]]])
                    for k in range(len(tau.orbit_map)))
     return WreathFactor(box_index=pi.box_index, orbit_map=f, cosets=cosets)
 
 
-def aut_generators(X: GSet, lattice: SubgroupLattice | None = None,
-                   decomp: BoxDecomposition | None = None) -> list[EquivariantMap]:
+def aut_generators(X: GSet) -> list[EquivariantMap]:
     """A generating set for the equivariant bijections.
 
     Per box: swaps between the canonical representatives of its orbits
@@ -355,10 +321,7 @@ def aut_generators(X: GSet, lattice: SubgroupLattice | None = None,
     realize the per-orbit coset group).  Refuses, before building any map,
     when the generators would hold more than DEFAULT_CELL_BUDGET cells.
     """
-    if decomp is None:
-        if lattice is None:
-            lattice = build_lattice(X.group)
-        decomp = decompose(X, lattice)
+    decomp = decompose(X)
     count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
     if count * X.size > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
@@ -371,7 +334,7 @@ def aut_generators(X: GSet, lattice: SubgroupLattice | None = None,
         reps = _box_orbit_reps(decomp, i)
         for k in range(1, len(reps)):
             gens.append(point_swap(X, reps[0], reps[k]))
-        coset_reps = sorted({_coset_min(X.group, t, H) for t in N.elements})
+        coset_reps = np.unique(H.coset_min[list(N.elements)]).tolist()
         for r in reps:
             for t in coset_reps:
                 if t not in H.element_set:
@@ -384,31 +347,29 @@ def _box_aut_order(decomp: BoxDecomposition, i: int) -> int:
     return decomp.wreath_base(i) ** a * factorial(a)
 
 
-def aut_group_order(decomp: BoxDecomposition) -> int:
+def aut_group_order(X: GSet) -> int:
     """Predicted |Aut| from the per-box wreath structure."""
+    decomp = decompose(X)
     return prod(_box_aut_order(decomp, i) for i in range(decomp.n_boxes))
 
 
-def box_end_order(decomp: BoxDecomposition, i: int) -> int:
+def box_end_order(X: GSet, i: int) -> int:
     """Predicted |End| of box i on its own."""
+    decomp = decompose(X)
     a = decomp.alpha[i]
     return decomp.wreath_base(i) ** a * a ** a
 
 
-def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET,
-                        decomp: BoxDecomposition | None = None) -> dict:
+def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Compare predicted wreath-product orders with enumeration where feasible.
 
     Returns a report dict; a mismatch raises immediately, because a wrong
     order means the structural bookkeeping is broken, not the input.
-    Pass `decomp` (X's decomposition) to reuse it.
     """
-    if decomp is None:
-        decomp = decompose(X, lattice)
+    decomp = decompose(X)
     boxes = []
     for i in range(decomp.n_boxes):
-        end_pred = box_end_order(decomp, i)
+        end_pred = box_end_order(X, i)
         aut_pred = _box_aut_order(decomp, i)
         sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
         try:
@@ -434,7 +395,7 @@ def wreath_order_checks(X: GSet, lattice: SubgroupLattice | None = None,
             "aut_order_predicted": aut_pred,
             "aut_order_enumerated": aut_enum,
         })
-    aut_pred_total = aut_group_order(decomp)
+    aut_pred_total = aut_group_order(X)
     try:
         aut_enum_total = enumerate_aut(X, budget=budget).size
     except BudgetExceeded:

@@ -44,10 +44,6 @@ class ShiftSpace:
     gset: GSet
 
     @property
-    def alphabet_size(self) -> int:
-        return self.q
-
-    @property
     def size(self) -> int:
         return self.gset.size
 

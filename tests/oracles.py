@@ -121,6 +121,20 @@ def orbit_partition(act: np.ndarray) -> list[frozenset]:
     return sorted(orbits, key=min)
 
 
+def coset_action_table(mul: np.ndarray, subgroup_elements) -> np.ndarray:
+    """G acting on the left cosets gH, cosets ordered by smallest member.
+
+    Each coset is built as a set, and g sends coset C to the coset equal
+    to the set {g c : c in C}.
+    """
+    n = mul.shape[0]
+    cosets = sorted({frozenset(int(mul[g, h]) for h in subgroup_elements) for g in range(n)},
+                    key=min)
+    position = {c: i for i, c in enumerate(cosets)}
+    return np.array([[position[frozenset(int(mul[g, c]) for c in C)] for C in cosets]
+                     for g in range(n)], dtype=np.int32)
+
+
 def stabilizer_of(act: np.ndarray, x: int) -> tuple:
     return tuple(g for g in range(act.shape[0]) if int(act[g, x]) == x)
 

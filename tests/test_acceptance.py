@@ -14,6 +14,7 @@ import pytest
 from equirank import (
     BudgetExceeded,
     EquivariantMap,
+    GSet,
     alpha_by_moebius,
     aut_generators,
     aut_group_order,
@@ -70,9 +71,9 @@ class _Budget:
         return False
 
 
-def _aut_point_classes(X, lat, decomp):
+def _aut_point_classes(X):
     """Actual Aut-orbits, via the group generated by the constructed bijections."""
-    gens = aut_generators(X, lat, decomp)
+    gens = aut_generators(X)
     return oracles.orbit_classes_under([g.image for g in gens], X.size)
 
 
@@ -86,14 +87,13 @@ def small_pool(zoo, lattices):
     """Criterion-4 instances: five small groups, coset actions plus tiny shifts."""
     pool = []
     for name in ("Z1", "Z2", "Z3", "V4", "Z4"):
-        G, lat = zoo[name], lattices[name]
-        for H in lat.subgroups:
-            pool.append((coset_action(G, H), lat))
+        G = zoo[name]
+        for H in lattices[name].subgroups:
+            pool.append(coset_action(G, H))
     shift_qs = {"Z1": range(2, 17), "Z2": range(2, 5), "Z3": range(2, 3)}
     for name, qs in shift_qs.items():
-        G, lat = zoo[name], lattices[name]
         for q in qs:
-            pool.append((build_shift(G, q).gset, lat))
+            pool.append(build_shift(zoo[name], q).gset)
     return pool
 
 
@@ -106,10 +106,10 @@ def test_criterion_01_s3_shift_relative_rank():
     assert report["kappa_size"] == 1
 
 
-def test_criterion_02_box_tables_z6_and_s3(zoo, lattices):
+def test_criterion_02_box_tables_z6_and_s3(zoo):
     with _Budget(5):
         z6 = build_shift(zoo["Z6"], 2).gset
-        dz6 = decompose(z6, lattices["Z6"])
+        dz6 = decompose(z6)
         assert [set(b) for b in dz6.boxes] == [
             set(range(64)) - {0, 63, 21, 42, 9, 18, 36, 27, 45, 54},
             {9, 18, 36, 27, 45, 54},
@@ -121,7 +121,7 @@ def test_criterion_02_box_tables_z6_and_s3(zoo, lattices):
         assert all(len(o) == 6 for o in free)
 
         s3 = build_shift(zoo["S3"], 2).gset
-        ds3 = decompose(s3, lattices["S3"])
+        ds3 = decompose(s3)
         assert set(ds3.boxes[3]) == {0, 63}
         assert set(ds3.boxes[2]) == {28, 35}
         assert len(ds3.boxes[1]) == 18
@@ -132,16 +132,16 @@ def test_criterion_02_box_tables_z6_and_s3(zoo, lattices):
         assert len(free3) == 7 and all(len(o) == 6 for o in free3)
 
         # the 18 transposition-stabilized configs split into 3 Aut-orbits
-        classes = _aut_point_classes(s3, lattices["S3"], ds3)
+        classes = _aut_point_classes(s3)
         in_mid = [c for c in classes if c <= set(ds3.boxes[1])]
         assert len(in_mid) == 3 and all(len(c) == 6 for c in in_mid)
         assert set(in_mid) == {frozenset(p) for p in ds3.sub_boxes[1].values()}
         assert ds3.expected_aut_orbits(1) == 3
 
 
-def test_criterion_03_klein_four_alpha_profile(zoo, lattices):
+def test_criterion_03_klein_four_alpha_profile(zoo):
     X = build_shift(zoo["V4"], 2).gset
-    decomp = decompose(X, lattices["V4"])
+    decomp = decompose(X)
     assert decomp.alpha == (2, 1, 1, 1, 2)
     assert decomp.n_boxes == 5
 
@@ -160,7 +160,7 @@ def _oracle_rows(images, size):
     return np.array(sorted(images), dtype=np.int32).reshape(-1, size)
 
 
-def _three_way_check(X, lat):
+def _three_way_check(X):
     """Dumb oracle, representative enumeration, and order formulas must agree.
 
     Each route runs inside its own feasibility bound; out-of-budget routes
@@ -168,9 +168,9 @@ def _three_way_check(X, lat):
     rows are compared as matrices: strictly ascending rows are distinct, so
     equal matrices mean equal sets of maps.
     """
-    decomp = decompose(X, lat)
+    decomp = decompose(X)
     end_formula = end_monoid_order(X)
-    aut_formula = aut_group_order(decomp)
+    aut_formula = aut_group_order(X)
     if X.group.order == 1:
         # for the trivial group the all-maps count is the closed form m^m
         assert end_formula == X.size ** X.size
@@ -196,7 +196,7 @@ def _three_way_check(X, lat):
     for i in range(decomp.n_boxes):
         w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
         a = decomp.alpha[i]
-        box_formula = box_end_order(decomp, i)
+        box_formula = box_end_order(X, i)
         assert box_formula == (w ** a) * (a ** a)
         sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
         try:
@@ -213,17 +213,16 @@ def _three_way_check(X, lat):
             pass
 
 
-def test_criterion_04_oracle_equivalence(zoo, lattices, small_pool):
+def test_criterion_04_oracle_equivalence(zoo, small_pool):
     with _Budget(60):
-        for X, lat in small_pool:
-            _three_way_check(X, lat)
+        for X in small_pool:
+            _three_way_check(X)
 
         # the binary shift of Z2, all the way through
         X = build_shift(zoo["Z2"], 2).gset
-        lat = lattices["Z2"]
         assert enumerate_end(X).size == 16
         assert enumerate_aut(X).size == 4
-        report = relative_rank(X, lat)
+        report = relative_rank(X)
         assert report.relative_rank == 2
         aut = list(enumerate_aut(X).maps())
         V = list(report.generating_set)
@@ -240,11 +239,13 @@ def test_criterion_05_moebius_cross_check(zoo, lattices):
             instances = [coset_action(G, H) for H in lat.subgroups]
             instances.append(build_shift(G, 2).gset)
             for X in instances:
-                decomp = decompose(X, lat)
+                decomp = decompose(X)
                 for i in range(decomp.n_boxes):
-                    assert alpha_by_moebius(decomp, i) == decomp.alpha[i]
-                # a fresh decomposition agrees
-                assert alpha_by_moebius(decompose(X, lat), 0) == decomp.alpha[0]
+                    assert alpha_by_moebius(X, i) == decomp.alpha[i]
+                # a fresh decomposition, of a copy of X, agrees
+                fresh = GSet(X.group, X.action)
+                assert decompose(fresh) is not decomp
+                assert alpha_by_moebius(fresh, 0) == decomp.alpha[0]
 
 
 def test_criterion_06_burnside_on_random_unions(zoo, lattices):
@@ -267,22 +268,21 @@ def test_criterion_07_aut_orbit_counts(zoo, lattices):
         instances = [coset_action(G, H) for H in lat.subgroups]
         instances.append(build_shift(G, 2).gset)
         for X in instances:
-            decomp = decompose(X, lat)
-            classes = _aut_point_classes(X, lat, decomp)
+            decomp = decompose(X)
+            classes = _aut_point_classes(X)
             for i in range(decomp.n_boxes):
-                expected = aut_orbits_in_box(decomp, i)
+                expected = aut_orbits_in_box(X, i)
                 actual = sum(1 for c in classes if c <= set(decomp.boxes[i]))
                 assert actual == expected == len(decomp.sub_boxes[i])
 
 
-def _check_box_functoriality(X, i, decomp):
+def _check_box_functoriality(X, i):
     """wreath_multiply matches map composition, over every pair in the box monoid."""
     G = X.group
-    sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
-    sub_decomp = decompose(sub, build_lattice(G))
+    sub = restrict_to_invariant(X, decompose(X).boxes[i], name=f"box{i}")
+    sub_decomp = decompose(sub)       # held: every factorization below reads it
     end = enumerate_end(sub)
-    factors = [wreath_factorize(EquivariantMap(sub, img), 0, sub_decomp)
-               for img in end.images]
+    factors = [wreath_factorize(EquivariantMap(sub, img), 0) for img in end.images]
     F = np.array([f.orbit_map for f in factors], dtype=np.int64)
     T = np.array([f.cosets for f in factors], dtype=np.int64)
     A = end.images.astype(np.int64)
@@ -317,35 +317,33 @@ def _check_box_functoriality(X, i, decomp):
         a, c = int(rng.integers(M)), int(rng.integers(M))
         composed = compose(EquivariantMap(sub, end.images[a]),
                            EquivariantMap(sub, end.images[c]))
-        assert wreath_factorize(composed, 0, sub_decomp) == \
-            wreath_multiply(factors[a], factors[c], H)
+        assert wreath_factorize(composed, 0) == wreath_multiply(factors[a], factors[c], H)
 
 
-def test_criterion_08_decomposition_and_functoriality(zoo, lattices, small_pool):
-    pool = list(small_pool) + [(build_shift(zoo["Z4"], 2).gset, lattices["Z4"])]
-    for X, lat in pool:
-        decomp = decompose(X, lat)
+def test_criterion_08_decomposition_and_functoriality(zoo, small_pool):
+    pool = list(small_pool) + [build_shift(zoo["Z4"], 2).gset]
+    for X in pool:
+        decomp = decompose(X)
         if end_monoid_order(X) <= 10_000:
             for img in enumerate_end(X).images:
                 tau = EquivariantMap(X, img)
-                assert recompose(decompose_by_boxes(tau, decomp)) == tau
+                assert recompose(decompose_by_boxes(tau)) == tau
         for i in range(decomp.n_boxes):
-            if box_end_order(decomp, i) <= 2_000:
-                _check_box_functoriality(X, i, decomp)
+            if box_end_order(X, i) <= 2_000:
+                _check_box_functoriality(X, i)
 
 
 def test_criterion_09_collapse_census(small_pool):
-    for X, lat in small_pool:
-        report = relative_rank(X, lat)
-        census = collapse_type_census(X, lat)
+    for X in small_pool:
+        report = relative_rank(X)
+        census = collapse_type_census(X)
         assert len(census) == report.relative_rank
         if end_monoid_order(X) <= 10_000:
-            decomp = report.decomposition
             realized = set()
             for img in enumerate_end(X).images:
                 tau = EquivariantMap(X, img)
                 if is_elementary_collapse(tau):
-                    realized.add(collapse_type(tau, decomp=decomp))
+                    realized.add(collapse_type(tau))
             assert realized == census
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,7 +98,7 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
             assert [set(o) for o in X.orbits] == \
                 [set(o) for o in oracles.orbit_partition(X.action)]
             assert X.orbits == tuple(tuple(sorted(o)) for o in oracles.orbit_partition(X.action))
-            D = decompose(X, L)
+            D = decompose(X)
             for x in range(X.size):
                 assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
                 assert D.stab_index[x] == L.subgroup_index(oracles.stabilizer_of(X.action, x))
@@ -136,6 +138,25 @@ def test_coset_action_basics(zoo):
         assert len(ca.orbits) == 1
         # the point holding the subgroup itself is index 0 and has stabilizer H
         assert ca.stabilizer(0).elements == s.elements
+
+
+def test_coset_action_matches_oracle(zoo):
+    for G in zoo.values():
+        for H in build_lattice(G).subgroups:
+            expected = oracles.coset_action_table(G.mul, H.elements)
+            assert np.array_equal(coset_action(G, H).action, expected)
+            assert H.coset_min.tolist() == [min(int(G.mul[t, h]) for h in H.elements)
+                                            for t in range(G.order)]
+
+
+def test_decompose_once_per_gset(zoo):
+    X = coset_action(zoo["S3"], build_lattice(zoo["S3"]).subgroups[1])
+    D = decompose(X)
+    assert decompose(X) is D and D.gset is X
+    # X refers to D only weakly, so no cycle outlives the last holder
+    held = weakref.ref(D)
+    del D
+    assert held() is None
 
 
 def test_z6_shift_boxes():
@@ -180,7 +201,7 @@ def test_alpha_moebius_matches_direct(zoo):
         X = shift_gset(G, 2)
         D = decompose(X)
         for i in range(D.n_boxes):
-            assert alpha_by_moebius(D, i) == D.alpha[i]
+            assert alpha_by_moebius(X, i) == D.alpha[i]
 
 
 def test_alpha_moebius_on_unions(zoo):
@@ -188,9 +209,9 @@ def test_alpha_moebius_on_unions(zoo):
     L = build_lattice(G)
     X = disjoint_union(coset_action(G, L.subgroups[1]),
                        coset_action(G, L.subgroups[2]))
-    D = decompose(X, L)
+    D = decompose(X)
     assert D.alpha == (2,)
-    assert alpha_by_moebius(D, 0) == 2
+    assert alpha_by_moebius(X, 0) == 2
     assert D.kappa == ()
 
 

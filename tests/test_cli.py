@@ -158,22 +158,26 @@ def test_verify_command(capsys):
 
 
 def test_verify_decomposes_once(capsys, monkeypatch):
+    import equirank.actions
     import equirank.cli
     import equirank.rank
 
-    calls = []
+    calls = {"decompose": 0, "build_lattice": 0}
 
     def counted(real):
         def wrapper(*args, **kwargs):
-            calls.append(args[0])
+            calls[real.__name__] += 1
             return real(*args, **kwargs)
         return wrapper
 
     for module in (equirank.cli, equirank.rank):
         monkeypatch.setattr(module, "decompose", counted(module.decompose))
+    monkeypatch.setattr(equirank.actions, "build_lattice",
+                        counted(equirank.actions.build_lattice))
     code, report = _json_out(capsys, ["verify", "S3", "shift:q=2"])
     assert code == 0 and report["failures"] == 0
-    assert len(calls) == 1
+    # many callers ask for the decomposition; it and its lattice are built once
+    assert calls["decompose"] > 1 and calls["build_lattice"] == 1
 
 
 def test_verify_skips_over_budget_checks(capsys):

@@ -156,9 +156,19 @@ LOOP_FAILING_AT_SECOND_GENERATOR = [
 ]
 
 
+# Identity 0 and every element its own inverse, but row 1 repeats 1: not a
+# Latin square.  No Latin-square check runs; associativity rejects it.
+NON_LATIN_TABLE = [
+    [0, 1, 2],
+    [1, 0, 1],
+    [2, 1, 0],
+]
+
+
 @pytest.mark.parametrize("table, inv, failures", [
     (NON_ASSOCIATIVE_LOOP, [0, 1, 2, 3, 4], 36),
     (LOOP_FAILING_AT_SECOND_GENERATOR, [0, 1, 5, 4, 3, 2], 32),
+    (NON_LATIN_TABLE, [0, 1, 2], 2),
 ])
 def test_non_associative_loop_rejected(table, inv, failures):
     mul = np.array(table)

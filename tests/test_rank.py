@@ -57,7 +57,7 @@ def s3_shift():
 def test_z2_shift_rank(z2_shift):
     report = relative_rank(z2_shift)
     assert report.relative_rank == 2
-    assert report.kappa == (0,)
+    assert report.decomposition.kappa == (0,)
     assert tuple(len(u) for u in report.u_sets) == (2, 1)
     assert [v.as_tuple() for v in report.generating_set] == [(0, 0, 0, 3), (3, 1, 2, 3)]
     assert report.tags == ("push 1->(1,1)", "push 2->2'")
@@ -66,7 +66,7 @@ def test_z2_shift_rank(z2_shift):
 def test_s3_shift_rank(s3_shift):
     report = relative_rank(s3_shift)
     assert report.relative_rank == 8
-    assert report.kappa == (2,)
+    assert report.decomposition.kappa == (2,)
     assert tuple(len(u) for u in report.u_sets) == (4, 2, 2, 1)
     # the free box sees every stabilizer class, in canonical order
     assert report.u_sets[0] == ((0,), (1, 2, 3), (4,), (5,))
@@ -81,7 +81,7 @@ def test_s3_shift_rank(s3_shift):
 def test_z6_shift_rank(z6_shift):
     report = relative_rank(z6_shift)
     assert report.relative_rank == 8
-    assert report.kappa == (2,)
+    assert report.decomposition.kappa == (2,)
     assert tuple(len(u) for u in report.u_sets) == (4, 2, 2, 1)
     assert report.tags == (
         "push 1->1'", "push 1->(1,1)", "push 1->(1,2)", "push 1->(1,3)",
@@ -94,16 +94,15 @@ def test_transitive_action_has_rank_zero(zoo):
     lat = build_lattice(S3)
     H = lat.subgroups[lat.subgroup_index(frozenset({0, 2}))]
     X = coset_action(S3, H)
-    report = relative_rank(X, lat)
+    report = relative_rank(X)
     assert report.relative_rank == 0
     assert report.generating_set == () and report.tags == ()
-    assert report.kappa == (0,)
+    assert report.decomposition.kappa == (0,)
 
 
 def test_u_set_bad_box(z2_shift):
-    lat = build_lattice(z2_shift.group)
     with pytest.raises(DomainError):
-        u_set(z2_shift, lat, 99)
+        u_set(z2_shift, 99)
 
 
 def test_elementary_collapse_detection(z2_shift):
@@ -135,14 +134,13 @@ def test_collapse_type_golden(z6_shift):
 
 
 def test_collapse_type_witness_invariance(s3_shift):
-    lat = build_lattice(s3_shift.group)
-    decomp = decompose(s3_shift, lat)
-    for v in relative_rank(s3_shift, lat).generating_set:
+    report = relative_rank(s3_shift)      # holds the decomposition collapse_type reads
+    for v in report.generating_set:
         types = set()
         valid = 0
         for w in range(s3_shift.size):
             try:
-                types.add(collapse_type(v, decomp=decomp, witness=w))
+                types.add(collapse_type(v, witness=w))
                 valid += 1
             except DomainError:
                 pass
@@ -154,12 +152,10 @@ def test_census_matches_generating_set(z2_shift, z6_shift, s3_shift):
     z3 = build_shift(make_cyclic(3), 2).gset
     z4 = build_shift(make_cyclic(4), 2).gset
     for X in (z2_shift, z3, z4, z6_shift, s3_shift):
-        lat = build_lattice(X.group)
-        report = relative_rank(X, lat)
-        census = collapse_type_census(X, lat)
+        report = relative_rank(X)
+        census = collapse_type_census(X)
         assert len(census) == report.relative_rank
-        realized = {collapse_type(v, decomp=report.decomposition)
-                    for v in report.generating_set}
+        realized = {collapse_type(v) for v in report.generating_set}
         assert realized == census
 
 
@@ -188,7 +184,7 @@ def test_decompose_by_boxes_roundtrip():
     picks = rng.choice(end.size, 200, replace=False)
     for idx in picks:
         tau = EquivariantMap(X, end.images[int(idx)])
-        factors = decompose_by_boxes(tau, decomp)
+        factors = decompose_by_boxes(tau)
         assert len(factors) == decomp.n_boxes
         assert recompose(factors) == tau
         for k, f in enumerate(factors):
@@ -198,15 +194,14 @@ def test_decompose_by_boxes_roundtrip():
 
 def test_wreath_factorize_free_box():
     X = build_shift(make_cyclic(4), 2).gset
-    decomp = decompose(X)
-    assert box_end_order(decomp, 0) == 1728
-    free = restrict_to_invariant(X, decomp.boxes[0], name="free")
+    assert box_end_order(X, 0) == 1728
+    free = restrict_to_invariant(X, decompose(X).boxes[0], name="free")
     sub_decomp = decompose(free)
     assert sub_decomp.n_boxes == 1 and sub_decomp.alpha == (3,)
     end = enumerate_end(free)
     assert end.size == 1728
 
-    ident = wreath_factorize(identity_map(free), 0, sub_decomp)
+    ident = wreath_factorize(identity_map(free), 0)
     assert ident.orbit_map == (0, 1, 2) and ident.cosets == (0, 0, 0)
 
     H = sub_decomp.box_subgroup(0)
@@ -214,37 +209,33 @@ def test_wreath_factorize_free_box():
     rng = np.random.default_rng(11)
     for _ in range(50):
         pi, tau = (maps[int(i)] for i in rng.integers(0, len(maps), 2))
-        lhs = wreath_factorize(compose(pi, tau), 0, sub_decomp)
-        rhs = wreath_multiply(wreath_factorize(pi, 0, sub_decomp),
-                              wreath_factorize(tau, 0, sub_decomp), H)
+        lhs = wreath_factorize(compose(pi, tau), 0)
+        rhs = wreath_multiply(wreath_factorize(pi, 0), wreath_factorize(tau, 0), H)
         assert lhs == rhs
 
 
 def test_wreath_factorize_rejects_leaky_map(z2_shift):
-    decomp = decompose(z2_shift)
     leak = point_push(z2_shift, 1, 0)       # free box lands on a fixed point
     with pytest.raises(DomainError):
-        wreath_factorize(leak, 0, decomp)
+        wreath_factorize(leak, 0)
 
 
 def test_aut_generators_close_to_full_group(z2_shift):
     X = build_shift(make_cyclic(3), 2).gset
-    decomp = decompose(X)
-    gens = aut_generators(X, decomp=decomp)
+    gens = aut_generators(X)
     assert all(g.is_bijective() for g in gens)
-    assert closure(X, gens).size == aut_group_order(decomp) == 36
+    assert closure(X, gens).size == aut_group_order(X) == 36
     assert enumerate_aut(X).size == 36
 
-    decomp2 = decompose(z2_shift)
-    assert closure(z2_shift, aut_generators(z2_shift, decomp=decomp2)).size == 4
-    assert aut_group_order(decomp2) == 4
+    assert closure(z2_shift, aut_generators(z2_shift)).size == 4
+    assert aut_group_order(z2_shift) == 4
 
 
 def test_aut_generators_budget_before_any_map():
     X = build_shift(make_cyclic(3), 2).gset
     decomp = decompose(X)
     count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
-    assert len(aut_generators(X, decomp=decomp)) == count
+    assert len(aut_generators(X)) == count
     # about 19,400 maps of 117,649 points (9 GB) if it were built
     big = build_shift(make_symmetric(3), 7).gset
     start = time.perf_counter()
@@ -254,7 +245,7 @@ def test_aut_generators_budget_before_any_map():
 
 
 def test_aut_order_prediction(s3_shift):
-    assert aut_group_order(decompose(s3_shift)) == 4063327027200
+    assert aut_group_order(s3_shift) == 4063327027200
 
 
 def test_wreath_order_checks(z2_shift, z6_shift):

@@ -20,7 +20,6 @@ from equirank import (
     closure,
     compose,
     coset_action,
-    decompose,
     direct_product,
     disjoint_union,
     end_monoid_order,
@@ -274,9 +273,7 @@ def test_closure_cap_counts_the_seed():
 def test_closure_matches_bfs_oracle_on_verify_instances(group, q):
     # the closure CLI verify runs: Aut generators plus the push set
     X = build_shift(group, q).gset
-    lat = build_lattice(group)
-    decomp = decompose(X, lat)
-    gens = aut_generators(X, lat, decomp) + list(relative_rank(X, lat, decomp).generating_set)
+    gens = aut_generators(X) + list(relative_rank(X).generating_set)
     got = closure(X, gens)
     expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
     assert got.images.tobytes() == expected.tobytes()

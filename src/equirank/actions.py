@@ -96,7 +96,7 @@ class GSet:
         keys come out of `np.unique` in the lexicographic order of the
         flag columns.
         """
-        keys = _RowKeys(2, self.group.order)
+        keys = _RowKeys([2] * self.group.order)
         fixes = self.action == np.arange(self.size, dtype=np.int32)
         distinct, cls = np.unique(keys.pack(fixes.T), return_inverse=True)
         masks = keys.unpack(distinct, bool)

@@ -3,8 +3,9 @@
 Elements are always the integers 0..n-1.  Every other module speaks these
 indices; optional labels exist purely for display.  Keeping the whole
 group as a flat numpy table makes actions, stabilizers and closures plain
-array indexing.  Rows of point indices (permutations here, self-map
-images in `transform`) are packed into sortable keys by `_RowKeys`.
+array indexing.  Rows of digits (permutations here, fixed-point flags in
+`actions`, End indices in `transform`) are packed into sortable
+mixed-radix keys by `_RowKeys`.
 """
 
 from __future__ import annotations
@@ -157,48 +158,63 @@ def _perm_cycle_label(p: tuple[int, ...]) -> str:
 
 
 class _RowKeys:
-    """Packs rows of point indices in 0..m-1 (permutations in one-line form,
-    images of self-maps) into keys that sort like the rows.
+    """Packs rows of digits into keys that sort like the rows.
 
-    Rows have m entries unless `length` says otherwise (fixed-point rows
-    over the group elements use m = 2).  Each entry takes ceil(log2 m) bits
-    (at least one), first entry most significant, so comparing keys
-    compares rows lexicographically.  One uint64 word holds a row of up to
-    64 // bits entries (m <= 16 for a self-map); a longer row becomes a
-    void scalar over its big-endian words, which also sorts and searches
-    as one value.  `row_dtype` is the narrowest unsigned type holding a
-    point.
+    Column c holds digits 0..radices[c]-1: point indices (permutations in
+    one-line form), fixed-point flags, or the target chosen per orbit by
+    an equivariant self-map (`transform.closure`).  A row is read as a
+    mixed-radix number, first column most significant, and cut greedily
+    into words whose radices multiply to at most 2^64, so comparing keys
+    compares rows lexicographically.  A single word is a uint32 key when
+    its radices multiply to at most 2^32 and a uint64 key otherwise; a
+    longer row becomes a void scalar over its big-endian uint64 words,
+    which also sorts and searches as one value.  `row_dtype` is the
+    narrowest unsigned type holding a digit.
     """
 
-    def __init__(self, m: int, length: int | None = None):
-        bits = max(1, (m - 1).bit_length())
-        per_word = 64 // bits
-        length = m if length is None else length
-        col = np.arange(length)
-        self.length = length
-        self.words = max(1, -(-length // per_word))
-        self.word_of = (col // per_word).tolist()
-        self.shift = [np.uint64(s) for s in bits * (per_word - 1 - col % per_word)]
-        self.low = np.uint64((1 << bits) - 1)
-        self.row_dtype = np.min_scalar_type(max(m - 1, 0))
+    def __init__(self, radices):
+        radices = [int(r) for r in radices]
+        columns, product = [[]], 1
+        for c, r in enumerate(radices):
+            if columns[-1] and product * r > 1 << 64:
+                columns.append([])
+                product = 1
+            columns[-1].append(c)
+            product *= r
+        self.length = len(radices)
+        self.words = len(columns)
+        self.dtype = np.dtype(np.uint32 if self.words == 1 and product <= 1 << 32 else np.uint64)
+        self.word_of = [0] * self.length
+        self.stride = [self.dtype.type(0)] * self.length
+        for w, cols in enumerate(columns):
+            step = 1
+            for c in reversed(cols):
+                self.word_of[c], self.stride[c] = w, self.dtype.type(step)
+                step *= radices[c]
+        self.radix = [self.dtype.type(r) for r in radices]
+        self.row_dtype = np.min_scalar_type(max(radices, default=1) - 1)
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
-        """One key per row of an (n, m) array."""
-        words = np.zeros((self.words, len(rows)), dtype=np.uint64)
+        """One key per row of an (n, length) array."""
+        words = np.zeros((self.words, len(rows)), dtype=self.dtype)
         for c in range(self.length):
-            words[self.word_of[c]] |= rows[:, c].astype(np.uint64) << self.shift[c]
+            words[self.word_of[c]] += rows[:, c].astype(self.dtype) * self.stride[c]
+        return self.join(words)
+
+    def join(self, words: np.ndarray) -> np.ndarray:
+        """The keys whose words are the columns of a (words, n) array."""
         if self.words == 1:
             return words[0]
         return np.ascontiguousarray(words.T, dtype=">u8").view(
             np.dtype((np.void, 8 * self.words))).ravel()
 
     def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
-        """The (n, m) rows of n keys, as `dtype`."""
+        """The (n, length) rows of n keys, as `dtype`."""
         words = (keys[None] if self.words == 1
                  else keys.view(">u8").reshape(len(keys), self.words).T.astype(np.uint64))
-        rows = np.empty((len(keys), self.length), dtype=dtype)
+        rows = np.empty((self.length, len(keys)), dtype=dtype).T
         for c in range(self.length):
-            rows[:, c] = (words[self.word_of[c]] >> self.shift[c]) & self.low
+            rows[:, c] = words[self.word_of[c]] // self.stride[c] % self.radix[c]
         return rows
 
 
@@ -209,7 +225,8 @@ def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteG
     table rows is composed in one gather, and every product is found among
     the elements by binary search on packed keys (`_RowKeys`).
     """
-    keys = _RowKeys(len(perms[0]))
+    m = len(perms[0])
+    keys = _RowKeys([1 << max(1, (m - 1).bit_length())] * m)   # ceil(log2 m) bits a point
     P = np.array(perms, dtype=keys.row_dtype).reshape(len(perms), keys.length)
     order = len(P)
     elements = keys.pack(P)

@@ -7,6 +7,7 @@ verification tool, not a general-purpose CAS.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,7 +116,13 @@ def _conjugation_perms(G: FiniteGroup) -> np.ndarray:
     return G.mul[G.mul[G.inv], np.arange(G.order)[:, None]]
 
 
-def _subgroup_masks(G: FiniteGroup, budget: int) -> np.ndarray:
+def _check_order(G: FiniteGroup, budget: int) -> None:
+    if G.order > budget:
+        raise BudgetExceeded(
+            f"subgroup enumeration limited to order {budget}, group has {G.order}")
+
+
+def _subgroup_masks(G: FiniteGroup) -> np.ndarray:
     """Every subgroup of G as a row of a bool (subgroups, |G|) array, in the
     (order, element list) sort.
 
@@ -135,9 +142,6 @@ def _subgroup_masks(G: FiniteGroup, budget: int) -> np.ndarray:
     recorded too.  Unlike extending subgroups by cyclic subgroups they
     normalize, this reaches perfect subgroups such as A5.
     """
-    if G.order > budget:
-        raise BudgetExceeded(
-            f"subgroup enumeration limited to order {budget}, group has {G.order}")
     n = G.order
     rows = np.arange(n)
     cyclic = np.zeros((n, n), dtype=bool)            # row g marks <g>
@@ -192,7 +196,8 @@ def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     Enumerated by conjugacy class, joining class representatives with
     cyclic subgroups on element masks (see `_subgroup_masks`).
     """
-    return _subgroups_of(G, _subgroup_masks(G, budget))
+    _check_order(G, budget)
+    return _subgroups_of(G, _subgroup_masks(G))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +330,20 @@ def _moebius_table(leq: np.ndarray) -> np.ndarray:
 
 
 def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> SubgroupLattice:
-    """Enumerate everything: subgroups, containment, classes, normalizers, Moebius."""
-    masks = _subgroup_masks(G, budget)
+    """Enumerate everything: subgroups, containment, classes, normalizers, Moebius.
+
+    One lattice per group while it is held: every call returns the same
+    object for as long as any caller holds it (a decomposition does).  The
+    group keeps only a weak reference, since the lattice refers back to
+    the group.  The order budget is checked on every call, before the
+    held lattice is looked up.
+    """
+    _check_order(G, budget)
+    held = G.__dict__.get("_lattice")               # weak reference, set below
+    lattice = held() if held is not None else None
+    if lattice is not None:
+        return lattice
+    masks = _subgroup_masks(G)
     subs = _subgroups_of(G, masks)
     n = len(subs)
     index = _MaskIndex(masks)
@@ -340,7 +357,7 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     # N(S_i) is the set of g with conj[g, i] == i
     normalizers = index((conj == np.arange(n)).T)
     leq = containment(masks)
-    return SubgroupLattice(
+    lattice = SubgroupLattice(
         group=G,
         subgroups=subs,
         masks=masks,
@@ -352,6 +369,8 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
         normalizer_idx=tuple(normalizers.tolist()),
         moebius_table=_moebius_table(leq),
     )
+    object.__setattr__(G, "_lattice", weakref.ref(lattice))
+    return lattice
 
 
 def conj_order_graph(lattice: SubgroupLattice) -> set[tuple[int, int]]:

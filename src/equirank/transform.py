@@ -3,7 +3,10 @@
 Maps are flat image arrays over point indices.  Composition, the monoid
 End of all equivariant self-maps, the group Aut of equivariant bijections,
 and level-by-level closure of generator sets all live here; the rank
-machinery builds on these primitives.
+machinery builds on these primitives.  A map is fixed by the images of
+the orbit representatives, so End has a dense mixed-radix index (one
+digit per orbit, the image's position among the admissible targets);
+enumeration emits End in that order and closure works on those indices.
 """
 
 from __future__ import annotations
@@ -328,15 +331,30 @@ def _aut_images(X: GSet, targets) -> np.ndarray:
         picks = np.column_stack((picks[row], j.astype(np.int32)))
         hit = hit[row]
         hit[np.arange(len(row)), t_orbit[j]] = True
-    out = np.empty((picks.shape[0], X.size), dtype=np.int32)
-    for (pts, table), col in zip(_orbit_tables(X, targets), picks.T):
-        out[:, pts] = table[col]
-    return out
+    return _images_of_picks(X, targets, picks)
 
 
-# Candidate cells (generators x frontier rows x points) that `closure`
-# composes at once; the frontier is cut into blocks that stay within it.
-_CLOSURE_BLOCK_CELLS = 1 << 22
+def _images_of_picks(X: GSet, targets, picks: np.ndarray) -> np.ndarray:
+    """The image rows of (n, orbits) target indices, one row per choice.
+
+    A point p = g.r of the orbit of r goes to g.y, y the chosen target.
+    Only the chosen targets' columns of the action are read, so the cost
+    follows n, not the number of admissible targets (`_orbit_tables`
+    builds every target's row, which a closure of a few maps on a large
+    G-set cannot afford).
+    """
+    via = _transporters(X)
+    by_target = np.ascontiguousarray(X.action.T)        # by_target[y, g] = g.y
+    out = np.empty((X.size, picks.shape[0]), dtype=np.int32)
+    for o, t, col in zip(X.orbits, targets, picks.T):
+        pts = np.array(o, dtype=np.intp)
+        out[pts] = np.take(by_target, t[col], axis=0)[:, via[pts]].T
+    return np.ascontiguousarray(out.T)
+
+
+# Candidate keys (frontier elements x generators) that `closure` forms at
+# once; the frontier is cut into blocks that stay within it.
+_CLOSURE_BLOCK_KEYS = 1 << 18
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -351,14 +369,21 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosure:
     """The submonoid generated by the given maps (identity always included).
 
+    An equivariant map is fixed by where it sends the orbit
+    representatives, so each element is kept as its End index: the
+    position of each representative's image among its admissible targets,
+    first orbit most significant (`enumerate_end`'s order), packed by
+    `_RowKeys`.  Composing a generator g after an element moves each
+    digit through a (targets, generators) table of g's action on the
+    targets, one table per representative stabilizer.
+
     Level-synchronous: the frontier holds the elements the previous level
-    found, and a level composes every generator after every frontier row
-    in one gather, blocks of at most `_CLOSURE_BLOCK_CELLS` cells at a
-    time.  Products are packed into sortable keys (`_RowKeys`); keys
-    already known are dropped by binary search and the rest are merged
-    into the sorted known keys.  More than `cap` elements raises before
-    they are stored, rather than truncating.  The sorted keys unpack to
-    the rows in lexicographic order.
+    found, and a level forms the keys of every generator after every
+    frontier element, in blocks of at most `_CLOSURE_BLOCK_KEYS` keys,
+    with one gather per orbit.  Keys already known are dropped by binary
+    search and the rest are merged into the sorted known keys.  More than
+    `cap` elements raises before they are stored, rather than truncating.
+    The sorted keys unrank to the rows in lexicographic order.
     """
     maps = []
     for f in generators:
@@ -367,19 +392,32 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
                 raise DomainError("generator lives on a different action")
             f = f.image
         maps.append(EquivariantMap(X, f))
-    keys = _RowKeys(X.size)
-    gens = np.array([f.image for f in maps], dtype=keys.row_dtype).reshape(len(maps), X.size)
-    known = _sorted_unique(keys.pack(np.vstack([np.arange(X.size), gens])))
+    counts, lists = _targets(X, bijective=False)
+    targets = lists()
+    keys = _RowKeys(counts)
+    gens = np.array([f.image for f in maps], dtype=np.int32).reshape(len(maps), X.size)
+    rep_cls = X.stabilizer_table.point_class[X.orbit_reps].tolist()
+    by_class = {}
+    for a, t in zip(rep_cls, targets):
+        if a not in by_class:           # table[d, s] = position of gens[s](t[d]) in t
+            pos = np.zeros(X.size, dtype=keys.dtype)
+            pos[t] = np.arange(len(t))
+            by_class[a] = np.ascontiguousarray(pos[gens[:, t]].T)
+    tables = [by_class[a] for a in rep_cls]
+    known = keys.pack(np.array([[np.searchsorted(t, r) for t, r in zip(targets, X.orbit_reps)]],
+                               dtype=np.intp))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
     frontier = known
-    step = max(1, _CLOSURE_BLOCK_CELLS // max(1, gens.size))
+    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
     while len(frontier):
         fresh = []
         for start in range(0, len(frontier), step):
-            rows = keys.unpack(frontier[start:start + step], keys.row_dtype)
-            products = np.take(gens, rows, axis=1).reshape(len(gens) * len(rows), X.size)
-            found = _sorted_unique(keys.pack(products))
+            digits = keys.unpack(frontier[start:start + step], np.intp)
+            words = np.zeros((keys.words, len(digits), len(maps)), dtype=keys.dtype)
+            for c, table in enumerate(tables):
+                words[keys.word_of[c]] += np.take(table, digits[:, c], axis=0) * keys.stride[c]
+            found = _sorted_unique(keys.join(words.reshape(keys.words, -1)))
             at = np.searchsorted(known, found)
             unseen = known[np.minimum(at, len(known) - 1)] != found
             found, at = found[unseen], at[unseen]
@@ -388,7 +426,8 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
             known = np.insert(known, at, found)
             fresh.append(found)
         frontier = np.concatenate(fresh)
-    return MonoidClosure(X, keys.unpack(known, np.int32), generators=tuple(maps))
+    picks = keys.unpack(known, keys.row_dtype)
+    return MonoidClosure(X, _images_of_picks(X, targets, picks), generators=tuple(maps))
 
 
 def _letters_gset(n: int) -> GSet:

@@ -292,6 +292,35 @@ def orbit_classes_under(images, size: int) -> list[frozenset]:
     return sorted((frozenset(v) for v in classes.values()), key=min)
 
 
+def double_orbit_classes(rows: np.ndarray, bijections) -> list[frozenset]:
+    """Row indices grouped by the double orbits f -> u f v of a group of
+    bijections, given by generators, on a set of image rows closed under it.
+
+    Union-find over f ~ u f and f ~ f u for each generator u; every u f v
+    is a chain of such steps, so this yields the full double orbits.
+    """
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    parent = list(range(len(rows)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u in bijections:
+        u = np.asarray(u)
+        for products in (u[rows], rows[:, u]):
+            for i, row in enumerate(products):
+                ra, rb = find(i), find(index[row.tobytes()])
+                if ra != rb:
+                    parent[ra] = rb
+    classes = {}
+    for i in range(len(rows)):
+        classes.setdefault(find(i), []).append(i)
+    return sorted((frozenset(v) for v in classes.values()), key=min)
+
+
 def all_subgroup_element_sets(mul: np.ndarray) -> set:
     """Every subgroup of a small group, by testing all element subsets."""
     n = mul.shape[0]

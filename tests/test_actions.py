@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -157,6 +158,23 @@ def test_decompose_once_per_gset(zoo):
     held = weakref.ref(D)
     del D
     assert held() is None
+
+
+def test_lattice_once_per_group_while_held():
+    G = make_symmetric(3)
+    X = build_shift(G, 2).gset
+    gc.disable()                        # only reference counting may free it
+    try:
+        D = decompose(X)
+        Y = coset_action(G, D.lattice.subgroups[1])
+        assert decompose(Y).lattice is D.lattice is build_lattice(G)
+        with pytest.raises(BudgetExceeded):     # the budget holds for a held lattice
+            build_lattice(G, budget=5)
+        held = weakref.ref(D.lattice)
+        del D
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_z6_shift_boxes():

@@ -180,6 +180,24 @@ def test_verify_decomposes_once(capsys, monkeypatch):
     assert calls["decompose"] > 1 and calls["build_lattice"] == 1
 
 
+def test_verify_fails_without_one_push(capsys, monkeypatch):
+    import dataclasses
+
+    import equirank.cli
+
+    def short_rank(X):
+        report = relative_rank(X)
+        return dataclasses.replace(report, generating_set=report.generating_set[1:])
+
+    relative_rank = equirank.cli.relative_rank
+    monkeypatch.setattr(equirank.cli, "relative_rank", short_rank)
+    code, report = _json_out(capsys, ["verify", "Z2", "shift:q=2"])
+    assert code == 4 and report["failures"] == 1
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status.pop("enumeration_vs_formulas") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
 def test_verify_skips_over_budget_checks(capsys):
     code, report = _json_out(capsys, ["verify", "Z6", "shift:q=2"])
     assert code == 0 and report["failures"] == 0

@@ -196,7 +196,7 @@ def test_row_keys_sort_like_rows(m):
     rng = np.random.default_rng(m)
     rows = rng.integers(0, max(m, 1), size=(200, m))
     rows[100:] = rows[:100]                    # ties must compare equal
-    keys = _RowKeys(m)
+    keys = _RowKeys([1 << max(1, (m - 1).bit_length())] * m)
     packed = keys.pack(rows)
     assert (keys.unpack(packed, np.int64) == rows).all()
     by_key = np.argsort(packed, kind="stable")
@@ -211,7 +211,34 @@ def test_bit_row_keys_sort_like_rows(length):
     rng = np.random.default_rng(length)
     rows = rng.integers(0, 2, size=(200, length)).astype(bool)
     rows[100:] = rows[:100]
-    keys = _RowKeys(2, length)
+    keys = _RowKeys([2] * length)
     packed = keys.pack(rows)
     assert (keys.unpack(packed, bool) == rows).all()
     assert (rows[np.argsort(packed, kind="stable")] == rows[np.lexsort(rows.T[::-1])]).all()
+
+
+@pytest.mark.parametrize("radices, words, dtype", [
+    ([6] * 6, 1, np.uint32),                   # 6^6 = 46,656: one uint32 word
+    ([1 << 16, 1 << 16], 1, np.uint32),        # exactly 2^32
+    ([1 << 16, 1 << 16, 2], 1, np.uint64),     # just past 2^32
+    ([1 << 32, 1 << 32], 1, np.uint64),        # exactly 2^64
+    ([1 << 32, 1 << 32, 2], 2, np.uint64),     # just past 2^64: a second word
+    ([3, 7, 1, 5, 1 << 20, 11, 1 << 30, 9, 2, 13], 2, np.uint64),
+])
+def test_mixed_radix_keys_sort_like_rows(radices, words, dtype):
+    # per-column radices: keys are the mixed-radix value, words split
+    # greedily at 2^64, and the largest digits round-trip exactly
+    rng = np.random.default_rng(len(radices))
+    rows = np.column_stack([rng.integers(0, r, size=200, dtype=np.uint64) for r in radices])
+    rows[0] = [r - 1 for r in radices]
+    rows[1] = 0
+    rows[100:] = rows[:100]
+    keys = _RowKeys(radices)
+    assert keys.words == words and keys.dtype == dtype
+    packed = keys.pack(rows)
+    assert (keys.unpack(packed, np.uint64) == rows).all()
+    assert (rows[np.argsort(packed, kind="stable")] == rows[np.lexsort(rows.T[::-1])]).all()
+    if words == 1:
+        weights = [int(np.prod(radices[c + 1:], dtype=object)) for c in range(len(radices))]
+        assert [int(k) for k in packed[:2]] == [sum(int(d) * w for d, w in zip(r, weights))
+                                                for r in rows[:2]]

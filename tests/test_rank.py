@@ -1,5 +1,7 @@
 """Relative rank, collapse types, and the wreath structure of the boxes."""
 
+import functools
+import itertools
 import time
 
 import numpy as np
@@ -22,6 +24,8 @@ from equirank import (
     coset_action,
     decompose,
     decompose_by_boxes,
+    disjoint_union,
+    end_monoid_order,
     enumerate_aut,
     enumerate_end,
     identity_map,
@@ -37,6 +41,7 @@ from equirank import (
     wreath_multiply,
     wreath_order_checks,
 )
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +264,48 @@ def test_wreath_order_checks(z2_shift, z6_shift):
     assert by_box[1]["end_order_predicted"] == by_box[1]["end_order_enumerated"] == 36
     assert by_box[1]["aut_order_enumerated"] == 18
     assert by_box[3]["aut_order_enumerated"] == 2
+
+
+# Per zoo group, the most coset actions a union may join: three for the
+# groups of order at most 6, two for order 8 except Z2^3, one for Z2^3.
+# The triples of the other order-8 groups would add about 2 s, and the
+# pairs and triples of Z2^3 about 4 s.
+_MINIMALITY_PARTS = [(name, 3 if n <= 6 else 1 if name == "Z2x2x2" else 2) for name, n in [
+    ("Z1", 1), ("Z2", 2), ("Z3", 3), ("Z4", 4), ("V4", 4), ("Z5", 5), ("Z6", 6), ("S3", 6),
+    ("Z7", 7), ("Z8", 8), ("D4", 8), ("Z4xZ2", 8), ("Q8", 8), ("Z2x2x2", 8)]]
+
+
+def _minimality_instances(G, lattice, parts):
+    """Shift spaces with q^|G| <= 40, and disjoint unions of up to `parts`
+    coset actions (one per subgroup class, repeats allowed) on at most 16
+    points; only those with |End| <= 5000."""
+    spaces = [build_shift(G, q).gset for q in range(2, 41) if q ** G.order <= 40]
+    actions = [coset_action(G, lattice.subgroups[i]) for i in lattice.class_reps]
+    for k in range(1, parts + 1):
+        for combo in itertools.combinations_with_replacement(actions, k):
+            if sum(a.size for a in combo) <= 16:
+                spaces.append(functools.reduce(disjoint_union, combo))
+    return [X for X in spaces if end_monoid_order(X) <= 5000]
+
+
+@pytest.mark.parametrize("name, parts", _MINIMALITY_PARTS, ids=[n for n, _ in _MINIMALITY_PARTS])
+def test_relative_rank_is_minimal(zoo, name, parts):
+    # Replacing a generator a by u a v (u, v in Aut) leaves <Aut, A>
+    # unchanged, so if fewer than `rank` non-invertible maps generated End
+    # with Aut, some (rank - 1)-subset of the Aut x Aut double-orbit
+    # representatives of End minus Aut would too.
+    G = zoo[name]
+    lattice = build_lattice(G)              # held: one lattice for every instance
+    for X in _minimality_instances(G, lattice, parts):
+        decomp = decompose(X)               # held across the calls below
+        end = enumerate_end(X)
+        aut = aut_generators(X)
+        classes = oracles.double_orbit_classes(end.images, [f.image for f in aut])
+        reps = [end.images[min(c)] for c in classes]
+        reps = [f for f in reps if not oracles.is_bijection(f)]
+        rank = relative_rank(X).relative_rank
+        assert closure(X, aut + reps, cap=end.size).size == end.size, X.name
+        assert len(reps) >= rank, X.name
+        for subset in itertools.combinations(reps, max(rank - 1, 0)) if rank else ():
+            assert closure(X, aut + list(subset), cap=end.size).size < end.size, X.name
+        del decomp

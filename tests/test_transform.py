@@ -280,6 +280,41 @@ def test_closure_matches_bfs_oracle_on_verify_instances(group, q):
     assert got.size == end_monoid_order(X)
 
 
+def _last_target_map(X):
+    """Each orbit representative sent to its largest admissible target:
+    the End element of largest index, End order minus one."""
+    table = X.stabilizer_table
+    img = np.arange(X.size)
+    for r in X.orbit_reps.tolist():
+        t = np.flatnonzero(table.within[table.point_class[r]][table.point_class]).max()
+        img[X.action[:, r]] = X.action[:, t]
+    return EquivariantMap(X, img)
+
+
+@pytest.mark.parametrize("group, q, width", [
+    (make_cyclic(3), 2, "uint32"),
+    (make_symmetric(3), 2, "one uint64 word"),
+    (make_cyclic(3), 4, "several words"),
+], ids=["Z3-q2", "S3-q2", "Z3-q4"])
+def test_closure_at_every_key_width(group, q, width):
+    # End indices need 32 bits, exactly 64 (|End| = 2^64 for S3 q=2, so
+    # the last-target map has key 2^64 - 1), or more than one 64-bit word;
+    # three pushes and two Aut generators close to 113, 126 and 190 maps
+    X = build_shift(group, q).gset
+    order = end_monoid_order(X)
+    assert {"uint32": order <= 2 ** 32, "one uint64 word": order == 2 ** 64,
+            "several words": order > 2 ** 64}[width]
+    last = _last_target_map(X)
+    gens = [last, *relative_rank(X).generating_set[:3], *aut_generators(X)[:2]]
+    got = closure(X, gens, cap=4096)
+    expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
+    assert got.images.tobytes() == expected.tobytes()
+    assert (got.images[-1] == last.image).all()
+    assert closure(X, gens, cap=got.size).size == got.size
+    with pytest.raises(ClosureCapExceeded):
+        closure(X, gens, cap=got.size - 1)
+
+
 _ORACLE_CAP = 64
 
 

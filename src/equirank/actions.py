@@ -133,9 +133,9 @@ def _check_action(G: FiniteGroup, act: np.ndarray, budget: int = DEFAULT_CELL_BU
     # product by induction on word length; with the identity acting
     # trivially it also makes each row a permutation (act[g^-1] undoes it).
     for s in G.generators:
-        bad = (act[:, act[s]] != act[G.mul[:, s]]).any(axis=1)
-        if bad.any():
-            g = int(np.argmax(bad))
+        lhs, rhs = np.take(act, act[s], axis=1), np.take(act, G.mul[:, s], axis=0)
+        if not np.array_equal(lhs, rhs):
+            g = int(np.argmax((lhs != rhs).any(axis=1)))
             raise DomainError(f"action is not compatible with the product at ({g},{s})")
 
 
@@ -181,8 +181,7 @@ def restrict_to_invariant(gset: GSet, points, name: str = "") -> GSet:
 
 def burnside_orbit_count(gset: GSet) -> int:
     """Number of orbits as the average number of fixed points per element."""
-    pts = np.arange(gset.size)
-    total = int((gset.action == pts[None, :]).sum())
+    total = int((gset.action == np.arange(gset.size)).sum())
     if total % gset.group.order != 0:
         raise PropertyFailure("fixed-point total is not divisible by the group order")
     return total // gset.group.order
@@ -194,22 +193,38 @@ class BoxDecomposition:
 
     Box order follows the lattice's canonical class order (ascending
     subgroup size, then elements), restricted to the classes that occur.
-    `sub_boxes[i]` splits box i by exact stabilizer, keyed by subgroup
-    index, and `alpha[i]` counts the G-orbits inside box i.
+    Distinct stabilizer a (row a of `gset.stabilizer_table`) is subgroup
+    `stabilizers[a]`, in box `box_of_stabilizer[a]`; `alpha[i]` counts the
+    G-orbits inside box i.  The point tuples `boxes` and `sub_boxes` are
+    derived from these arrays on first use.
     """
 
     gset: GSet
     lattice: SubgroupLattice
     stab_index: np.ndarray                       # per point: subgroup index
     box_classes: tuple[int, ...]                 # lattice class position per box
-    boxes: tuple[tuple[int, ...], ...]
     box_of_point: np.ndarray
-    sub_boxes: tuple[dict, ...]
+    stabilizers: np.ndarray
+    box_of_stabilizer: np.ndarray
     alpha: tuple[int, ...]
 
     @property
     def n_boxes(self) -> int:
-        return len(self.boxes)
+        return len(self.box_classes)
+
+    @cached_property
+    def boxes(self) -> tuple[tuple[int, ...], ...]:
+        """Per box, its points ascending."""
+        return tuple(_group_by(self.box_of_point, self.n_boxes))
+
+    @cached_property
+    def sub_boxes(self) -> tuple[dict, ...]:
+        """Per box, {subgroup index: points with that exact stabilizer}, keys ascending."""
+        by_stabilizer = _group_by(self.gset.stabilizer_table.point_class, len(self.stabilizers))
+        out = tuple({} for _ in range(self.n_boxes))
+        for a in np.argsort(self.stabilizers).tolist():
+            out[self.box_of_stabilizer[a]][int(self.stabilizers[a])] = by_stabilizer[a]
+        return out
 
     def box_subgroup(self, i: int) -> Subgroup:
         """The canonical representative stabilizer of box i."""
@@ -232,10 +247,15 @@ class BoxDecomposition:
         """Boxes that hold a single orbit (0-based positions)."""
         return tuple(i for i, a in enumerate(self.alpha) if a == 1)
 
+    def orbit_table(self, i: int) -> np.ndarray:
+        """Box i's orbits as columns, each ascending, ordered by smallest point
+        (column r of the action lists r's orbit with each point |H| times)."""
+        reps = self.gset.orbit_reps
+        reps = reps[self.box_of_point[reps] == i]
+        return np.sort(self.gset.action[:, reps], axis=0)[::self.box_subgroup(i).order]
+
     def orbits_in_box(self, i: int) -> tuple[tuple[int, ...], ...]:
-        orbits = self.gset.orbits
-        in_box = self.box_of_point[self.gset.orbit_reps] == i
-        return tuple(orbits[k] for k in np.flatnonzero(in_box).tolist())
+        return tuple(map(tuple, self.orbit_table(i).T.tolist()))
 
     def expected_aut_orbits(self, i: int) -> int:
         """Index of the box stabilizer's normalizer; equals the sub-box count."""
@@ -270,21 +290,16 @@ def decompose(gset: GSet) -> BoxDecomposition:
     table = gset.stabilizer_table
     subs = lattice.index_of_masks(table.masks)            # per distinct stabilizer
     box_classes, box_of_sub = np.unique(lattice.subgroup_class[subs], return_inverse=True)
-    n_boxes = len(box_classes)
     box_of_point = box_of_sub.astype(np.int32)[table.point_class]
-    sub_boxes = tuple({} for _ in range(n_boxes))
-    by_stabilizer = _group_by(table.point_class, len(subs))
-    for a in np.argsort(subs).tolist():
-        sub_boxes[box_of_sub[a]][int(subs[a])] = by_stabilizer[a]
-    alpha = np.bincount(box_of_point[gset.orbit_reps], minlength=n_boxes)
+    alpha = np.bincount(box_of_point[gset.orbit_reps], minlength=len(box_classes))
     decomp = BoxDecomposition(
         gset=gset,
         lattice=lattice,
         stab_index=subs[table.point_class],
         box_classes=tuple(box_classes.tolist()),
-        boxes=tuple(_group_by(box_of_point, n_boxes)),
         box_of_point=box_of_point,
-        sub_boxes=sub_boxes,
+        stabilizers=subs,
+        box_of_stabilizer=box_of_sub,
         alpha=tuple(alpha.tolist()),
     )
     object.__setattr__(gset, "_decomposition", weakref.ref(decomp))
@@ -322,8 +337,7 @@ def aut_orbits_in_box(X: GSet, i: int) -> int:
     """
     decomp = decompose(X)
     expected = decomp.expected_aut_orbits(i)
-    if expected != len(decomp.sub_boxes[i]):
-        raise PropertyFailure(
-            f"normalizer index {expected} != {len(decomp.sub_boxes[i])} sub-boxes in box {i}"
-        )
+    sub_boxes = np.count_nonzero(decomp.box_of_stabilizer == i)
+    if expected != sub_boxes:
+        raise PropertyFailure(f"normalizer index {expected} != {sub_boxes} sub-boxes in box {i}")
     return expected

@@ -19,6 +19,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from json import JSONEncoder
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 import numpy as np
 
@@ -257,16 +259,15 @@ def _boxes_report(X: GSet) -> dict:
     for i in range(decomp.n_boxes):
         H = decomp.box_subgroup(i)
         entry = {
-            "stabilizer": [int(e) for e in H.elements],
+            "stabilizer": list(H.elements),
             "stabilizer_order": H.order,
-            "alpha": int(decomp.alpha[i]),
-            "aut_orbits": int(decomp.expected_aut_orbits(i)),
-            "sub_boxes": {str(k): [int(x) for x in pts]
-                          for k, pts in decomp.sub_boxes[i].items()},
+            "alpha": decomp.alpha[i],
+            "aut_orbits": decomp.expected_aut_orbits(i),
+            "sub_boxes": {str(k): list(pts) for k, pts in decomp.sub_boxes[i].items()},
         }
         if X.size <= _IMAGE_LIMIT:
-            entry["points"] = [int(x) for x in decomp.boxes[i]]
-            entry["orbits"] = [[int(x) for x in o] for o in decomp.orbits_in_box(i)]
+            entry["points"] = list(decomp.boxes[i])
+            entry["orbits"] = decomp.orbit_table(i).T.tolist()
         boxes.append(entry)
     return {
         "schema": 1,
@@ -275,7 +276,7 @@ def _boxes_report(X: GSet) -> dict:
         "gset": X.name,
         "points": X.size,
         "orbit_count": burnside_orbit_count(X),
-        "kappa": [int(i) for i in decomp.kappa],
+        "kappa": list(decomp.kappa),
         "boxes": boxes,
     }
 
@@ -283,16 +284,14 @@ def _boxes_report(X: GSet) -> dict:
 def _paper_table(X: GSet) -> str:
     """Boxes as printed tables: largest stabilizer first, one column per orbit."""
     decomp = decompose(X)
-    G = X.group
     lines = [f"{X.name}: {X.size} points, {decomp.n_boxes} boxes"]
     for i in reversed(range(decomp.n_boxes)):
         H = decomp.box_subgroup(i)
-        label = "{" + ",".join(G.label(e) for e in H.elements) + "}"
+        label = "{" + ",".join(X.group.label(e) for e in H.elements) + "}"
         lines.append(f"stabilizer class {label}  alpha = {decomp.alpha[i]}")
-        orbs = decomp.orbits_in_box(i)
-        width = max(len(str(p)) for o in orbs for p in o)
-        for r in range(len(orbs[0])):
-            lines.append("  " + "  ".join(str(o[r]).rjust(width) for o in orbs))
+        table = decomp.orbit_table(i)
+        row = "  " + "  ".join([f"%{len(str(table.max()))}d"] * table.shape[1])
+        lines.extend(row % tuple(r) for r in table.tolist())
     return "\n".join(lines)
 
 
@@ -492,6 +491,66 @@ def _as_table(report, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+class _ReportEncoder(JSONEncoder):
+    """`JSONEncoder`'s exact output, with lists of plain ints written in one join.
+
+    The stock indented encoder steps a Python generator per list item, and
+    large reports are mostly lists of points.  All else follows
+    `json.encoder._make_iterencode`: its type tests in order, key handling,
+    circular-reference markers and `default`.  Unindented, it is the stock one.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        if self.indent is None:
+            return super().iterencode(o, _one_shot)
+        step = self.indent if isinstance(self.indent, str) else " " * self.indent
+        text = encode_basestring_ascii if self.ensure_ascii else encode_basestring
+        markers = {} if self.check_circular else None
+
+        def pairs(d, pad):
+            for k, v in sorted(d.items()) if self.sort_keys else d.items():
+                if isinstance(k, (int, float)) or k is None:
+                    k = value(k, pad)
+                elif not isinstance(k, str):
+                    if self.skipkeys:
+                        continue
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {k.__class__.__name__}")
+                yield text(k) + self.key_separator + value(v, pad)
+
+        def value(v, pad):
+            if isinstance(v, str):
+                return text(v)
+            if v is None or v is True or v is False:
+                return "null" if v is None else "true" if v else "false"
+            if isinstance(v, int):
+                return int.__repr__(v)
+            if isinstance(v, float):                     # NaN and infinities as configured
+                return "".join(super(_ReportEncoder, self).iterencode(v))
+            if isinstance(v, (list, tuple, dict)) and not v:
+                return "{}" if isinstance(v, dict) else "[]"
+            if markers is not None:
+                if id(v) in markers:
+                    raise ValueError("Circular reference detected")
+                markers[id(v)] = v
+            inner = pad + step
+            join = (self.item_separator + inner).join
+            if isinstance(v, (list, tuple)):
+                if {*map(type, v)} == {int}:
+                    out = "[" + inner + join(map(int.__repr__, v)) + pad + "]"
+                else:
+                    out = "[" + inner + join([value(x, inner) for x in v]) + pad + "]"
+            elif isinstance(v, dict):
+                out = "{" + inner + join(pairs(v, inner)) + pad + "}"
+            else:
+                out = value(self.default(v), pad)
+            if markers is not None:
+                del markers[id(v)]
+            return out
+
+        return [value(o, "\n")]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -506,7 +565,7 @@ def main(argv=None) -> int:
     if isinstance(report, str) or config.output == "table":
         sys.stdout.write(_as_table(report) + "\n")
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, cls=_ReportEncoder) + "\n")
     return code
 
 

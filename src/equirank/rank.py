@@ -73,8 +73,7 @@ def u_set(X: GSet, i: int) -> tuple:
     lat = decomp.lattice
     H_idx = lat.class_reps[decomp.box_classes[i]]
     N = decomp.box_normalizer(i)
-    occurring = (k for sub in decomp.sub_boxes for k in sub)
-    classes = {lat.n_class(N, k) for k in occurring if lat.leq[H_idx, k]}
+    classes = {lat.n_class(N, k) for k in decomp.stabilizers.tolist() if lat.leq[H_idx, k]}
     return tuple(sorted(classes))
 
 
@@ -152,13 +151,10 @@ def decompose_by_boxes(tau: EquivariantMap) -> list[EquivariantMap]:
     from the last box down to the first (i.e. composing in ascending box
     order) reproduces tau exactly.
     """
-    out = []
-    for box in decompose(tau.gset).boxes:
-        img = np.arange(tau.gset.size, dtype=np.int32)
-        pts = list(box)
-        img[pts] = tau.image[pts]
-        out.append(EquivariantMap(tau.gset, img))
-    return out
+    decomp = decompose(tau.gset)
+    ident = np.arange(tau.gset.size, dtype=np.int32)
+    return [EquivariantMap(tau.gset, np.where(decomp.box_of_point == i, tau.image, ident))
+            for i in range(decomp.n_boxes)]
 
 
 def recompose(factors) -> EquivariantMap:
@@ -239,8 +235,8 @@ def collapse_type_census(X: GSet) -> set:
     """
     decomp = decompose(X)
     lat = decomp.lattice
-    orbits_with = {s: set(X.orbit_of_point[list(pts)].tolist())
-                   for sub in decomp.sub_boxes for s, pts in sub.items()}
+    orbits_with = {s: set(X.orbit_of_point[decomp.stab_index == s].tolist())
+                   for s in decomp.stabilizers.tolist()}
     out = set()
     for s, s_orbits in orbits_with.items():
         for t, t_orbits in orbits_with.items():
@@ -276,7 +272,7 @@ def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> list[int]:
     """Per orbit of box i, its smallest point whose stabilizer is the box's
     canonical subgroup."""
     H_idx = decomp.lattice.class_reps[decomp.box_classes[i]]
-    pts = np.array(decomp.sub_boxes[i][H_idx])
+    pts = np.flatnonzero(decomp.stab_index == H_idx)
     _, first = np.unique(decomp.gset.orbit_of_point[pts], return_index=True)
     return pts[first].tolist()
 
@@ -284,8 +280,7 @@ def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> list[int]:
 def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
     """Split tau's action on box i into an orbit map and per-orbit cosets."""
     decomp = decompose(tau.gset)
-    box = set(decomp.boxes[i])
-    if any(int(tau.image[x]) not in box for x in box):
+    if (decomp.box_of_point[tau.image[decomp.box_of_point == i]] != i).any():
         raise DomainError(f"map does not keep box {i} inside itself")
     H = decomp.box_subgroup(i)
     N = decomp.box_normalizer(i)
@@ -371,7 +366,7 @@ def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     for i in range(decomp.n_boxes):
         end_pred = box_end_order(X, i)
         aut_pred = _box_aut_order(decomp, i)
-        sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
+        sub = restrict_to_invariant(X, np.flatnonzero(decomp.box_of_point == i), name=f"box{i}")
         try:
             end_enum = enumerate_end(sub, budget=budget).size
         except BudgetExceeded:

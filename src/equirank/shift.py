@@ -50,9 +50,7 @@ class ShiftSpace:
     @cached_property
     def position_of(self) -> np.ndarray:
         """Inverse of `display`: digit position of each group element."""
-        pos = np.empty(self.group.order, dtype=np.int64)
-        pos[list(self.display)] = np.arange(self.group.order)
-        return pos
+        return np.argsort(self.display)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -92,9 +90,7 @@ def build_shift(G: FiniteGroup, q: int, display=None,
         if sorted(display) != list(range(G.order)):
             raise DomainError("display order must be a permutation of the group elements")
 
-    n = G.order
-    pos = np.empty(n, dtype=np.int64)
-    pos[list(display)] = np.arange(n)
+    n, pos = G.order, np.argsort(display)
     # Axis i of the code tensor is digit position i.  The digit of g.x at
     # position i is the digit of x at position perm[i], so act[g], read as
     # a tensor over x's digits, is the code tensor with its axes permuted
@@ -124,10 +120,10 @@ def _verify_shift_rows(space: ShiftSpace) -> None:
     for g in G.generators:
         # the digit of g.x at display[i] is the digit of x at g^-1 display[i]
         source = space.position_of[G.mul[G.inv[g], display]]
-        bad = (digits[:, act[g]] != digits[source]).any(axis=0)
-        if bad.any():
-            raise PropertyFailure(
-                f"shift row {g} disagrees with the formula at {int(np.argmax(bad))}")
+        lhs, rhs = np.take(digits, act[g], axis=1), digits[source]
+        if not np.array_equal(lhs, rhs):
+            bad = int(np.argmax((lhs != rhs).any(axis=0)))
+            raise PropertyFailure(f"shift row {g} disagrees with the formula at {bad}")
 
 
 @dataclass(frozen=True, eq=False)

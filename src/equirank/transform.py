@@ -204,15 +204,13 @@ class MonoidClosure:
 
 
 def _lex_sorted(rows: np.ndarray) -> bool:
-    """Is each row lexicographically at most the next?  Column by column."""
-    tied = np.ones(max(rows.shape[0] - 1, 0), dtype=bool)   # pairs equal so far
-    for a, b in zip(rows[:-1].T, rows[1:].T):
-        if (tied & (a > b)).any():
-            return False
-        tied &= a == b
-        if not tied.any():
-            break
-    return True
+    """Is each row lexicographically at most the next?  Every neighbouring
+    pair at once, at its first differing column (column 0 if equal)."""
+    if not rows.size:
+        return True
+    first = (rows[1:] != rows[:-1]).argmax(axis=1)
+    pair = np.arange(rows.shape[0] - 1)
+    return bool((rows[pair, first] <= rows[pair + 1, first]).all())
 
 
 def _targets(X: GSet, bijective: bool):

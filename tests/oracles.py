@@ -73,6 +73,19 @@ def action_violation(mul: np.ndarray, act: np.ndarray, identity: int) -> str | N
     return None
 
 
+def first_generator_violation(mul: np.ndarray, act: np.ndarray, generators) -> tuple | None:
+    """The first (g, s) with act[g][act[s]] != act[g*s], or None.
+
+    Scans the generators s in the given order and, for each, g ascending,
+    one pair of rows at a time: the pair an exact generator check names.
+    """
+    for s in generators:
+        for g in range(act.shape[0]):
+            if (act[g][act[s]] != act[int(mul[g, s])]).any():
+                return g, s
+    return None
+
+
 def associativity_failures(mul: np.ndarray) -> int:
     """Number of triples (a, b, c) with (ab)c != a(bc), one triple at a time."""
     n = mul.shape[0]

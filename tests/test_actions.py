@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equirank import (
@@ -20,6 +20,7 @@ from equirank import (
     disjoint_union,
     make_cyclic,
     make_symmetric,
+    relative_rank,
     restrict_to_invariant,
     trivial_gset,
 )
@@ -84,6 +85,81 @@ def test_action_check_matches_pair_loop_on_flipped_entries(X, data):
     except DomainError:
         accepted = False
     assert accepted == expected
+
+
+def _coset_tables():
+    return [coset_action(G, H) for G in small_groups().values() if G.order > 1
+            for H in build_lattice(G).subgroups if H.order < G.order]
+
+
+@given(st.sampled_from(_coset_tables()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_action_check_names_the_first_bad_generator_pair(X, data):
+    G, (n, m) = X.group, X.action.shape
+    g = data.draw(st.sampled_from([h for h in range(n) if h != G.identity]))
+    x = data.draw(st.integers(0, m - 1))
+    value = data.draw(st.integers(0, m - 1))
+    assume(value != X.action[g, x])
+    act = X.action.copy()
+    act[g, x] = value                     # row g is no longer a permutation
+    assert oracles.action_violation(G.mul, act, G.identity) is not None
+    bad_g, bad_s = oracles.first_generator_violation(G.mul, act, G.generators)
+    with pytest.raises(DomainError) as info:
+        GSet(G, act)
+    assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
+
+
+def _box_instances():
+    out = []
+    for G in small_groups().values():
+        subgroups = build_lattice(G).subgroups
+        out += [coset_action(G, H) for H in subgroups]
+        q = 2
+        while q <= 7 and q ** G.order <= 7000:
+            out.append(build_shift(G, q).gset)
+            q += 1
+        if G.order in (6, 8):
+            parts = [coset_action(G, subgroups[k]) for k in (0, 1, 1, len(subgroups) // 2, -1)]
+            X = parts[0]
+            for p in parts[1:]:
+                X = disjoint_union(X, p)
+            out.append(X)
+    return out
+
+
+def test_boxes_and_orbit_tables_match_oracle_groupings():
+    groups = {}
+    for X in _box_instances():
+        G, m = X.group, X.size
+        if id(G) not in groups:
+            subgroups = oracles.subgroups_by_pairwise_join(G.mul)
+            classes = oracles.subgroup_classes(G.mul, G.inv, subgroups)
+            groups[id(G)] = ({s: i for i, s in enumerate(subgroups)},
+                             {i: c for c, members in enumerate(classes) for i in members})
+        index, class_of = groups[id(G)]
+        stab = [index[oracles.stabilizer_of(X.action, x)] for x in range(m)]
+        classes = sorted({class_of[k] for k in stab})
+        box = [classes.index(class_of[k]) for k in stab]
+        orbits = [tuple(sorted(o)) for o in oracles.orbit_partition(X.action)]
+        D = decompose(X)
+        assert D.box_classes == tuple(classes)
+        assert D.boxes == tuple(tuple(x for x in range(m) if box[x] == i)
+                                for i in range(len(classes)))
+        for i in range(len(classes)):
+            keys = sorted({k for x, k in enumerate(stab) if box[x] == i})
+            assert list(D.sub_boxes[i].items()) == [
+                (k, tuple(x for x in range(m) if stab[x] == k)) for k in keys]
+            in_box = tuple(o for o in orbits if box[o[0]] == i)
+            assert D.orbits_in_box(i) == in_box
+            assert np.array_equal(D.orbit_table(i), np.array(in_box).T)
+            assert D.alpha[i] == len(in_box)
+
+
+def test_rank_leaves_point_tuples_unbuilt():
+    X = build_shift(make_cyclic(6), 7).gset
+    D = relative_rank(X).decomposition
+    assert "boxes" not in vars(D) and "sub_boxes" not in vars(D)
+    assert len(D.sub_boxes[0]) == 1            # still available on first use
 
 
 def test_orbits_and_stabilizers_against_oracle(zoo):

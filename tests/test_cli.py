@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equirank import SpecStringError
-from equirank.cli import main, parse_specs, run
+from equirank import SpecStringError, aut_group_order, build_shift, make_cyclic
+from equirank.cli import _ReportEncoder, main, parse_specs, run
 
 Z6_PAPER_TABLE = """\
 Z6 shift q=2: 64 points, 4 boxes
@@ -240,6 +243,71 @@ def test_lattice_json_frozen(capsys, group):
     assert main(["lattice", group]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == LATTICE_JSON_SHA256[group]
+
+
+# sha256 of the stdout bytes of the benchmark's two large boxes reports
+# (perfbench/reference.json), recorded before the reports were encoded in bulk
+BOXES_SHA256 = {
+    ("boxes", "S3", "shift:q=7"):
+        "f1cbdfb701f5f62fb1b65506b26bad113bcac7a73e154de0bd7251f5d68422e7",
+    ("boxes", "D4", "shift:q=4", "--paper-layout"):
+        "46eb5033f71da55ec2626fe4bae188b5c19681d6f7b7becd5fb251008dc5aa39",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BOXES_SHA256), ids=" ".join)
+def test_large_boxes_output_frozen(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BOXES_SHA256[argv]
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_JSON_VALUES = st.recursive(
+    _SCALARS | st.lists(st.integers(-10 ** 20, 10 ** 20)),
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=5)
+                   | st.dictionaries(st.integers(-5, 5), inner, max_size=3)),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_report_encoder_writes_the_stock_bytes(value):
+    assert (json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
+            == json.dumps(value, sort_keys=True, indent=2))
+
+
+def test_report_encoder_keeps_the_stock_errors():
+    huge = 10 ** 4300                                  # 4301 digits
+    for value in ([1, huge], {"a": [huge]}, {huge: 1}, [1, {"x"}], [{(1,): 2}],
+                  {1: 2, "a": 3}):
+        with pytest.raises((ValueError, TypeError)) as stock:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(stock.type) as ours:
+            json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
+        assert str(ours.value) == str(stock.value)
+    loop = [1]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json.dumps(loop, sort_keys=True, indent=2, cls=_ReportEncoder)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1: aut_order has over 4300 digits and "
+                          "json.dumps raises out of main")
+def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys):
+    code = main(["rank", "Z6", "shift:q=7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)                      # only to read the output back
+    try:
+        report = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["aut_order"] == aut_group_order(build_shift(make_cyclic(6), 7).gset)
 
 
 def test_table_output(capsys):

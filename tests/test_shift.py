@@ -1,5 +1,6 @@
 """Shift spaces, configuration encoding, and cellular automata."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -99,6 +100,26 @@ def test_shift_rows_checked_against_the_formula():
     wrong = ShiftSpace(group=G, q=2, display=(0, 1, 2, 3), gset=shuffled.gset)
     with pytest.raises(PropertyFailure, match="shift row 1"):
         _verify_shift_rows(wrong)
+
+
+@pytest.mark.parametrize("group, q", [(make_cyclic(4), 3), (make_symmetric(3), 2),
+                                      (make_dihedral(4), 2)])
+def test_shift_row_check_names_the_corrupted_configuration(group, q):
+    space = build_shift(group, q)
+    expected = oracles.shift_action_table(group.mul, group.inv, q, list(space.display))
+    rng = np.random.default_rng(q)
+    for g in group.generators:
+        for x in rng.choice(space.size, size=5, replace=False).tolist():
+            act = space.gset.action.copy()
+            act[g, x] = (act[g, x] + 1) % space.size
+            assert oracles.action_violation(group.mul, act, group.identity) is not None
+            assert np.flatnonzero(act[g] != expected[g]).tolist() == [x]
+            bad = copy.copy(space.gset)          # skips GSet's own check
+            object.__setattr__(bad, "action", act)
+            wrong = ShiftSpace(group=group, q=q, display=space.display, gset=bad)
+            with pytest.raises(PropertyFailure) as info:
+                _verify_shift_rows(wrong)
+            assert str(info.value) == f"shift row {g} disagrees with the formula at {x}"
 
 
 def test_local_rule_validation(z4):

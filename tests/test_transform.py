@@ -39,6 +39,8 @@ from equirank import (
     trivial_gset,
 )
 
+from equirank.transform import _lex_sorted
+
 import oracles
 from catalog import make_quaternion, small_groups
 
@@ -222,6 +224,20 @@ def test_monoid_closure_container(z2_shift):
     assert aut.size == 4
     assert point_push(z2_shift, 1, 0) not in aut
 
+
+
+@given(st.integers(0, 6), st.integers(0, 5), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_lex_order_check_matches_python_sort(n, m, presort, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    if presort:                                   # sorted inputs, ties included
+        rows.sort()
+        if n > 1 and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 2))
+            rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    table = np.array(rows, dtype=np.int32).reshape(n, m)
+    assert _lex_sorted(table) == (rows == sorted(rows))
 
 
 def test_monoid_closure_membership(z2_shift):

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from json import JSONEncoder
 from json.encoder import encode_basestring, encode_basestring_ascii
 
@@ -42,7 +43,7 @@ from .groups import (
     make_dihedral,
     make_symmetric,
 )
-from .lattice import Subgroup, build_lattice, generated_subgroup
+from .lattice import Subgroup, build_lattice, element_lists, generated_subgroup
 from .rank import (
     aut_generators,
     aut_group_order,
@@ -245,7 +246,7 @@ def _lattice_report(G: FiniteGroup) -> dict:
         "command": "lattice",
         "group": G.name,
         "group_order": G.order,
-        "subgroups": [list(s.elements) for s in lat.subgroups],
+        "subgroups": element_lists(lat.masks),
         "classes": [list(c) for c in lat.classes],
         "class_reps": [int(r) for r in lat.class_reps],
         "normalizers": [int(n) for n in lat.normalizer_idx],
@@ -495,7 +496,9 @@ class _ReportEncoder(JSONEncoder):
     """`JSONEncoder`'s exact output, with lists of plain ints written in one join.
 
     The stock indented encoder steps a Python generator per list item, and
-    large reports are mostly lists of points.  All else follows
+    large reports are mostly lists of points.  A list of such lists (the
+    lattice's element lists and Moebius triples) is written one join per
+    row, and empty rows as `[]`.  All else follows
     `json.encoder._make_iterencode`: its type tests in order, key handling,
     circular-reference markers and `default`.  Unindented, it is the stock one.
     """
@@ -536,8 +539,15 @@ class _ReportEncoder(JSONEncoder):
             inner = pad + step
             join = (self.item_separator + inner).join
             if isinstance(v, (list, tuple)):
-                if {*map(type, v)} == {int}:
+                kinds = {*map(type, v)}
+                if kinds == {int}:
                     out = "[" + inner + join(map(int.__repr__, v)) + pad + "]"
+                elif kinds <= {list, tuple} and {*map(type, chain.from_iterable(v))} <= {int}:
+                    row = inner + step
+                    row_join = (self.item_separator + row).join
+                    out = "[" + inner + join([
+                        "[" + row + row_join(map(int.__repr__, x)) + inner + "]" if x else "[]"
+                        for x in v]) + pad + "]"
                 else:
                     out = "[" + inner + join([value(x, inner) for x in v]) + pad + "]"
             elif isinstance(v, dict):

@@ -8,6 +8,7 @@ verification tool, not a general-purpose CAS.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,12 @@ from .errors import BudgetExceeded, DomainError
 from .groups import FiniteGroup
 
 DEFAULT_LATTICE_ORDER_BUDGET = 360
-_SUBGROUP_COUNT_CAP = 50_000
+# The lattice keeps two dense subgroups x subgroups tables, `leq` (bool) and
+# `moebius_table` (int64): 9 bytes a cell, so 5,000 subgroups take 225 MB.
+# Enumeration stops as soon as it has found more.
+_SUBGROUP_COUNT_CAP = 5_000
+# cells of int64 (or uint64) temporaries one blocked step builds: 2 MB
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,32 +94,69 @@ def _check_subgroup(G: FiniteGroup, elements: tuple[int, ...]) -> None:
         raise DomainError("subgroup order does not divide the group order")
 
 
-def _closure(mul: np.ndarray, mask: np.ndarray, gens) -> np.ndarray:
-    """The smallest superset of `mask` closed under right multiplication by `gens`.
+def _closure(G: FiniteGroup, masks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Row c: the smallest superset of `masks[c]` closed under right
+    multiplication by the elements in row c of `steps`.
 
-    When `mask` holds the identity and lies inside <gens>, that is the
-    subgroup <gens>: in a finite group products alone give the inverses.
-    Each step multiplies every member at once by the columns `mul[:, gens]`.
+    When a row holds the identity and lies inside the subgroup its steps
+    generate, that is the subgroup: in a finite group products alone give
+    the inverses.  Every row grows at once: y joins row c when y s^-1 is in
+    it, for s in row c of `steps`, read as one gather per column of `steps`.
     """
-    mask = mask.copy()
-    steps = mul[:, list(gens)]
+    rows, n = masks.shape
+    # pulls[t, c, y] is the flat position of y s^-1 in row c, s = steps[c, t]
+    pulls = G.mul[:, G.inv[steps]].transpose(2, 1, 0) + (np.arange(rows) * n)[:, None]
+    masks = masks.copy()
     while True:
-        reached = steps[mask]
-        if mask[reached].all():
-            return mask
-        mask[reached] = True
+        grown = masks.copy()
+        for pull in pulls:
+            grown |= grown.ravel()[pull]
+        if (grown == masks).all():
+            return masks
+        masks = grown
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> frozenset:
     """Element set of the subgroup generated by `gens` (may be empty -> trivial)."""
-    seed = np.zeros(G.order, dtype=bool)
-    seed[G.identity] = True
-    return frozenset(np.flatnonzero(_closure(G.mul, seed, [int(g) for g in gens])).tolist())
+    seed = np.zeros((1, G.order), dtype=bool)
+    seed[0, G.identity] = True
+    steps = np.array([[int(g) for g in gens]], dtype=np.intp)
+    return frozenset(np.flatnonzero(_closure(G, seed, steps)[0]).tolist())
 
 
 def _conjugation_perms(G: FiniteGroup) -> np.ndarray:
     """`out[g, x]` = g^-1 x g, so `mask[out[g]]` marks g S g^-1 when `mask` marks S."""
     return G.mul[G.mul[G.inv], np.arange(G.order)[:, None]]
+
+
+def _conjugation_table(G: FiniteGroup, masks: np.ndarray, index: _MaskIndex) -> np.ndarray:
+    """`out[g, i]` = index of g S_i g^-1, for the subgroups S_i that `masks` lists.
+
+    Only the rows of the generators are looked up, in one call.  The rest are
+    compositions: (x s) S (x s)^-1 = x (s S s^-1) x^-1, so row x s is row x
+    read at the positions of row s.  They are filled one breadth-first level
+    of the Cayley graph at a time.
+    """
+    gens = np.array(G.generators, dtype=np.intp)
+    n = len(masks)
+    # g S g^-1 holds x exactly when S holds g^-1 x g
+    conjugated = np.take(masks, _conjugation_perms(G)[gens], axis=1)    # (n, gens, |G|)
+    by_gen = index(conjugated.reshape(-1, G.order)).reshape(n, len(gens)).T
+    out = np.empty((G.order, n), dtype=np.int32)
+    out[G.identity] = np.arange(n)
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    frontier = np.array([G.identity])
+    while len(frontier):
+        products = G.mul[frontier[:, None], gens].ravel()       # x s, by x then s
+        fresh, first = np.unique(products, return_index=True)
+        first = first[~reached[fresh]]
+        fresh = fresh[~reached[fresh]]
+        reached[fresh] = True
+        x, s = np.divmod(first, len(gens))
+        out[fresh] = out[frontier[x][:, None], by_gen[s]]
+        frontier = fresh
+    return out
 
 
 def _check_order(G: FiniteGroup, budget: int) -> None:
@@ -126,19 +169,19 @@ def _subgroup_masks(G: FiniteGroup) -> np.ndarray:
     """Every subgroup of G as a row of a bool (subgroups, |G|) array, in the
     (order, element list) sort.
 
-    Found one conjugacy class at a time.  Starting from the trivial
-    subgroup, each class representative R (kept with a short generating
-    list) is joined with the cyclic subgroups <g> not inside it; a join J
-    not seen before brings in its whole class, the rows of
-    `J[_conjugation_perms(G)]`, and only J itself goes on the worklist.
-    Two joins are skipped because an earlier one stands for them:
-    <R, y g y^-1> = y <R, g> y^-1 for y in N(R), so one <g> per N(R)-orbit
-    is enough, and <R, x> = <R, g> for x in the double coset R g R.
+    Found one conjugacy class at a time, in levels; the trivial subgroup is
+    the first.  Each class representative R of a level (kept with a short
+    generating list and its normalizer) is joined with the cyclic subgroups
+    <g> not inside it.  Since <R, y g y^-1> = y <R, g> y^-1 for y in N(R),
+    one <g> per N(R)-orbit is enough.  The joins of a block of
+    representatives are closed at once; a join J not seen before brings in
+    its whole class, the rows of `J[_conjugation_perms(G)]`, and J itself
+    goes into the next level.
 
     This is complete.  Every subgroup H ends a chain 1 < <c1> < <c1, c2>
     < ... = H.  If one step is x R x^-1 for a representative R, the next is
     x <R, x^-1 c x> x^-1, and <R, x^-1 c x> is a join the loop makes (or
-    one it skipped for the reasons above), so the next step's class is
+    one it skips for the reason above), so the next step's class is
     recorded too.  Unlike extending subgroups by cyclic subgroups they
     normalize, this reaches perfect subgroups such as A5.
     """
@@ -155,39 +198,59 @@ def _subgroup_masks(G: FiniteGroup) -> np.ndarray:
     _, cyclic_gen, cyclic_id = np.unique(_row_keys(cyclic), return_index=True,
                                          return_inverse=True)
     perms = _conjugation_perms(G)
+    # moved[y, c] numbers the cyclic subgroup y^-1 <g> y, for g = cyclic_gen[c]
+    moved = cyclic_id[perms[:, cyclic_gen]]
 
     trivial = cyclic[G.identity]
     seen = {np.packbits(trivial).tobytes()}
     found = [trivial[None]]
-    worklist = [(trivial, [], rows)]
-    while worklist:
-        R, gens, normalizer = worklist.pop()
-        todo = np.flatnonzero(~R[cyclic_gen])
-        orbit_min = cyclic_id[perms[normalizer][:, cyclic_gen[todo]]].min(axis=0)
-        inside = np.flatnonzero(R)
-        done = np.zeros(len(cyclic_gen), dtype=bool)
-        for c in todo[orbit_min == todo].tolist():
-            if done[c]:
+    # one level of class representatives R: masks, generators, normalizer masks
+    level = [(trivial, np.empty(0, dtype=np.intp), np.ones(n, dtype=bool))]
+    chunk = max(1, _BLOCK_CELLS // moved.size)
+    while level:
+        reps, gens, normal = (np.array(column) for column in zip(*level))
+        level = []
+        for lo in range(0, len(reps), chunk):
+            R = reps[lo:lo + chunk]
+            owner, y = np.nonzero(normal[lo:lo + chunk])
+            orbit_min = np.minimum.reduceat(moved[y], np.searchsorted(owner, np.arange(len(R))))
+            at, c = np.nonzero(~R[:, cyclic_gen] & (orbit_min == np.arange(len(cyclic_gen))))
+            if not len(at):
                 continue
-            g = int(cyclic_gen[c])
-            done[cyclic_id[G.mul[G.mul[inside, g][:, None], inside]]] = True
-            J = _closure(G.mul, R | cyclic[g], gens + [g])
-            if np.packbits(J).tobytes() in seen:
-                continue
-            conjugates = J[perms]
-            keys, members = np.unique(_row_keys(conjugates), return_index=True)
-            seen.update(keys.tolist())                 # one bytes object per row
-            if len(seen) > _SUBGROUP_COUNT_CAP:
-                raise BudgetExceeded("subgroup count exceeds internal cap")
-            found.append(conjugates[members])
-            worklist.append((J, gens + [g], np.flatnonzero((conjugates == J).all(axis=1))))
+            steps = np.column_stack([gens[lo + at], cyclic_gen[c]])
+            joins = _closure(G, R[at] | cyclic[cyclic_gen[c]], steps)
+            keys = _row_keys(joins)
+            _, distinct = np.unique(keys, return_index=True)
+            for d, key in zip(distinct.tolist(), keys[distinct].tolist()):
+                if key in seen:                          # its class is recorded
+                    continue
+                J = joins[d]
+                conjugates = J[perms]
+                class_keys, members = np.unique(_row_keys(conjugates), return_index=True)
+                seen.update(class_keys.tolist())         # one bytes object per row
+                if len(seen) > _SUBGROUP_COUNT_CAP:
+                    raise BudgetExceeded(
+                        f"group has more than {_SUBGROUP_COUNT_CAP} subgroups; the subgroups"
+                        f" x subgroups tables take 9 bytes a cell, "
+                        f"{9 * _SUBGROUP_COUNT_CAP ** 2 / 1e6:g} MB at that count")
+                found.append(conjugates[members])
+                level.append((J, steps[d], (conjugates == J).all(axis=1)))
     masks = np.concatenate(found)
-    elements = [np.flatnonzero(m).tolist() for m in masks]
-    return masks[sorted(range(len(masks)), key=lambda i: (len(elements[i]), elements[i]))]
+    # among subgroups of one order, the smaller element list has the larger mask
+    by_elements = np.argsort(_row_keys(~masks), kind="stable")
+    return masks[by_elements[np.argsort(masks[by_elements].sum(axis=1), kind="stable")]]
 
 
-def _subgroups_of(G: FiniteGroup, masks: np.ndarray) -> list[Subgroup]:
-    return [Subgroup(G, tuple(np.flatnonzero(m).tolist())) for m in masks]
+def _runs(values: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
+    """`values` cut into consecutive runs of the given sizes, as int lists."""
+    flat = values.tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def element_lists(masks: np.ndarray) -> list[list[int]]:
+    """The sorted element list of every row of a bool mask array, in one pass."""
+    return _runs(np.nonzero(masks)[1], masks.sum(axis=1))
 
 
 def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> list[Subgroup]:
@@ -197,15 +260,36 @@ def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     cyclic subgroups on element masks (see `_subgroup_masks`).
     """
     _check_order(G, budget)
-    return _subgroups_of(G, _subgroup_masks(G))
+    return [Subgroup(G, tuple(elements)) for elements in element_lists(_subgroup_masks(G))]
+
+
+class _LazySubgroups(Sequence):
+    """The rows of a subgroup mask array as `Subgroup` objects, each built
+    (and checked) on first access; the length costs nothing."""
+
+    def __init__(self, group: FiniteGroup, masks: np.ndarray):
+        self._group, self._masks = group, masks
+        self._built: list[Subgroup | None] = [None] * len(masks)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        H = self._built[i]
+        if H is None:
+            H = self._built[i] = Subgroup(self._group, tuple(np.flatnonzero(self._masks[i]).tolist()))
+        return H
 
 
 @dataclass(frozen=True, eq=False)
 class SubgroupLattice:
     """All subgroups of a group plus the structure the rank machinery needs.
 
-    subgroups are in the canonical (order, elements) sort and `masks[i]`
-    marks the elements of subgroup i.  `conj[g, i]` is the index of
+    Subgroups are numbered in the canonical (order, elements) sort:
+    `masks[i]` marks the elements of subgroup i, and `subgroups[i]` is it as
+    a `Subgroup`, built on first use.  `conj[g, i]` is the index of
     g S_i g^-1, the one conjugation table: classes, normalizers, N-classes
     and conjugators are all read off it.  `leq[i, j]` says subgroup i is
     contained in subgroup j.  classes list conjugacy classes in ascending
@@ -215,7 +299,6 @@ class SubgroupLattice:
     """
 
     group: FiniteGroup
-    subgroups: list[Subgroup]
     masks: np.ndarray                       # (subgroups, |G|) bool
     leq: np.ndarray
     conj: np.ndarray                        # (|G|, subgroups) int32
@@ -224,6 +307,11 @@ class SubgroupLattice:
     class_reps: tuple[int, ...]             # representative subgroup index per class
     normalizer_idx: tuple[int, ...]         # per subgroup, index of its normalizer
     moebius_table: np.ndarray               # valid where leq holds
+
+    @cached_property
+    def subgroups(self) -> Sequence[Subgroup]:
+        """The subgroups as `Subgroup` objects, each built from `masks` on first use."""
+        return _LazySubgroups(self.group, self.masks)
 
     @cached_property
     def _index(self) -> _MaskIndex:
@@ -284,9 +372,26 @@ class SubgroupLattice:
 
 
 def containment(masks: np.ndarray) -> np.ndarray:
-    """`out[a, b]` says the element set of mask row a lies inside row b."""
-    counts = masks.astype(np.int64)
-    return counts @ (1 - counts).T == 0
+    """`out[a, b]` says the element set of mask row a lies inside row b.
+
+    Rows are packed into 64-bit words; a lies inside b when no word of a
+    has a bit outside b.  One block of rows of `out` at a time keeps the
+    word temporaries near `_BLOCK_CELLS`.
+    """
+    packed = np.packbits(masks, axis=1)
+    padded = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    words = padded.view(np.uint64).T.copy()                    # (words, rows)
+    outside = ~words
+    n = masks.shape[0]
+    out = np.empty((n, n), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        spill = words[0, lo:lo + step, None] & outside[0]
+        for inside, other in zip(words[1:], outside[1:]):
+            spill |= inside[lo:lo + step, None] & other
+        np.equal(spill, 0, out=out[lo:lo + step])
+    return out
 
 
 class _MaskIndex:
@@ -314,18 +419,38 @@ def _row_keys(masks: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _moebius_table(leq: np.ndarray) -> np.ndarray:
-    """mu as the inverse of the zeta matrix, by forward substitution.
+def _moebius_table(leq: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """mu as the inverse of the zeta matrix `leq`, exact in int64.
 
-    Subgroups are sorted by order, so the zeta matrix `leq` is unitriangular
-    and mu zeta = I gives each column from the earlier ones:
-    mu[:, j] = e_j - sum of mu[:, k] over k < j with k <= j.
+    mu(i, j) = -sum of mu(i, k) over the chains i <= k < j.  Every such k
+    has a smaller order than j, so the subgroups of one order (a run of
+    `orders`, which is sorted) are all solved at once from the smaller
+    orders: the chains (i, k, j) of a run are listed by expanding each pair
+    k < j by the subgroups i <= k, and summed into mu(i, j) with one
+    `np.add.at`.  Chains are listed `_BLOCK_CELLS` at a time.
     """
     n = len(leq)
     table = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        table[:, j] = -table[:, np.flatnonzero(leq[:j, j])].sum(axis=1)
-        table[j, j] = 1
+    flat = table.reshape(-1)
+    flat[::n + 1] = 1
+    above, below = np.nonzero(leq.T)                # by j, then i <= j
+    down_start = np.concatenate([[0], np.cumsum(leq.sum(axis=0))])
+    runs = np.concatenate([[0], np.flatnonzero(np.diff(orders)) + 1, [n]])
+    for a, b in zip(runs[:-1], runs[1:]):
+        pairs = np.arange(down_start[a], down_start[b])
+        k, j = below[pairs], above[pairs]
+        k, j = k[k != j], j[k != j]
+        if not len(k):
+            continue
+        width = down_start[k + 1] - down_start[k]   # subgroups i <= k
+        ends = np.cumsum(width)
+        cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS)).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(k)]):
+            w = width[lo:hi]
+            # chain t of pair p takes the (t - its first chain)-th subgroup below k_p
+            shift = np.repeat(down_start[k[lo:hi]] - (np.cumsum(w) - w), w)
+            i = below[shift + np.arange(len(shift))]
+            np.add.at(flat, i * n + np.repeat(j[lo:hi], w), -flat[i * n + np.repeat(k[lo:hi], w)])
     return table
 
 
@@ -344,13 +469,9 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     if lattice is not None:
         return lattice
     masks = _subgroup_masks(G)
-    subs = _subgroups_of(G, masks)
-    n = len(subs)
+    n = len(masks)
     index = _MaskIndex(masks)
-    # g S g^-1 holds x exactly when S holds g^-1 x g; one lookup per g keeps
-    # the temporaries at the size of one table row
-    perms = _conjugation_perms(G)
-    conj = np.stack([index(masks[:, perms[g]]) for g in range(G.order)])
+    conj = _conjugation_table(G, masks, index)
     # a class's smallest index is its lexicographically smallest member
     reps, subgroup_class = np.unique(conj.min(axis=0), return_inverse=True)
     subgroup_class = subgroup_class.reshape(-1).astype(np.int32)
@@ -359,15 +480,15 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     leq = containment(masks)
     lattice = SubgroupLattice(
         group=G,
-        subgroups=subs,
         masks=masks,
         leq=leq,
         conj=conj,
         subgroup_class=subgroup_class,
-        classes=[tuple(np.flatnonzero(subgroup_class == c).tolist()) for c in range(len(reps))],
+        classes=[tuple(c) for c in _runs(np.argsort(subgroup_class, kind="stable"),
+                                         np.bincount(subgroup_class))],
         class_reps=tuple(reps.tolist()),
         normalizer_idx=tuple(normalizers.tolist()),
-        moebius_table=_moebius_table(leq),
+        moebius_table=_moebius_table(leq, masks.sum(axis=1)),
     )
     object.__setattr__(G, "_lattice", weakref.ref(lattice))
     return lattice

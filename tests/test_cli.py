@@ -229,12 +229,20 @@ def test_lattice_s3_golden(capsys):
 
 
 # sha256 of the stdout bytes: S4 and D4 recorded before subgroup conjugation
-# became one table, S5 and A5 before subgroups were enumerated by class
+# became one table, S5 and A5 before subgroups were enumerated by class, the
+# rest before the lattice was built on whole tables (S3xS3, Z3xS4, Z2xS4 and
+# Z2^4 are also in perfbench/reference.json; the perm:6 spec is A6)
 LATTICE_JSON_SHA256 = {
     "S4": "3b1d17940bb7401bdda03d19d95ead7f43663a04a71f4c5a56a0d274ea0436fe",
     "D4": "23703859c44da8c3fbfac27cf226e0ee7ce80c48e0c63eabfb99fcd3289d6234",
     "S5": "f74d280dd73b9f13b3187e3ab0ca7e480b9d1d1092d2463b98ce62fd90be02a4",
     "perm:5:(0 1 2);(2 3 4)": "c0feb15282b1bc3b92d11323d80c112acec8c54fa1cd3353483dc2dddb031594",
+    "S3xS3": "582b9f5afaf3d2f91d6c3d8afba41042438c58d51abc85c56c5e4e6b459a63af",
+    "Z3xS4": "444c6fa92072ea5a3322e9e31ecbe265fb661ccfab24e2ffeceb369f9d8a09ad",
+    "Z2xS4": "7effc84cd4450c1530672e41bc496bb9c9b32e93ace16e3b7e1fc57a0c8db722",
+    "Z2xZ2xZ2xZ2": "4b432034f264d88c6cfb7dfc10e1ad5af5cf7814217871cf0ba8267e4e0493bc",
+    "perm:6:(0 1 2);(1 2 3 4 5)": "2413ebf12e7e1f154107cc467318ab937ccf61f01bb596aac2bfab60ab1d387c",
+    "Z2xS5": "3048ffbb0ff3f52fb77e969010e7a1d1af0eb38f95f159cd307db03f4a8557b7",
 }
 
 
@@ -243,6 +251,21 @@ def test_lattice_json_frozen(capsys, group):
     assert main(["lattice", group]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == LATTICE_JSON_SHA256[group]
+
+
+def test_lattice_past_the_subgroup_count_cap_exits_3(capsys, monkeypatch):
+    import equirank.lattice
+
+    def unreachable(*args):
+        raise AssertionError("a subgroups x subgroups table was built past the cap")
+
+    monkeypatch.setattr(equirank.lattice, "_SUBGROUP_COUNT_CAP", 20)
+    monkeypatch.setattr(equirank.lattice, "containment", unreachable)
+    monkeypatch.setattr(equirank.lattice, "_moebius_table", unreachable)
+    assert main(["lattice", "S4"]) == 3                # 30 subgroups
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 20 subgroups" in captured.err
 
 
 # sha256 of the stdout bytes of the benchmark's two large boxes reports
@@ -264,8 +287,13 @@ def test_large_boxes_output_frozen(capsys, argv):
 
 _SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
             | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_INTS = st.integers(-10 ** 20, 10 ** 20)
+# rows like the lattice's Moebius triples, some empty, some with a bool in them
+_INT_ROWS = st.lists(st.lists(_INTS | st.booleans(), max_size=4)
+                     | st.lists(_INTS, min_size=1, max_size=4) | st.tuples(_INTS, _INTS),
+                     max_size=5)
 _JSON_VALUES = st.recursive(
-    _SCALARS | st.lists(st.integers(-10 ** 20, 10 ** 20)),
+    _SCALARS | st.lists(_INTS) | _INT_ROWS,
     lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(), inner, max_size=5)
                    | st.dictionaries(st.integers(-5, 5), inner, max_size=3)),
@@ -282,7 +310,7 @@ def test_report_encoder_writes_the_stock_bytes(value):
 def test_report_encoder_keeps_the_stock_errors():
     huge = 10 ** 4300                                  # 4301 digits
     for value in ([1, huge], {"a": [huge]}, {huge: 1}, [1, {"x"}], [{(1,): 2}],
-                  {1: 2, "a": 3}):
+                  {1: 2, "a": 3}, [[1, 2], [3, huge]], [[], (huge,)]):
         with pytest.raises((ValueError, TypeError)) as stock:
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(stock.type) as ours:

@@ -59,6 +59,30 @@ def test_lattice_counts_past_order_100():
     assert even in [s.elements for s in S5.subgroups]
 
 
+def test_subgroup_objects_are_built_on_first_use(capsys, monkeypatch):
+    from equirank.cli import main
+
+    built = []
+    check = Subgroup.__post_init__
+
+    def counted(H):
+        built.append(H.elements)
+        check(H)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    assert main(["lattice", "S4"]) == 0                # the report reads the masks
+    capsys.readouterr()
+    assert built == []
+    L = build_lattice(make_symmetric(4))
+    assert len(L.subgroups) == 30 and built == []
+    H = L.subgroups[7]
+    assert len(built) == 1 and L.subgroups[-23] is H
+    assert H.elements == tuple(np.flatnonzero(L.masks[7]).tolist())
+    assert [S.elements for S in L.subgroups[28:]] == [
+        tuple(np.flatnonzero(m).tolist()) for m in L.masks[28:]]
+    assert [S.elements for S in L.subgroups] == [S.elements for S in all_subgroups(L.group)]
+
+
 def test_subgroup_counts(zoo):
     counts = {name: len(all_subgroups(G)) for name, G in zoo.items()}
     assert counts == {"Z1": 1, "Z2": 2, "Z3": 2, "Z4": 3, "Z5": 2, "Z6": 4,
@@ -116,11 +140,33 @@ def test_s3_lattice_golden():
 
 
 def test_moebius_against_zeta_inverse(zoo):
-    for G in zoo.values():
+    # the larger groups have many order layers, solved one at a time
+    groups = dict(zoo, S4=make_symmetric(4), A5=from_permutation_generators(5, A5_GENS),
+                  S5=make_symmetric(5), Z2_4=reduce(direct_product, [make_cyclic(2)] * 4),
+                  Z2xS4=direct_product(make_cyclic(2), make_symmetric(4)),
+                  A6=from_permutation_generators(6, A6_GENS))
+    for name, G in groups.items():
         L = build_lattice(G)
         mu = oracles.moebius_by_inversion(L.leq)
         ours = np.where(L.leq, L.moebius_table, mu)   # only compare on the order
-        assert (ours == mu).all()
+        assert (ours == mu).all(), name
+
+
+def test_blocked_tables_match_unblocked(monkeypatch):
+    import equirank.lattice
+
+    groups = [make_symmetric(5), direct_product(make_cyclic(2), make_symmetric(4))]
+    whole = [build_lattice(G) for G in groups]
+    # a few dozen cells a block: one class representative per block in the
+    # enumeration, many row blocks in `containment`, many chain blocks per
+    # order layer in the Moebius table
+    monkeypatch.setattr(equirank.lattice, "_BLOCK_CELLS", 40)
+    for G, L in zip(groups, whole):
+        assert (equirank.lattice._subgroup_masks(G) == L.masks).all()
+        assert (equirank.lattice.containment(L.masks) == L.leq).all()
+        mu = equirank.lattice._moebius_table(L.leq, L.masks.sum(axis=1))
+        assert (mu == L.moebius_table).all()
+        assert (mu == oracles.moebius_by_inversion(L.leq)).all()
 
 
 def test_moebius_rejects_incomparable():
@@ -146,7 +192,7 @@ def test_normalizer_and_n_classes():
 
 
 def test_conjugation_table_against_oracle(zoo):
-    groups = dict(zoo, S4=make_symmetric(4))
+    groups = dict(zoo, S4=make_symmetric(4), A5=from_permutation_generators(5, A5_GENS))
     for name, G in groups.items():
         L = build_lattice(G)
         sets = [S.elements for S in L.subgroups]

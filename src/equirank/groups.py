@@ -125,11 +125,19 @@ def _check_group_axioms(G: FiniteGroup) -> None:
                 raise DomainError(f"associativity fails for middle factor {s}")
 
 
+def _count_text(n: int) -> str:
+    """n in decimal, or a power-of-ten bound once the decimal gets too long."""
+    try:
+        return str(n)
+    except ValueError:      # more digits than sys.get_int_max_str_digits()
+        return f"at least 10^{math.floor((n.bit_length() - 1) * math.log10(2))}"
+
+
 def _guard_order(n: int, budget: int) -> None:
     if n < 1:
         raise DomainError(f"group order must be positive, got {n}")
     if n > budget:
-        raise BudgetExceeded(f"group of order {n} exceeds budget {budget}")
+        raise BudgetExceeded(f"group of order {_count_text(n)} exceeds budget {budget}")
 
 
 def make_cyclic(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
@@ -261,8 +269,11 @@ def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     """
     if n < 1:
         raise DomainError(f"degree must be positive, got {n}")
-    order = math.factorial(n)
-    _guard_order(order, budget)
+    order = 1
+    for k in range(2, n + 1):       # stops past the budget, long before n! for a large n
+        order *= k
+        if order > budget:
+            raise BudgetExceeded(f"group of order {_count_text(n)}! exceeds budget {budget}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     return _group_from_permutations(perms, name=f"S{n}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import _RowKeys, make_cyclic
+from .groups import _RowKeys, _count_text, make_cyclic
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -236,14 +236,6 @@ def _targets(X: GSet, bijective: bool):
         return [by_class[a] for a in rep_cls.tolist()]
 
     return counts, lists
-
-
-def _count_text(n: int) -> str:
-    """n in decimal, or a power-of-ten bound once the decimal gets too long."""
-    try:
-        return str(n)
-    except ValueError:      # more digits than sys.get_int_max_str_digits()
-        return f"at least 10^{math.floor((n.bit_length() - 1) * math.log10(2))}"
 
 
 def _check_budget(total: int, budget: int, what: str) -> None:

@@ -119,6 +119,11 @@ def test_order_budget():
         make_cyclic(1_000_000)
     with pytest.raises(BudgetExceeded):
         from_permutation_generators(40, [tuple(range(1, 40)) + (0,)], budget=10)
+    # orders past the int-to-str digit limit are named by a power of ten
+    with pytest.raises(BudgetExceeded, match=r"order at least 10\^4999 exceeds"):
+        make_cyclic(10 ** 5000)
+    with pytest.raises(BudgetExceeded, match=r"order 8! exceeds budget 10080"):
+        make_symmetric(8)
 
 
 def test_bad_tables_rejected():

@@ -65,6 +65,11 @@ _IMAGE_LIMIT = 512
 # Most points a perm: spec may name.  Within the 10,080-element group budget a
 # closure then holds at most 10,080 x 64 = 645,120 tuple slots (5 MB).
 _PERM_DEGREE_CAP = 64
+# Most significant digits a numeric token may have.  int() refuses longer
+# digit strings once they pass sys.get_int_max_str_digits (4300 by default,
+# never below 640); a number that long is past every budget and outside
+# every group, so it is refused with the exit of a small out-of-range value.
+_MAX_DIGITS = 640
 # bound at import: perfbench's tracer swaps `cli.json` for a namespace with only `dumps`
 _encode_scalar = JSONEncoder().encode
 
@@ -80,7 +85,7 @@ class RunConfig:
 
     `group` is ("perm", degree, generators) or ("product", ((kind, n), ...));
     `gset` is ("shift", q), ("cosets", elements) or ("union", ((token, gset), ...)),
-    or None.
+    or None; `rule` is (memory, table) for the ca command, else None.
     """
 
     command: str
@@ -89,6 +94,7 @@ class RunConfig:
     group: tuple
     gset: tuple | None
     rule_spec: str | None = None
+    rule: tuple | None = None
     paper_layout: bool = False
     aut_only: bool = False
     verify_after: bool = False
@@ -96,10 +102,23 @@ class RunConfig:
     output: str = "json"
 
 
+def _number(digits: str, what: str, error: type[EquirankError]) -> int:
+    """The value of a decimal digit string, checked for length before int().
+
+    `error` is BudgetExceeded for a size (exit 3) and SpecStringError for
+    an element or a letter (exit 2).
+    """
+    significant = digits.lstrip("0")
+    if len(significant) > _MAX_DIGITS:
+        raise error(f"{what} has {len(significant)} digits; numbers are read up to "
+                    f"{_MAX_DIGITS} digits")
+    return int(significant or "0")
+
+
 def _parse_group(token: str, position: int) -> tuple:
     m = _PERM.match(token)
     if m:
-        degree = int(m.group(1))
+        degree = _number(m.group(1), "the permutation degree", BudgetExceeded)
         if degree > _PERM_DEGREE_CAP:
             raise BudgetExceeded(f"permutation degree {degree} exceeds the cap {_PERM_DEGREE_CAP}")
         gens = []
@@ -107,7 +126,8 @@ def _parse_group(token: str, position: int) -> tuple:
             perm = list(range(degree))
             for cyc in re.findall(r"\(([^)]*)\)", word):
                 words = [t for t in re.split(r"[ ,]+", cyc.strip()) if t]
-                entries = [int(t) for t in words if t.isdecimal()]
+                entries = [_number(t, "a cycle entry", SpecStringError)
+                           for t in words if t.isdecimal()]
                 if (len(entries) != len(words) or any(not 0 <= e < degree for e in entries)
                         or len(set(entries)) != len(entries)):
                     raise SpecStringError(f"malformed cycle ({cyc}) in {token!r}", token=token)
@@ -122,7 +142,8 @@ def _parse_group(token: str, position: int) -> tuple:
             raise SpecStringError(
                 f"unknown group token {part!r} in {token!r} (argument {position})",
                 token=part, position=position)
-        atoms.append((m.group(1), int(m.group(2))))
+        atoms.append((m.group(1), _number(m.group(2), f"the {m.group(1)} parameter",
+                                          BudgetExceeded)))
     return ("product", tuple(atoms))
 
 
@@ -136,14 +157,16 @@ def _parse_gset(token: str, position: int) -> tuple:
         return ("union", tuple((part, _parse_gset(part, position)) for part in parts))
     m = _SHIFT.match(token)
     if m:
-        if int(m.group(1)) < 2:
+        q = _number(m.group(1), "the alphabet size", BudgetExceeded)
+        if q < 2:
             raise SpecStringError(
                 f"alphabet size must be at least 2 in {token!r} (argument {position})",
                 token=token, position=position)
-        return ("shift", int(m.group(1)))
+        return ("shift", q)
     m = _COSETS.match(token)
     if m:
-        return ("cosets", tuple(int(t) for t in m.group(1).split(",")))
+        return ("cosets", tuple(_number(t, "a coset element", SpecStringError)
+                                for t in m.group(1).split(",")))
     raise SpecStringError(
         f"unknown G-set token {token!r} (argument {position})",
         token=token, position=position)
@@ -183,9 +206,6 @@ def parse_specs(args) -> RunConfig:
             raise SpecStringError("the ca command needs a shift:q=<n> G-set")
         if ns.rule is None:
             raise SpecStringError("the ca command needs --rule <memory>:<table>")
-        if ":" not in ns.rule:
-            raise SpecStringError(f"rule spec {ns.rule!r} is missing the ':' separator",
-                                  token=ns.rule)
     return RunConfig(
         command=ns.command,
         group_spec=ns.group,
@@ -193,6 +213,7 @@ def parse_specs(args) -> RunConfig:
         group=group,
         gset=gset,
         rule_spec=ns.rule,
+        rule=_parse_rule(ns.rule) if ns.command == "ca" else None,
         paper_layout=ns.paper_layout,
         aut_only=ns.aut_only,
         verify_after=ns.verify,
@@ -228,18 +249,30 @@ def _build_gset(G: FiniteGroup, parsed: tuple, token: str):
     return coset_action(G, H), None
 
 
-def _parse_rule(space: ShiftSpace, spec: str) -> LocalRule:
+def _parse_rule(spec: str) -> tuple:
+    """(memory, table) of a <memory>:<table> rule spec: comma-separated group
+    elements, then one letter per digit or comma-separated letters.  Their
+    ranges are checked against the shift space when the rule is built."""
+    if ":" not in spec:
+        raise SpecStringError(f"rule spec {spec!r} is missing the ':' separator", token=spec)
     mem_part, _, table_part = spec.partition(":")
-    memory = tuple(int(t) for t in mem_part.split(",") if t != "")
-    if any(not 0 <= s < space.group.order for s in memory):
-        raise SpecStringError(f"memory set in {spec!r} names elements outside the group",
+    memory = [t for t in mem_part.split(",") if t != ""]
+    table = table_part.split(",") if "," in table_part else list(table_part)
+    if not all(t.isdecimal() for t in memory + table):
+        raise SpecStringError(f"memory set and rule table in {spec!r} must be digits",
                               token=spec)
-    if "," in table_part:
-        table = [int(t) for t in table_part.split(",")]
-    else:
-        if not table_part.isdigit() and table_part != "":
-            raise SpecStringError(f"rule table in {spec!r} must be digits", token=spec)
-        table = [int(ch) for ch in table_part]
+    return (tuple(_number(t, "a memory element", SpecStringError) for t in memory),
+            tuple(_number(t, "a rule table entry", SpecStringError) for t in table))
+
+
+def _build_rule(space: ShiftSpace, config: RunConfig) -> LocalRule:
+    memory, table = config.rule
+    if any(s >= space.group.order for s in memory):
+        raise SpecStringError(f"memory set in {config.rule_spec!r} names elements outside "
+                              "the group", token=config.rule_spec)
+    if any(a >= space.q for a in table):           # before they meet int64
+        raise SpecStringError(f"rule table in {config.rule_spec!r} names letters outside "
+                              "the alphabet", token=config.rule_spec)
     return LocalRule(space=space, memory=memory, table=np.array(table, dtype=np.int64))
 
 
@@ -350,7 +383,7 @@ def _rank_report(X: GSet) -> dict:
 
 
 def _ca_report(space: ShiftSpace, config: RunConfig) -> dict:
-    rule = _parse_rule(space, config.rule_spec)
+    rule = _build_rule(space, config)
     tau = ca_from_rule(space, rule)
     out = {
         "schema": 1,

@@ -231,11 +231,18 @@ def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteG
 
     The product p*q is the composite "apply q first, then p".  A block of
     table rows is composed in one gather, and every product is found among
-    the elements by binary search on packed keys (`_RowKeys`).
+    the elements by binary search on packed keys (`_RowKeys`).  Points that
+    every permutation fixes are dropped first and the moved points
+    relabelled in increasing order, which keeps the elements' order and
+    every product; the cycle labels are taken from the given permutations.
     """
-    m = len(perms[0])
+    full = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    moved = np.flatnonzero((full != np.arange(full.shape[1])).any(axis=0))
+    relabel = np.zeros(full.shape[1], dtype=np.int64)
+    relabel[moved] = np.arange(len(moved))
+    m = len(moved)
     keys = _RowKeys([1 << max(1, (m - 1).bit_length())] * m)   # ceil(log2 m) bits a point
-    P = np.array(perms, dtype=keys.row_dtype).reshape(len(perms), keys.length)
+    P = relabel[full[:, moved]].astype(keys.row_dtype)
     order = len(P)
     elements = keys.pack(P)
     by_key = np.argsort(elements)

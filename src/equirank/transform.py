@@ -156,10 +156,13 @@ def point_swap(X: GSet, x: int, y: int) -> EquivariantMap:
 class MonoidClosure:
     """A deduplicated, deterministically ordered set of equivariant maps.
 
-    Rows of `images` are image arrays in lexicographic order (rows given
-    out of order are sorted on construction), so membership is a binary
-    search.  Instances come out of the enumerators (End, Aut) and out of
-    `closure`, which also records its seed in `generators`.
+    Rows of `images` are image arrays in lexicographic order, so
+    membership is a binary search.  Instances come out of the enumerators
+    (End, Aut) and out of `closure`, which also records its seed in
+    `generators`; those emit their rows sorted and construct through
+    `_of_sorted_rows`, which does not check the order again (the tests
+    do).  `MonoidClosure(X, rows)` checks it and sorts rows given out of
+    order.
     """
 
     gset: GSet
@@ -171,6 +174,14 @@ class MonoidClosure:
         if not _lex_sorted(imgs):
             imgs = imgs[np.lexsort(imgs.T[::-1])]
         object.__setattr__(self, "images", imgs)
+
+    @classmethod
+    def _of_sorted_rows(cls, gset: GSet, images: np.ndarray, generators: tuple = ()):
+        """An instance over int32 rows already in lexicographic order."""
+        out = object.__new__(cls)
+        for name, value in (("gset", gset), ("images", images), ("generators", generators)):
+            object.__setattr__(out, name, value)
+        return out
 
     @property
     def size(self) -> int:
@@ -259,14 +270,14 @@ def enumerate_end(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
     """
     counts, lists = _targets(X, bijective=False)
     _check_budget(math.prod(counts), budget, "maps")
-    return MonoidClosure(X, _end_images(X, lists()))
+    return MonoidClosure._of_sorted_rows(X, _end_images(X, lists()))
 
 
 def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
     """All equivariant bijections: equal-stabilizer targets, distinct orbits."""
     counts, lists = _targets(X, bijective=True)
     _check_budget(math.prod(counts), budget, "choices")
-    return MonoidClosure(X, _aut_images(X, lists()))
+    return MonoidClosure._of_sorted_rows(X, _aut_images(X, lists()))
 
 
 # Both builders below emit the choices in mixed-radix order, first orbit
@@ -370,9 +381,22 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     Level-synchronous: the frontier holds the elements the previous level
     found, and a level forms the keys of every generator after every
     frontier element, in blocks of at most `_CLOSURE_BLOCK_KEYS` keys,
-    with one gather per orbit.  Keys already known are dropped by binary
-    search and the rest are merged into the sorted known keys.  More than
-    `cap` elements raises before they are stored, rather than truncating.
+    with one gather per orbit.  Known elements are kept one of two ways,
+    chosen by the size of End:
+
+    - End has at most min(cap, DEFAULT_CLOSURE_CAP) elements, so its
+      indices are one key word and the closure cannot pass the cap: one
+      flag per End index.  A block's keys are flagged in one scatter, a
+      level's new elements are the flags it raised, and the flagged
+      indices come out sorted.  At most log2(cap) orbits have a choice,
+      so each orbit's table is multiplied by its stride before the loop.
+    - Otherwise End may be far larger than the closure: sorted keys.
+      Keys already known are dropped by binary search and the rest are
+      merged in; more than `cap` elements raises before they are stored,
+      rather than truncating.  Orbits share their stabilizer's table and
+      a block scales it, since one table per orbit holds sum(counts) x
+      generators keys (D4 q=4: 527 million per generator).
+
     The sorted keys unrank to the rows in lexicographic order.
     """
     maps = []
@@ -393,21 +417,32 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
             pos = np.zeros(X.size, dtype=keys.dtype)
             pos[t] = np.arange(len(t))
             by_class[a] = np.ascontiguousarray(pos[gens[:, t]].T)
-    tables = [by_class[a] for a in rep_cls]
     known = keys.pack(np.array([[np.searchsorted(t, r) for t, r in zip(targets, X.orbit_reps)]],
                                dtype=np.intp))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
+    seen = None
+    if keys.words == 1 and math.prod(counts) <= min(cap, DEFAULT_CLOSURE_CAP):
+        seen = np.zeros(math.prod(counts), dtype=bool)
+        seen[known] = True
+        tables = [by_class[a] * stride for a, stride in zip(rep_cls, keys.stride)]
+    else:
+        tables = [by_class[a] for a in rep_cls]
     frontier = known
     step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
     while len(frontier):
-        fresh = []
+        fresh, before = [], None if seen is None else seen.copy()
         for start in range(0, len(frontier), step):
             digits = keys.unpack(frontier[start:start + step], np.intp)
             words = np.zeros((keys.words, len(digits), len(maps)), dtype=keys.dtype)
             for c, table in enumerate(tables):
-                words[keys.word_of[c]] += np.take(table, digits[:, c], axis=0) * keys.stride[c]
-            found = _sorted_unique(keys.join(words.reshape(keys.words, -1)))
+                part = np.take(table, digits[:, c], axis=0)
+                words[keys.word_of[c]] += part if seen is not None else part * keys.stride[c]
+            found = keys.join(words.reshape(keys.words, -1))
+            if seen is not None:
+                seen[found] = True
+                continue
+            found = _sorted_unique(found)
             at = np.searchsorted(known, found)
             unseen = known[np.minimum(at, len(known) - 1)] != found
             found, at = found[unseen], at[unseen]
@@ -415,9 +450,12 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
                 raise ClosureCapExceeded(cap=cap, partial_size=len(known) + len(found))
             known = np.insert(known, at, found)
             fresh.append(found)
-        frontier = np.concatenate(fresh)
+        frontier = np.concatenate(fresh) if seen is None else np.flatnonzero(seen > before)
+    if seen is not None:
+        known = np.flatnonzero(seen)
     picks = keys.unpack(known, keys.row_dtype)
-    return MonoidClosure(X, _images_of_picks(X, targets, picks), generators=tuple(maps))
+    return MonoidClosure._of_sorted_rows(X, _images_of_picks(X, targets, picks),
+                                         generators=tuple(maps))
 
 
 def _letters_gset(n: int) -> GSet:

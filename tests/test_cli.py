@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equirank import SpecStringError, aut_group_order, build_shift, make_cyclic
-from equirank.cli import _ReportEncoder, main, parse_specs, run
+from equirank import EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic
+from equirank.cli import COMMANDS, _ReportEncoder, main, parse_specs, run
 
 Z6_PAPER_TABLE = """\
 Z6 shift q=2: 64 points, 4 boxes
@@ -114,6 +114,61 @@ def test_enumerate_count_past_the_int_str_limit_exits_3(capsys):
     # 1600^1600 maps: too many digits to print, still a budget error
     assert main(["enumerate", "Z1", "shift:q=1600"]) == 3
     assert "at least 10^5126 maps" in capsys.readouterr().err
+
+# 5001 digits: past int()'s default limit of 4300
+_LONG = "7" * 5001
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lattice", "Z" + _LONG], 3),                     # a size: like Z99999999999
+    (["lattice", "S" + _LONG], 3),
+    (["lattice", "D" + _LONG], 3),
+    (["lattice", f"perm:{_LONG}:(0 1)"], 3),
+    (["rank", "Z2", "shift:q=" + _LONG], 3),
+    (["rank", "Z2", "cosets:" + _LONG], 2),            # an element: like cosets:5
+    (["lattice", f"perm:3:(0 {_LONG})"], 2),
+    (["ca", "Z2", "shift:q=2", "--rule", _LONG + ":0110"], 2),
+    (["ca", "Z2", "shift:q=2", "--rule", "0:0,1,1," + _LONG], 2),
+    (["ca", "Z2", "shift:q=2", "--rule", "0:0,1,1," + "9" * 20], 2),  # past int64
+    (["lattice", "Z" + "0" * 5000 + "6"], 0),          # leading zeros are not digits
+], ids=lambda v: " ".join(v)[:32] if isinstance(v, list) else str(v))
+def test_numeric_tokens_past_the_int_str_limit(capsys, argv, code):
+    assert main(argv) == code
+    assert "internal error" not in capsys.readouterr().err
+
+
+_NUMBER = (st.integers(0, 300).map(str) | st.text("0123456789", min_size=1, max_size=12)
+           | st.integers(600, 6000).map(lambda n: "9" * n))
+_ATOM_SPEC = st.builds("".join, st.tuples(st.sampled_from(["Z", "S", "D", "Q"]), _NUMBER))
+_CYCLE = st.lists(_NUMBER | st.text(max_size=3), max_size=4).map(lambda t: "(" + " ".join(t) + ")")
+_GROUP_SPECS = (st.lists(_ATOM_SPEC, min_size=1, max_size=3).map("x".join)
+                | st.builds(lambda n, words: f"perm:{n}:" + ";".join(words), _NUMBER,
+                            st.lists(st.lists(_CYCLE, max_size=3).map("".join), min_size=1,
+                                     max_size=3))
+                | st.text(max_size=12))
+_SIMPLE_GSET_SPECS = (st.builds("shift:q={}".format, _NUMBER)
+                      | st.lists(_NUMBER, min_size=1, max_size=4).map(
+                          lambda t: "cosets:" + ",".join(t))
+                      | st.text(max_size=12))
+_GSET_SPECS = (_SIMPLE_GSET_SPECS
+               | st.lists(_SIMPLE_GSET_SPECS, max_size=3).map(lambda t: "union:" + "+".join(t)))
+_RULE_SPECS = (st.builds(lambda mem, table: ",".join(mem) + ":" + table,
+                         st.lists(_NUMBER, max_size=3),
+                         st.text("0123456789", max_size=16)
+                         | st.lists(_NUMBER, max_size=4).map(",".join))
+               | st.text(max_size=12))
+
+
+@given(st.sampled_from(COMMANDS), _GROUP_SPECS, _GSET_SPECS, _RULE_SPECS)
+@settings(max_examples=300, deadline=None)
+def test_parse_specs_returns_a_config_or_exits_2_or_3(command, group, gset, rule):
+    try:
+        config = parse_specs([command, group, gset, "--rule", rule])
+    except EquirankError as e:
+        assert e.exit_code in (2, 3), e
+    else:
+        assert config.group_spec == group and config.gset_spec == gset
+
 
 def test_rank_json_golden(capsys):
     code, report = _json_out(capsys, ["rank", "S3", "shift:q=2"])

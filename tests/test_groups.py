@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,30 @@ def test_regular_representation_rebuild(zoo):
         assert H.order == G.order
         assert sorted(H.element_order(k) for k in range(H.order)) == \
             sorted(G.element_order(k) for k in range(G.order))
+
+
+def test_points_every_generator_fixes_leave_the_table_unchanged():
+    # the Frobenius group of order 21 on 7 points; the same with 57 more
+    # points that every element fixes, after the moved ones or among them
+    cycle, frobenius = (1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)
+    small = from_permutation_generators(7, [cycle, frobenius])
+    wide = from_permutation_generators(64, [p + tuple(range(7, 64)) for p in (cycle, frobenius)])
+    spots = [0, 9, 10, 30, 31, 50, 63]
+
+    def spread(p):
+        out = list(range(64))
+        for a, b in enumerate(p):
+            out[spots[a]] = spots[b]
+        return tuple(out)
+
+    spread_out = from_permutation_generators(64, [spread(cycle), spread(frobenius)])
+    assert small.order == 21
+    assert wide.labels == small.labels
+    for G in (wide, spread_out):
+        assert np.array_equal(G.mul, small.mul) and np.array_equal(G.inv, small.inv)
+        assert G.identity == small.identity
+    assert spread_out.labels == tuple(
+        re.sub(r"\d+", lambda m: str(spots[int(m.group())]), label) for label in small.labels)
 
 
 def test_dihedral_small_cases():

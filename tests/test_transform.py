@@ -294,6 +294,31 @@ def test_closure_matches_bfs_oracle_on_verify_instances(group, q):
     expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
     assert got.images.tobytes() == expected.tobytes()
     assert got.size == end_monoid_order(X)
+    # one short of End: the sorted keys, which must refuse the last element
+    with pytest.raises(ClosureCapExceeded) as info:
+        closure(X, gens, cap=got.size - 1)
+    assert info.value.partial_size > info.value.cap == got.size - 1
+
+
+@pytest.mark.parametrize("group, q", [
+    (direct_product(make_cyclic(2), make_cyclic(2)), 2),
+    (make_cyclic(4), 2),
+    (make_cyclic(1), 6),
+    (make_cyclic(3), 2),
+    (make_cyclic(2), 3),
+], ids=["Z2xZ2-q2", "Z4-q2", "Z1-q6", "Z3-q2", "Z2-q3"])
+def test_closure_of_a_proper_submonoid_on_both_membership_paths(group, q):
+    # the pushes alone close to less than End; a cap of |End| keeps the
+    # known elements as a bitmap of End, a cap of the closure's own size
+    # as sorted keys
+    X = build_shift(group, q).gset
+    pushes = list(relative_rank(X).generating_set)
+    expected = oracles.monoid_by_bfs(X.size, [f.image for f in pushes])
+    assert len(expected) < end_monoid_order(X)
+    for cap in (end_monoid_order(X), len(expected)):
+        got = closure(X, pushes, cap=cap)
+        assert got.images.tobytes() == expected.tobytes()
+        assert got.size == len(expected)
 
 
 def _last_target_map(X):

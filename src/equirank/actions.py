@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _RowKeys
+from .groups import FiniteGroup, _RowKeys, _rule_break
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -132,11 +132,9 @@ def _check_action(G: FiniteGroup, act: np.ndarray, budget: int = DEFAULT_CELL_BU
     # act[g] act[s] = act[gs] for every g and generator s extends to every
     # product by induction on word length; with the identity acting
     # trivially it also makes each row a permutation (act[g^-1] undoes it).
-    for s in G.generators:
-        lhs, rhs = np.take(act, act[s], axis=1), np.take(act, G.mul[:, s], axis=0)
-        if not np.array_equal(lhs, rhs):
-            g = int(np.argmax((lhs != rhs).any(axis=1)))
-            raise DomainError(f"action is not compatible with the product at ({g},{s})")
+    broken = _rule_break(G, act)
+    if broken is not None:
+        raise DomainError("action is not compatible with the product at ({},{})".format(*broken))
 
 
 def trivial_gset(G: FiniteGroup, m: int, name: str = "") -> GSet:

@@ -24,8 +24,9 @@ from .errors import BudgetExceeded, DomainError
 # that nothing accidentally allocates gigabytes.
 DEFAULT_GROUP_BUDGET = 10_080
 
-# Cells of the (rows, order, ...) blocks that `_group_from_permutations`
-# composes and `_check_group_axioms` compares at once.
+# Cells a blocked step builds at once: the (elements, generators, points)
+# products `_group_from_permutations` looks up, and the (elements, columns)
+# table rows that `_fill_by_generators` fills and `_rule_break` compares.
 _BLOCK_CELLS = 1 << 22
 
 
@@ -79,7 +80,7 @@ class FiniteGroup:
             gens.append(g)
             frontier = np.flatnonzero(reached)
             while len(frontier):
-                products = self.mul[np.ix_(frontier, gens)].ravel()
+                products = self.mul[frontier[:, None], gens].ravel()
                 fresh = np.zeros(self.order, dtype=bool)
                 fresh[products] = True
                 fresh &= ~reached
@@ -117,12 +118,61 @@ def _check_group_axioms(G: FiniteGroup) -> None:
     # products, so they form the whole table once they hold the generators.
     # An associative table with identity and inverses is a group, so its
     # rows and columns are permutations without a separate check.
-    step = max(1, _BLOCK_CELLS // n)
+    broken = _rule_break(G, mul)
+    if broken is not None:
+        raise DomainError(f"associativity fails for middle factor {broken[1]}")
+
+
+def _fill_by_generators(right: np.ndarray, identity: int, gen_rows: np.ndarray) -> np.ndarray:
+    """Every row of a table T on the group elements, from the generators' rows.
+
+    `right[x, j]` is x s_j, `gen_rows[j]` is T[s_j], T[identity] is 0, 1, 2, ...
+    Product, action and conjugation tables keep T[x s] = T[x][T[s]], so rows
+    are filled by levels of the Cayley graph, in blocks of `_BLOCK_CELLS` cells.
+    """
+    (n, k), m = right.shape, gen_rows.shape[1]
+    # the products of two generators, as further steps, halve the levels
+    right = np.concatenate([right, right[right].reshape(n, k * k)], axis=1)
+    gen_rows = np.concatenate([gen_rows, np.take(gen_rows, gen_rows, axis=1).reshape(k * k, m)])
+    out = np.empty((n, m), dtype=np.int32)
+    out[identity] = np.arange(m)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    via = np.empty(n, dtype=np.intp)                    # a position in `products` reaching it
+    frontier = np.array([identity])
+    step = max(1, _BLOCK_CELLS // max(1, m))
+    while len(frontier):
+        products = right[frontier].ravel()                  # x s, by x then s
+        via[products] = np.arange(len(products))            # any (x, s) reaching it will do
+        fresh = np.zeros(n, dtype=bool)
+        fresh[products] = True
+        fresh &= ~reached
+        reached |= fresh
+        fresh = np.flatnonzero(fresh)
+        x, s = np.divmod(via[fresh], right.shape[1])
+        for a in range(0, len(fresh), step):
+            out[fresh[a:a + step]] = out[frontier[x[a:a + step], None], gen_rows[s[a:a + step]]]
+        frontier = fresh
+    if not reached.all():
+        raise DomainError("the generators do not reach every element")
+    return out
+
+
+def _rule_break(G: FiniteGroup, table: np.ndarray) -> tuple[int, int] | None:
+    """The first (g, s), s in `G.generators`, with table[g s] != table[g][table[s]].
+
+    On `G.mul` this is Light's test, on a G-set's table the action law.  g
+    runs ascending within each generator, in blocks of at most
+    `_BLOCK_CELLS` cells.  None when the rule holds (then for all products).
+    """
+    step = max(1, _BLOCK_CELLS // max(1, table.shape[1]))
     for s in G.generators:
-        for start in range(0, n, step):
-            rows = mul[start:start + step]
-            if not (mul[rows[:, s]] == np.take(rows, mul[s], axis=1)).all():
-                raise DomainError(f"associativity fails for middle factor {s}")
+        for start in range(0, len(table), step):
+            bad = table[G.mul[start:start + step, s]] != np.take(table[start:start + step],
+                                                                  table[s], axis=1)
+            if bad.any():
+                return start + int(bad.any(axis=1).argmax()), s
+    return None
 
 
 def _count_text(n: int) -> str:
@@ -226,46 +276,57 @@ class _RowKeys:
         return rows
 
 
-def _group_from_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    """Build the table for a closed set of permutations under composition.
+class _RowIndex:
+    """Finds rows among a fixed set of distinct rows, by binary search on
+    their keys; `key` gives one sortable key per row of an array of rows."""
 
-    The product p*q is the composite "apply q first, then p".  A block of
-    table rows is composed in one gather, and every product is found among
-    the elements by binary search on packed keys (`_RowKeys`).  Points that
-    every permutation fixes are dropped first and the moved points
-    relabelled in increasing order, which keeps the elements' order and
-    every product; the cycle labels are taken from the given permutations.
+    def __init__(self, rows: np.ndarray, key):
+        self._key = key
+        keys = key(rows)
+        self._order = np.argsort(keys).astype(np.int32)
+        self._sorted = keys[self._order]
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """Position of each row among the known rows, -1 if absent."""
+        keys = self._key(rows)
+        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[at] == keys, self._order[at], np.int32(-1))
+
+
+def _group_from_permutations(perms: list[tuple[int, ...]], gens: list[tuple[int, ...]],
+                             name: str) -> FiniteGroup:
+    """Build the table of the group `perms`, which `gens` generates.
+
+    The product p*q is the composite "apply q first, then p".  The products
+    p*s and s*p with a generator s, a block of elements at a time, the
+    identity and the inverses are found among the elements on packed keys;
+    `_fill_by_generators` fills the table from them.  Points that every
+    permutation fixes are dropped first and the moved points relabelled in
+    increasing order, which keeps the elements' order and every product;
+    the cycle labels are taken from the given permutations.
     """
-    full = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    order, k = len(perms), len(gens)
+    full = np.array([*perms, *gens], dtype=np.int64).reshape(order + k, -1)
     moved = np.flatnonzero((full != np.arange(full.shape[1])).any(axis=0))
-    relabel = np.zeros(full.shape[1], dtype=np.int64)
-    relabel[moved] = np.arange(len(moved))
     m = len(moved)
     keys = _RowKeys([1 << max(1, (m - 1).bit_length())] * m)   # ceil(log2 m) bits a point
-    P = relabel[full[:, moved]].astype(keys.row_dtype)
-    order = len(P)
-    elements = keys.pack(P)
-    by_key = np.argsort(elements)
-    sorted_keys = elements[by_key]
+    P, S = np.split(np.searchsorted(moved, full[:, moved]).astype(keys.row_dtype), [order])
+    find = _RowIndex(P, lambda rows: keys.pack(rows.reshape(math.prod(rows.shape[:-1]), m)))
 
     def index(rows: np.ndarray) -> np.ndarray:
-        found = keys.pack(rows)
-        at = np.minimum(np.searchsorted(sorted_keys, found), order - 1)
-        if (sorted_keys[at] != found).any():
+        at = find(rows)
+        if (at < 0).any():
             raise DomainError("permutations are not closed under composition")
-        return by_key[at]
+        return at.reshape(rows.shape[:-1])
 
-    mul = np.empty((order, order), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // max(1, order * keys.length))
-    for start in range(0, order, step):
-        block = np.take(P[start:start + step], P, axis=1)    # block[a, j] = p_(start+a) p_j
-        mul[start:start + len(block)] = index(
-            block.reshape(len(block) * order, keys.length)).reshape(len(block), order)
-    inverse = np.empty_like(P)
-    inverse[np.arange(order)[:, None], P] = np.arange(keys.length)
-    identity = int(index(np.arange(keys.length)[None])[0])
+    step = max(1, _BLOCK_CELLS // max(1, k * m))
+    blocks = [P[start:start + step] for start in range(0, order, step)]
+    right = np.concatenate([index(np.take(block, S, axis=1)) for block in blocks])  # p s_j
+    left = np.concatenate([index(S[:, block]) for block in blocks], axis=1)         # s_j p
+    identity, *inv = index(np.vstack([np.arange(m), np.argsort(P, axis=1)])).tolist()
+    mul = _fill_by_generators(right, identity, left)
     labels = tuple(_perm_cycle_label(p) for p in perms)
-    return FiniteGroup(order, mul, identity, index(inverse), labels, name=name)
+    return FiniteGroup(order, mul, identity, inv, labels, name=name)
 
 
 def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
@@ -282,7 +343,8 @@ def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
         if order > budget:
             raise BudgetExceeded(f"group of order {_count_text(n)}! exceeds budget {budget}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
-    return _group_from_permutations(perms, name=f"S{n}")
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
+    return _group_from_permutations(perms, gens, name=f"S{n}")
 
 
 def make_dihedral(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
@@ -298,14 +360,10 @@ def make_dihedral(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
         return make_cyclic(2)
     if n == 2:
         return direct_product(make_cyclic(2), make_cyclic(2))
-    perms = []
-    for k in range(n):
-        perms.append(tuple((i + k) % n for i in range(n)))
-    for k in range(n):
-        perms.append(tuple((k - i) % n for i in range(n)))
-    # rotations first (identity included), then reflections
-    G = _group_from_permutations(perms, name=f"D{n}")
-    return G
+    # rotations first (identity included), then reflections; one of each generates
+    perms = ([tuple((i + k) % n for i in range(n)) for k in range(n)]
+             + [tuple((k - i) % n for i in range(n)) for k in range(n)])
+    return _group_from_permutations(perms, [perms[1], perms[n]], name=f"D{n}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
@@ -333,28 +391,30 @@ def from_permutation_generators(degree: int, perms, budget: int = DEFAULT_GROUP_
 
     Each generator must be a bijection in one-line notation.  The result's
     elements are the distinct permutations of the closure, sorted
-    lexicographically so construction is deterministic.
+    lexicographically.  Generators the earlier ones already give are
+    dropped, so at most log2 of the order reach the table build.
     """
-    gens = []
+    given = []
     for p in perms:
         p = tuple(int(x) for x in p)
         if sorted(p) != list(range(degree)):
             raise DomainError(f"{p} is not a permutation of 0..{degree - 1}")
-        gens.append(p)
-    ident = tuple(range(degree))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
+        given.append(p)
+    elements, gens = {tuple(range(degree))}, []
+    for s in given:
+        if s in elements:
+            continue
+        gens.append(s)
+        frontier, steps = list(elements), [s]   # a word leaves the closure first at a p -> p s
+        while frontier:
+            nxt = []
+            for p, q in itertools.product(frontier, steps):
                 r = tuple(p[q[k]] for k in range(degree))
                 if r not in elements:
                     if len(elements) >= budget:
-                        raise BudgetExceeded(
-                            f"permutation closure exceeds budget {budget}")
+                        raise BudgetExceeded(f"permutation closure exceeds budget {budget}")
                     elements.add(r)
                     nxt.append(r)
-        frontier = nxt
-    return _group_from_permutations(sorted(elements), name=name)
+            frontier, steps = nxt, gens
+    return _group_from_permutations(sorted(elements), gens, name=name)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _fill_by_generators, _RowIndex
 
 DEFAULT_LATTICE_ORDER_BUDGET = 360
 # The lattice keeps two dense subgroups x subgroups tables, `leq` (bool) and
@@ -129,34 +129,17 @@ def _conjugation_perms(G: FiniteGroup) -> np.ndarray:
     return G.mul[G.mul[G.inv], np.arange(G.order)[:, None]]
 
 
-def _conjugation_table(G: FiniteGroup, masks: np.ndarray, index: _MaskIndex) -> np.ndarray:
+def _conjugation_table(G: FiniteGroup, masks: np.ndarray, index: _RowIndex) -> np.ndarray:
     """`out[g, i]` = index of g S_i g^-1, for the subgroups S_i that `masks` lists.
 
-    Only the rows of the generators are looked up, in one call.  The rest are
-    compositions: (x s) S (x s)^-1 = x (s S s^-1) x^-1, so row x s is row x
-    read at the positions of row s.  They are filled one breadth-first level
-    of the Cayley graph at a time.
+    Only the generators' rows are looked up, in one call; `_fill_by_generators`
+    composes the rest, as (x s) S (x s)^-1 = x (s S s^-1) x^-1.
     """
     gens = np.array(G.generators, dtype=np.intp)
-    n = len(masks)
     # g S g^-1 holds x exactly when S holds g^-1 x g
     conjugated = np.take(masks, _conjugation_perms(G)[gens], axis=1)    # (n, gens, |G|)
-    by_gen = index(conjugated.reshape(-1, G.order)).reshape(n, len(gens)).T
-    out = np.empty((G.order, n), dtype=np.int32)
-    out[G.identity] = np.arange(n)
-    reached = np.zeros(G.order, dtype=bool)
-    reached[G.identity] = True
-    frontier = np.array([G.identity])
-    while len(frontier):
-        products = G.mul[frontier[:, None], gens].ravel()       # x s, by x then s
-        fresh, first = np.unique(products, return_index=True)
-        first = first[~reached[fresh]]
-        fresh = fresh[~reached[fresh]]
-        reached[fresh] = True
-        x, s = np.divmod(first, len(gens))
-        out[fresh] = out[frontier[x][:, None], by_gen[s]]
-        frontier = fresh
-    return out
+    by_gen = index(conjugated.reshape(-1, G.order)).reshape(len(masks), len(gens)).T
+    return _fill_by_generators(G.mul[:, gens], G.identity, by_gen)
 
 
 def _check_order(G: FiniteGroup, budget: int) -> None:
@@ -314,8 +297,8 @@ class SubgroupLattice:
         return _LazySubgroups(self.group, self.masks)
 
     @cached_property
-    def _index(self) -> _MaskIndex:
-        return _MaskIndex(self.masks)
+    def _index(self) -> _RowIndex:
+        return _RowIndex(self.masks, _row_keys)
 
     def index_of_masks(self, masks) -> np.ndarray:
         """Subgroup index of each row of a boolean (k, |G|) element-mask array."""
@@ -394,25 +377,6 @@ def containment(masks: np.ndarray) -> np.ndarray:
     return out
 
 
-class _MaskIndex:
-    """Finds bool element-mask rows among a fixed set of distinct rows.
-
-    The known rows are bit-packed, viewed as one void scalar each and
-    sorted once; each query is then a binary search.
-    """
-
-    def __init__(self, masks: np.ndarray):
-        keys = _row_keys(masks)
-        self._order = np.argsort(keys).astype(np.int32)
-        self._sorted = keys[self._order]
-
-    def __call__(self, masks: np.ndarray) -> np.ndarray:
-        """Position of each row of `masks` among the known rows, -1 if absent."""
-        keys = _row_keys(masks)
-        at = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
-        return np.where(self._sorted[at] == keys, self._order[at], np.int32(-1))
-
-
 def _row_keys(masks: np.ndarray) -> np.ndarray:
     """One void scalar per mask row, holding the row's bit-packed bytes."""
     packed = np.packbits(np.ascontiguousarray(masks), axis=1)
@@ -470,7 +434,7 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
         return lattice
     masks = _subgroup_masks(G)
     n = len(masks)
-    index = _MaskIndex(masks)
+    index = _RowIndex(masks, _row_keys)
     conj = _conjugation_table(G, masks, index)
     # a class's smallest index is its lexicographically smallest member
     reps, subgroup_class = np.unique(conj.min(axis=0), return_inverse=True)

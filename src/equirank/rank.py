@@ -77,16 +77,6 @@ def u_set(X: GSet, i: int) -> tuple:
     return tuple(sorted(classes))
 
 
-def _min_point_with_stab(decomp: BoxDecomposition, sub_idx: int,
-                         exclude_orbit: int | None = None) -> int:
-    pts = np.flatnonzero(decomp.stab_index == sub_idx)
-    if exclude_orbit is not None:
-        pts = pts[decomp.gset.orbit_of_point[pts] != exclude_orbit]
-    if not len(pts):
-        raise PropertyFailure(f"no point with stabilizer #{sub_idx} found")
-    return int(pts[0])
-
-
 def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
     """The generating set of point-pushes plus provenance tags.
 
@@ -100,21 +90,15 @@ def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
     lat = decomp.lattice
     maps, tags = [], []
     for i in range(decomp.n_boxes):
-        H_idx = lat.class_reps[decomp.box_classes[i]]
-        x_i = _min_point_with_stab(decomp, H_idx)
-        self_class = (H_idx,)
-        if decomp.alpha[i] >= 2:
-            x_prime = _min_point_with_stab(
-                decomp, H_idx, exclude_orbit=int(X.orbit_of_point[x_i]))
-            maps.append(point_push(X, x_i, x_prime))
+        # x_i, the smallest point with stabilizer H_i, is the smallest orbit
+        # representative; the next one is the smallest such point elsewhere
+        x_i, *others = sorted(_box_orbit_reps(decomp, i))
+        if others:
+            maps.append(point_push(X, x_i, others[0]))
             tags.append(f"push {i + 1}->{i + 1}'")
-        j = 0
-        for cls in u_sets[i]:
-            if cls == self_class:
-                continue
-            j += 1
-            y = _min_point_with_stab(decomp, cls[0])
-            maps.append(point_push(X, x_i, y))
+        self_class = (lat.class_reps[decomp.box_classes[i]],)
+        for j, cls in enumerate((c for c in u_sets[i] if c != self_class), 1):
+            maps.append(point_push(X, x_i, int(np.flatnonzero(decomp.stab_index == cls[0])[0])))
             tags.append(f"push {i + 1}->({i + 1},{j})")
     return tuple(maps), tuple(tags)
 
@@ -206,7 +190,6 @@ def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseTy
     image point's stabilizer.  Any valid witness yields the same type.
     """
     decomp = decompose(tau.gset)
-    lat = decomp.lattice
     shape = _collapse_shape(tau)
     if shape is None:
         raise DomainError("map is not an elementary collapse")
@@ -216,13 +199,8 @@ def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseTy
         witness = src_orbit[0]
     elif witness not in src_orbit:
         raise DomainError(f"witness {witness} is not in the source orbit")
-    box_i = int(decomp.box_of_point[witness])
-    g = lat.conjugator(int(decomp.stab_index[witness]),
-                       lat.class_reps[decomp.box_classes[box_i]])
-    moved = int(decomp.gset.action[g, witness])
-    target_idx = int(decomp.stab_index[int(tau.image[moved])])
-    N = decomp.box_normalizer(box_i)
-    return CollapseType(box_index=box_i, target_class=lat.n_class(N, target_idx))
+    return _push_type(decomp, int(decomp.stab_index[witness]),
+                      int(decomp.stab_index[tau.image[witness]]))
 
 
 def collapse_type_census(X: GSet) -> set:
@@ -237,20 +215,24 @@ def collapse_type_census(X: GSet) -> set:
     lat = decomp.lattice
     orbits_with = {s: set(X.orbit_of_point[decomp.stab_index == s].tolist())
                    for s in decomp.stabilizers.tolist()}
-    out = set()
-    for s, s_orbits in orbits_with.items():
-        for t, t_orbits in orbits_with.items():
-            if not lat.leq[s, t]:
-                continue
-            if len(s_orbits) == 1 and s_orbits == t_orbits:
-                continue          # only one orbit available: nothing to merge
-            box_i = int(lat.class_of(s))
-            box_pos = decomp.box_classes.index(box_i)
-            g = lat.conjugator(s, lat.class_reps[box_i])
-            N = decomp.box_normalizer(box_pos)
-            out.add(CollapseType(box_index=box_pos,
-                                 target_class=lat.n_class(N, int(lat.conj[g, t]))))
-    return out
+    # a single orbit with both stabilizers leaves nothing to merge
+    return {_push_type(decomp, s, t)
+            for s, s_orbits in orbits_with.items() for t, t_orbits in orbits_with.items()
+            if lat.leq[s, t] and not (len(s_orbits) == 1 and s_orbits == t_orbits)}
+
+
+def _push_type(decomp: BoxDecomposition, s: int, t: int) -> CollapseType:
+    """The type of a push from a point with stabilizer s onto one with stabilizer t.
+
+    The smallest g with g S_s g^-1 = H_i, box i's canonical subgroup, moves
+    the target's stabilizer to g S_t g^-1, whose class under N(H_i) is the type.
+    """
+    lat = decomp.lattice
+    box_class = int(lat.subgroup_class[s])
+    box_i = decomp.box_classes.index(box_class)
+    g = lat.conjugator(s, lat.class_reps[box_class])
+    return CollapseType(box_index=box_i, target_class=lat.n_class(
+        decomp.box_normalizer(box_i), int(lat.conj[g, t])))
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,6 @@ class EquivariantMap:
     def __post_init__(self):
         img = np.ascontiguousarray(self.image, dtype=np.int32)
         object.__setattr__(self, "image", img)
-        m = self.gset.size
-        if img.shape != (m,):
-            raise DomainError(f"image has shape {img.shape}, expected ({m},)")
-        if m and (img.min() < 0 or img.max() >= m):
-            raise DomainError("image entries out of range")
         g = _first_non_commuting_generator(self.gset, img)
         if g is not None:
             raise DomainError(f"map is not equivariant at group element {g}")
@@ -90,20 +85,21 @@ def compose(f: EquivariantMap, g: EquivariantMap) -> EquivariantMap:
 
 
 def is_equivariant(X: GSet, image) -> bool:
-    img = np.asarray(image, dtype=np.int64)
-    if img.shape != (X.size,):
-        raise DomainError(f"image has shape {img.shape}, expected ({X.size},)")
-    if X.size and (img.min() < 0 or img.max() >= X.size):
-        raise DomainError("image entries out of range")
-    return _first_non_commuting_generator(X, img) is None
+    return _first_non_commuting_generator(X, np.asarray(image, dtype=np.int64)) is None
 
 
 def _first_non_commuting_generator(X: GSet, img: np.ndarray) -> int | None:
     """The first generator s with img(s.x) != s.img(x) for some x, else None.
 
     A map commuting with the generators commutes with their products, so
-    this decides equivariance for the whole group (X is already an action).
+    this decides equivariance for the whole group (X is already an action);
+    an image of the wrong shape or range raises DomainError.
     """
+    m = X.size
+    if img.shape != (m,):
+        raise DomainError(f"image has shape {img.shape}, expected ({m},)")
+    if m and (img.min() < 0 or img.max() >= m):
+        raise DomainError("image entries out of range")
     gens = list(X.group.generators)
     act = X.action[gens]
     bad = (img[act] != np.take(act, img, axis=1)).any(axis=1)

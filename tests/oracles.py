@@ -112,6 +112,24 @@ def generated_elements(table: list, identity: int, gens) -> frozenset:
     return frozenset(elems)
 
 
+def permutation_product_table(perms) -> tuple[np.ndarray, np.ndarray, int]:
+    """(mul, inv, identity) of a list of permutations closed under composition.
+
+    p*q applies q first, then p.  Every one of the n^2 products is composed
+    as a tuple and found in a dict from permutation to its list position.
+    """
+    perms = [tuple(int(x) for x in p) for p in perms]
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    mul = np.empty((n, n), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            mul[i, j] = index[tuple(p[x] for x in q)]
+    degree = len(perms[0])
+    inv = np.array([index[tuple(sorted(range(degree), key=p.__getitem__))] for p in perms])
+    return mul, inv, index[tuple(range(degree))]
+
+
 def is_bijection(img) -> bool:
     return sorted(int(v) for v in img) == list(range(len(img)))
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -13,7 +14,9 @@ from equirank import (
     make_dihedral,
     make_symmetric,
 )
-from equirank.groups import _RowKeys
+from equirank.actions import GSet, coset_action
+from equirank.groups import _group_from_permutations, _RowKeys
+from equirank.lattice import build_lattice
 
 import oracles
 
@@ -114,6 +117,125 @@ def test_points_every_generator_fixes_leave_the_table_unchanged():
         assert G.identity == small.identity
     assert spread_out.labels == tuple(
         re.sub(r"\d+", lambda m: str(spots[int(m.group())]), label) for label in small.labels)
+
+
+def _even(p) -> bool:
+    return sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
+
+
+FROBENIUS_SPOTS = [0, 9, 10, 30, 31, 50, 63]
+
+
+def _spread(p: tuple[int, ...]) -> tuple[int, ...]:
+    """A permutation of 0..6 acting on the points FROBENIUS_SPOTS of 0..63."""
+    out = list(range(64))
+    for a, b in enumerate(p):
+        out[FROBENIUS_SPOTS[a]] = FROBENIUS_SPOTS[b]
+    return tuple(out)
+
+
+# x -> a x + b mod 7 for a in {1, 2, 4}: the Frobenius group of order 21
+FROBENIUS = [tuple((a * x + b) % 7 for x in range(7)) for a in (1, 2, 4) for b in range(7)]
+
+
+def _dihedral_perms(n: int) -> list[tuple[int, ...]]:
+    return ([tuple((i + k) % n for i in range(n)) for k in range(n)]
+            + [tuple((k - i) % n for i in range(n)) for k in range(n)])
+
+
+# (name, a function making the group, one making its element list in order)
+PERMUTATION_GROUPS = (
+    [(f"S{n}", lambda n=n: make_symmetric(n), lambda n=n: list(itertools.permutations(range(n))))
+     for n in range(1, 7)]
+    + [(f"D{n}", lambda n=n: make_dihedral(n), lambda n=n: _dihedral_perms(n))
+       for n in range(3, 41)]
+    + [("A5", lambda: from_permutation_generators(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+        lambda: sorted(filter(_even, itertools.permutations(range(5))))),
+       ("A6", lambda: from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]),
+        lambda: sorted(filter(_even, itertools.permutations(range(6))))),
+       ("F21", lambda: from_permutation_generators(7, FROBENIUS[1:3] + FROBENIUS[7:8]),
+        lambda: sorted(FROBENIUS)),
+       ("F21 on 64 points",
+        lambda: from_permutation_generators(64, [_spread(FROBENIUS[1]), _spread(FROBENIUS[7])]),
+        lambda: sorted(map(_spread, FROBENIUS))),
+       # every element given, (0 1) and the 5-cycle 400 times each first
+       ("S5 from 920 generators",
+        lambda: from_permutation_generators(5, [(1, 0, 2, 3, 4)] * 400 + [(1, 2, 3, 4, 0)] * 400
+                                            + list(itertools.permutations(range(5)))),
+        lambda: list(itertools.permutations(range(5))))]
+)
+
+
+@pytest.mark.parametrize("build, perms", [case[1:] for case in PERMUTATION_GROUPS],
+                         ids=[case[0] for case in PERMUTATION_GROUPS])
+def test_permutation_group_tables_match_product_oracle(build, perms):
+    G = build()
+    mul, inv, identity = oracles.permutation_product_table(perms())
+    assert np.array_equal(G.mul, mul)
+    assert np.array_equal(G.inv, inv)
+    assert G.identity == identity
+
+
+def test_generating_list_must_reach_every_element():
+    S3 = sorted(itertools.permutations(range(3)))
+    assert _group_from_permutations(S3, [(1, 0, 2), (1, 2, 0)], "S3").order == 6
+    with pytest.raises(DomainError, match="generators do not reach every element"):
+        _group_from_permutations(S3, [(1, 0, 2)], "S3")         # <(0 1)> has order 2
+    with pytest.raises(DomainError, match="generators do not reach every element"):
+        _group_from_permutations(S3, [], "S3")
+
+
+def test_permutations_not_closed_under_composition_rejected():
+    S3 = sorted(itertools.permutations(range(3)))
+    with pytest.raises(DomainError, match="not closed under composition"):
+        _group_from_permutations(S3[:5], [(1, 0, 2), (1, 2, 0)], "")
+    # e, (0 1), (1 2), (1 2)(0 1) = (0 2 1): closed under p -> p (0 1), but
+    # (0 1)(1 2) = (0 1 2) is missing
+    with pytest.raises(DomainError, match="not closed under composition"):
+        _group_from_permutations([(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1)], [(1, 0, 2)], "")
+    # a generator outside the list
+    with pytest.raises(DomainError, match="not closed under composition"):
+        _group_from_permutations([(0, 1, 2), (1, 0, 2)], [(0, 2, 1)], "")
+
+
+def _build_error(build) -> str:
+    with pytest.raises(DomainError) as info:
+        build()
+    return str(info.value)
+
+
+def test_blocked_builds_and_checks_match_unblocked(monkeypatch):
+    import equirank.groups
+
+    builds = [build for name, build, _ in PERMUTATION_GROUPS
+              if name in ("S5", "D9", "A5", "F21 on 64 points")]
+    whole = [build() for build in builds]
+    S4 = make_symmetric(4)
+    X = coset_action(S4, build_lattice(S4).subgroups[1])          # 12 points
+    broken = X.action.copy()
+    broken[20, [3, 4]] = broken[20, [4, 3]]                       # row 20 is still a permutation
+    bad_builds = [
+        lambda: FiniteGroup(order=6, mul=np.array(LOOP_FAILING_AT_SECOND_GENERATOR), identity=0,
+                            inv=np.array([0, 1, 5, 4, 3, 2])),
+        lambda: FiniteGroup(order=5, mul=np.array(NON_ASSOCIATIVE_LOOP), identity=0,
+                            inv=np.arange(5)),
+        lambda: GSet(S4, broken),
+        lambda: _group_from_permutations([(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 0, 1)],
+                                         [(1, 0, 2)], ""),
+    ]
+    errors = [_build_error(build) for build in bad_builds]
+    bad_g, bad_s = oracles.first_generator_violation(S4.mul, broken, S4.generators)
+    assert errors[2] == f"action is not compatible with the product at ({bad_g},{bad_s})"
+    # a few dozen cells a block: many blocks of generator products per
+    # group build, one table row a block in the fill and in Light's test,
+    # three in the action check on 12 points
+    monkeypatch.setattr(equirank.groups, "_BLOCK_CELLS", 40)
+    for build, G in zip(builds, whole):
+        H = build()
+        assert np.array_equal(H.mul, G.mul) and np.array_equal(H.inv, G.inv)
+        assert (H.identity, H.labels) == (G.identity, G.labels)
+    assert np.array_equal(GSet(S4, X.action).action, X.action)
+    assert [_build_error(build) for build in bad_builds] == errors
 
 
 def test_dihedral_small_cases():

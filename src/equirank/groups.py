@@ -215,6 +215,18 @@ def _perm_cycle_label(p: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
+def _runs(radices: list[int], bound: int) -> list[range]:
+    """Consecutive positions cut greedily into runs whose radices multiply
+    to at most `bound`; a radix above `bound` is a run of its own."""
+    cuts, product = [0], 1
+    for c, r in enumerate(radices):
+        if c > cuts[-1] and product * r > bound:
+            cuts.append(c)
+            product = 1
+        product *= r
+    return [range(a, b) for a, b in zip(cuts, cuts[1:] + [len(radices)])]
+
+
 class _RowKeys:
     """Packs rows of digits into keys that sort like the rows.
 
@@ -232,16 +244,11 @@ class _RowKeys:
 
     def __init__(self, radices):
         radices = [int(r) for r in radices]
-        columns, product = [[]], 1
-        for c, r in enumerate(radices):
-            if columns[-1] and product * r > 1 << 64:
-                columns.append([])
-                product = 1
-            columns[-1].append(c)
-            product *= r
+        columns = _runs(radices, 1 << 64)
         self.length = len(radices)
         self.words = len(columns)
-        self.dtype = np.dtype(np.uint32 if self.words == 1 and product <= 1 << 32 else np.uint64)
+        self.dtype = np.dtype(np.uint32 if self.words == 1 and math.prod(radices) <= 1 << 32
+                              else np.uint64)
         self.word_of = [0] * self.length
         self.stride = [self.dtype.type(0)] * self.length
         for w, cols in enumerate(columns):
@@ -259,17 +266,23 @@ class _RowKeys:
             words[self.word_of[c]] += rows[:, c].astype(self.dtype) * self.stride[c]
         return self.join(words)
 
-    def join(self, words: np.ndarray) -> np.ndarray:
-        """The keys whose words are the columns of a (words, n) array."""
+    def join(self, words) -> np.ndarray:
+        """The keys whose words are the columns of a (words, n) array, or
+        of a list of one array per word."""
         if self.words == 1:
             return words[0]
-        return np.ascontiguousarray(words.T, dtype=">u8").view(
+        return np.ascontiguousarray(np.transpose(words), dtype=">u8").view(
             np.dtype((np.void, 8 * self.words))).ravel()
+
+    def split(self, keys: np.ndarray) -> np.ndarray:
+        """The (words, n) array whose columns are the words of n keys."""
+        if self.words == 1:
+            return keys[None]
+        return keys.view(">u8").reshape(len(keys), self.words).T.astype(np.uint64)
 
     def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
         """The (n, length) rows of n keys, as `dtype`."""
-        words = (keys[None] if self.words == 1
-                 else keys.view(">u8").reshape(len(keys), self.words).T.astype(np.uint64))
+        words = self.split(keys)
         rows = np.empty((self.length, len(keys)), dtype=dtype).T
         for c in range(self.length):
             rows[:, c] = words[self.word_of[c]] // self.stride[c] % self.radix[c]

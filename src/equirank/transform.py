@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import _RowKeys, _count_text, make_cyclic
+from .groups import _RowKeys, _count_text, _runs, make_cyclic
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -352,6 +352,9 @@ def _images_of_picks(X: GSet, targets, picks: np.ndarray) -> np.ndarray:
 # Candidate keys (frontier elements x generators) that `closure` forms at
 # once; the frontier is cut into blocks that stay within it.
 _CLOSURE_BLOCK_KEYS = 1 << 18
+# End indices a chunk of orbits covers at most in the bitmap closure (a
+# single orbit with more targets is a chunk of its own).
+_CLOSURE_CHUNK_VALUES = 1 << 12
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -376,24 +379,28 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
 
     Level-synchronous: the frontier holds the elements the previous level
     found, and a level forms the keys of every generator after every
-    frontier element, in blocks of at most `_CLOSURE_BLOCK_KEYS` keys,
-    with one gather per orbit.  Known elements are kept one of two ways,
-    chosen by the size of End:
+    frontier element, in blocks of at most `_CLOSURE_BLOCK_KEYS` keys.
+    Known elements are kept one of two ways, chosen by the size of End:
 
     - End has at most min(cap, DEFAULT_CLOSURE_CAP) elements, so its
       indices are one key word and the closure cannot pass the cap: one
       flag per End index.  A block's keys are flagged in one scatter, a
       level's new elements are the flags it raised, and the flagged
-      indices come out sorted.  At most log2(cap) orbits have a choice,
-      so each orbit's table is multiplied by its stride before the loop.
+      indices come out sorted.  Consecutive orbits are grouped into
+      chunks of at most `_CLOSURE_CHUNK_VALUES` digit combinations (and
+      no more table keys than a block), and each chunk has one
+      (chunk value, generators) table of its orbits' scaled digits summed,
+      so a block costs one gather per chunk.  The flagged indices unrank
+      through one table of image rows per chunk (`_rows_by_chunks`).
     - Otherwise End may be far larger than the closure: sorted keys.
       Keys already known are dropped by binary search and the rest are
       merged in; more than `cap` elements raises before they are stored,
-      rather than truncating.  Orbits share their stabilizer's table and
-      a block scales it, since one table per orbit holds sum(counts) x
-      generators keys (D4 q=4: 527 million per generator).
+      rather than truncating.  Each orbit's digit is gathered on its own:
+      orbits share their stabilizer's table and a block scales it, since
+      one table per orbit holds sum(counts) x generators keys (D4 q=4:
+      527 million per generator).  The sorted keys unrank orbit by orbit.
 
-    The sorted keys unrank to the rows in lexicographic order.
+    Either way the rows come out in lexicographic order.
     """
     maps = []
     for f in generators:
@@ -417,24 +424,36 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
                                dtype=np.intp))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
+    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
     seen = None
     if keys.words == 1 and math.prod(counts) <= min(cap, DEFAULT_CLOSURE_CAP):
         seen = np.zeros(math.prod(counts), dtype=bool)
         seen[known] = True
-        tables = [by_class[a] * stride for a, stride in zip(rep_cls, keys.stride)]
-    else:
-        tables = [by_class[a] for a in rep_cls]
+        chunks, parts = [], []      # chunk: (End stride, number of values)
+        for run in _runs(counts, min(_CLOSURE_CHUNK_VALUES, step)):
+            table = np.zeros((1, len(maps)), dtype=keys.dtype)
+            for c in run:           # outer sums: first orbit most significant
+                scaled = by_class[rep_cls[c]] * keys.stride[c]
+                table = (table[:, None] + scaled[None]).reshape(len(table) * len(scaled), -1)
+            chunks.append((math.prod(counts[run.stop:]), len(table)))
+            parts.append((0, *chunks[-1], table, 1))
+    else:                           # (word, stride, radix, table, scale) per orbit
+        parts = [(keys.word_of[c], keys.stride[c], keys.radix[c], by_class[a], keys.stride[c])
+                 for c, a in enumerate(rep_cls)]
     frontier = known
-    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
     while len(frontier):
         fresh, before = [], None if seen is None else seen.copy()
         for start in range(0, len(frontier), step):
-            digits = keys.unpack(frontier[start:start + step], np.intp)
-            words = np.zeros((keys.words, len(digits), len(maps)), dtype=keys.dtype)
-            for c, table in enumerate(tables):
-                part = np.take(table, digits[:, c], axis=0)
-                words[keys.word_of[c]] += part if seen is not None else part * keys.stride[c]
-            found = keys.join(words.reshape(keys.words, -1))
+            block, words = keys.split(frontier[start:start + step]), []
+            for w, stride, radix, table, scale in parts:      # word by word
+                part = np.take(table, block[w] // stride % radix, axis=0).ravel()
+                if scale != 1:
+                    part *= scale
+                if w < len(words):
+                    words[w] += part
+                else:
+                    words.append(part)
+            found = keys.join(words)
             if seen is not None:
                 seen[found] = True
                 continue
@@ -449,9 +468,40 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
         frontier = np.concatenate(fresh) if seen is None else np.flatnonzero(seen > before)
     if seen is not None:
         known = np.flatnonzero(seen)
-    picks = keys.unpack(known, keys.row_dtype)
-    return MonoidClosure._of_sorted_rows(X, _images_of_picks(X, targets, picks),
-                                         generators=tuple(maps))
+    if seen is not None and sum(radix for _, radix in chunks) <= len(known):
+        rows = _rows_by_chunks(X, targets, keys, chunks, known)
+    else:                           # orbit by orbit, when tables would outgrow the rows
+        rows = _images_of_picks(X, targets, keys.unpack(known, keys.row_dtype))
+    return MonoidClosure._of_sorted_rows(X, rows, generators=tuple(maps))
+
+
+def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarray) -> np.ndarray:
+    """The image rows of End indices, from one table per (stride, number
+    of values) chunk of consecutive orbits.
+
+    A chunk's table row for value v is the image of the End index whose
+    chunk value is v and whose other digits are 0.  Outside the chunk's
+    orbits that row is the row of index 0, which is every table's row 0.
+    With it subtracted from every table but the first, a table holds only
+    its own orbits' columns, and the row of an index is the sum of one
+    row per table.  Rows are summed in blocks of about
+    `_CLOSURE_BLOCK_KEYS` cells.
+    """
+    table_keys = np.concatenate([np.arange(radix) * stride for stride, radix in chunks])
+    tables = np.split(_images_of_picks(X, targets, keys.unpack(table_keys, keys.row_dtype)),
+                      np.cumsum([radix for _, radix in chunks])[:-1])
+    tables[1:] = [table - tables[0][0] for table in tables[1:]]
+    out = np.empty((len(indices), X.size), dtype=np.int32)
+    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, X.size))
+    for start in range(0, len(indices), step):
+        block, rows = indices[start:start + step], out[start:start + step]
+        for c, ((stride, radix), table) in enumerate(zip(chunks, tables)):
+            value = block // stride % radix
+            if c:
+                rows += np.take(table, value, axis=0)
+            else:               # values are in range; mode="raise" would buffer `out`
+                np.take(table, value, axis=0, out=rows, mode="clip")
+    return out
 
 
 def _letters_gset(n: int) -> GSet:

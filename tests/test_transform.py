@@ -39,7 +39,7 @@ from equirank import (
     trivial_gset,
 )
 
-from equirank.transform import _lex_sorted
+from equirank.transform import _lex_sorted, _targets
 
 import oracles
 from catalog import make_quaternion, small_groups
@@ -279,46 +279,114 @@ def test_closure_cap_counts_the_seed():
         closure(X, gens, cap=size - 1)
 
 
-@pytest.mark.parametrize("group, q", [
+# shift spaces whose End `verify` can enumerate and close
+_VERIFY_INSTANCES = [
     (direct_product(make_cyclic(2), make_cyclic(2)), 2),
     (make_cyclic(4), 2),
     (make_cyclic(1), 6),
     (make_cyclic(3), 2),
     (make_cyclic(2), 3),
-], ids=["Z2xZ2-q2", "Z4-q2", "Z1-q6", "Z3-q2", "Z2-q3"])
-def test_closure_matches_bfs_oracle_on_verify_instances(group, q):
-    # the closure CLI verify runs: Aut generators plus the push set
-    X = build_shift(group, q).gset
-    gens = aut_generators(X) + list(relative_rank(X).generating_set)
-    got = closure(X, gens)
-    expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
-    assert got.images.tobytes() == expected.tobytes()
-    assert got.size == end_monoid_order(X)
+]
+_VERIFY_IDS = ["Z2xZ2-q2", "Z4-q2", "Z1-q6", "Z3-q2", "Z2-q3"]
+
+
+@pytest.fixture(scope="module")
+def verify_closures():
+    """Per verify instance: X, then (generators, oracle rows) for the
+    closure verify runs (Aut generators plus the push set) and for the
+    pushes alone."""
+    cases = []
+    for group, q in _VERIFY_INSTANCES:
+        X = build_shift(group, q).gset
+        pushes = list(relative_rank(X).generating_set)
+        cases.append((X, *((gens, oracles.monoid_by_bfs(X.size, [f.image for f in gens]))
+                           for gens in (aut_generators(X) + pushes, pushes))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_VERIFY_IDS)), ids=_VERIFY_IDS)
+def test_closure_matches_bfs_oracle_on_verify_instances(verify_closures, case):
+    X, (gens, expected), _ = verify_closures[case]
+    assert len(expected) == end_monoid_order(X)
+    # the default cap and a cap of exactly |End| keep a bitmap of End
+    for cap in ({}, {"cap": len(expected)}):
+        got = closure(X, gens, **cap)
+        assert got.images.tobytes() == expected.tobytes()
     # one short of End: the sorted keys, which must refuse the last element
     with pytest.raises(ClosureCapExceeded) as info:
         closure(X, gens, cap=got.size - 1)
     assert info.value.partial_size > info.value.cap == got.size - 1
 
 
-@pytest.mark.parametrize("group, q", [
-    (direct_product(make_cyclic(2), make_cyclic(2)), 2),
-    (make_cyclic(4), 2),
-    (make_cyclic(1), 6),
-    (make_cyclic(3), 2),
-    (make_cyclic(2), 3),
-], ids=["Z2xZ2-q2", "Z4-q2", "Z1-q6", "Z3-q2", "Z2-q3"])
-def test_closure_of_a_proper_submonoid_on_both_membership_paths(group, q):
+@pytest.mark.parametrize("case", range(len(_VERIFY_IDS)), ids=_VERIFY_IDS)
+def test_closure_of_a_proper_submonoid_on_both_membership_paths(verify_closures, case):
     # the pushes alone close to less than End; a cap of |End| keeps the
     # known elements as a bitmap of End, a cap of the closure's own size
     # as sorted keys
-    X = build_shift(group, q).gset
-    pushes = list(relative_rank(X).generating_set)
-    expected = oracles.monoid_by_bfs(X.size, [f.image for f in pushes])
+    X, _, (pushes, expected) = verify_closures[case]
     assert len(expected) < end_monoid_order(X)
     for cap in (end_monoid_order(X), len(expected)):
         got = closure(X, pushes, cap=cap)
         assert got.images.tobytes() == expected.tobytes()
         assert got.size == len(expected)
+
+
+@pytest.mark.parametrize("chunk_values", [1, 2, 3, 1 << 12])
+def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_closures,
+                                                        chunk_values):
+    # chunks of at most 1, 2 or 3 End indices, so most orbits (up to 16
+    # targets) are a chunk of their own.  The pushes-only submonoids also
+    # run at 48 keys a block: many blocks per level and per unranking, and
+    # chunks of at most 48 // generators values, which alone sets the
+    # bound at the default of 4,096.  (The closures to all of End keep the
+    # default block; 48 keys would take 32,768 blocks on 65,536 maps.)
+    import equirank.transform
+
+    monkeypatch.setattr(equirank.transform, "_CLOSURE_CHUNK_VALUES", chunk_values)
+    for X, (gens, expected), _ in verify_closures:
+        got = closure(X, gens, cap=len(expected))
+        assert got.images.tobytes() == expected.tobytes()
+    monkeypatch.setattr(equirank.transform, "_CLOSURE_BLOCK_KEYS", 48)
+    for X, _, (pushes, expected) in verify_closures:
+        got = closure(X, pushes, cap=end_monoid_order(X))
+        assert got.images.tobytes() == expected.tobytes()
+    # an orbit whose targets alone outnumber the bound (16 on Z4 q=2)
+    X, _, (pushes, _) = verify_closures[1]
+    assert max(_targets(X, bijective=False)[0]) > min(chunk_values, 48 // len(pushes))
+    # without a fixed point the row of End index 0 is no constant map, and
+    # every chunk table but the first must have it taken off: S3 acting on
+    # two copies of itself and on its cosets of C2 and C3 (17 x 17 x 1 x 2 maps)
+    S3 = make_symmetric(3)
+    trivial, c2, _, _, c3, _ = (coset_action(S3, H) for H in build_lattice(S3).subgroups)
+    X = disjoint_union(disjoint_union(trivial, trivial), disjoint_union(c2, c3))
+    end = enumerate_end(X)
+    assert end.images[0].any()
+    got = closure(X, aut_generators(X) + list(relative_rank(X).generating_set), cap=end.size)
+    assert got.images.tobytes() == end.images.tobytes()
+
+
+def test_bitmap_closure_edge_cases(z2_shift):
+    # End of a 0-point G-set is the empty map alone, of a 1-point G-set the
+    # identity; with no generators any closure is the identity alone
+    for X in (trivial_gset(make_cyclic(2), 0), trivial_gset(make_cyclic(2), 1), z2_shift):
+        identity = np.arange(X.size, dtype=np.int32)[None]
+        for gens, cap in (([], 1), ([], 2), ([], end_monoid_order(X)), ([identity[0]], 2)):
+            got = closure(X, gens, cap=cap)
+            assert got.images.dtype == np.int32 and got.images.shape == (1, X.size)
+            assert got.images.tobytes() == identity.tobytes()
+    for m in (0, 1):
+        X = trivial_gset(make_cyclic(2), m)
+        assert enumerate_end(X).images.tobytes() == closure(X, []).images.tobytes()
+
+
+def test_closure_near_the_default_cap_matches_enumeration():
+    # Z1 shift:q=7: 823,543 maps on 7 points, End indices in two chunks of
+    # 7^4 and 7^3 values; closure and enumeration are independent routes
+    X = build_shift(make_cyclic(1), 7).gset
+    gens = aut_generators(X) + list(relative_rank(X).generating_set)
+    end = enumerate_end(X)
+    assert end.size == 7 ** 7
+    assert np.array_equal(closure(X, gens, cap=end.size).images, end.images)
 
 
 def _last_target_map(X):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _RowKeys, _rule_break
+from .groups import FiniteGroup, _RowKeys, _rule_break, _sorted_unique
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -145,7 +145,7 @@ def coset_action(G: FiniteGroup, H: Subgroup, name: str = "") -> GSet:
     """G acting on the left cosets of H, cosets ordered by smallest member."""
     if H.group is not G:
         raise DomainError("subgroup belongs to a different group")
-    reps = np.unique(H.coset_min)           # each coset's smallest member, ascending
+    reps = _sorted_unique(H.coset_min)      # each coset's smallest member, ascending
     act = np.searchsorted(reps, H.coset_min[G.mul[:, reps]])
     label = name or f"{G.name}/{{{','.join(G.label(e) for e in H.elements)}}}"
     return GSet(G, act, name=label)

@@ -227,6 +227,19 @@ def _runs(radices: list[int], bound: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:] + [len(radices)])]
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: what plain `np.unique` returns.
+
+    np.sort plus a neighbour test.  np.unique took about 100 times as long
+    as np.sort on a million uint64 keys under numpy 2.4, and its plain form
+    imports numpy.ma on first use (about 17 ms).
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 class _RowKeys:
     """Packs rows of digits into keys that sort like the rows.
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .groups import FiniteGroup, _fill_by_generators, _RowIndex
+from .groups import FiniteGroup, _fill_by_generators, _RowIndex, _sorted_unique
 
 DEFAULT_LATTICE_ORDER_BUDGET = 360
 # The lattice keeps two dense subgroups x subgroups tables, `leq` (bool) and
@@ -343,7 +343,7 @@ class SubgroupLattice:
 
         Returned as subgroup indices, ordered by element list.
         """
-        return tuple(np.unique(self.conj[list(N.elements), i]).tolist())
+        return tuple(_sorted_unique(self.conj[list(N.elements), i]).tolist())
 
     def conjugator(self, i: int, j: int) -> int:
         """The smallest group element g with g S g^-1 = T, for S = subgroups[i]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
 from .errors import BudgetExceeded, DomainError, PropertyFailure
+from .groups import _sorted_unique
 from .lattice import Subgroup
 from .transform import (
     DEFAULT_ENUM_BUDGET,
@@ -264,18 +265,14 @@ def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
     decomp = decompose(tau.gset)
     if (decomp.box_of_point[tau.image[decomp.box_of_point == i]] != i).any():
         raise DomainError(f"map does not keep box {i} inside itself")
-    H = decomp.box_subgroup(i)
-    N = decomp.box_normalizer(i)
-    reps = _box_orbit_reps(decomp, i)
-    orbit_pos = {int(decomp.gset.orbit_of_point[r]): k for k, r in enumerate(reps)}
-    f, cosets = [], []
-    for r in reps:
-        y = int(tau.image[r])
-        k = orbit_pos[int(decomp.gset.orbit_of_point[y])]
-        f.append(k)
-        t = next(t for t in N.elements if int(decomp.gset.action[t, reps[k]]) == y)
-        cosets.append(int(H.coset_min[t]))
-    return WreathFactor(box_index=i, orbit_map=tuple(f), cosets=tuple(cosets))
+    X = decomp.gset
+    reps = np.array(_box_orbit_reps(decomp, i))     # ascending orbit ids
+    y = tau.image[reps]
+    f = np.searchsorted(X.orbit_of_point[reps], X.orbit_of_point[y])
+    # every g with g.reps[f] = y lies in N(H), and they form one coset gH
+    t = (X.action[:, reps[f]] == y).argmax(axis=0)
+    cosets = decomp.box_subgroup(i).coset_min[t]
+    return WreathFactor(box_index=i, orbit_map=tuple(f.tolist()), cosets=tuple(cosets.tolist()))
 
 
 def wreath_multiply(pi: WreathFactor, tau: WreathFactor, H: Subgroup) -> WreathFactor:
@@ -311,7 +308,7 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
         reps = _box_orbit_reps(decomp, i)
         for k in range(1, len(reps)):
             gens.append(point_swap(X, reps[0], reps[k]))
-        coset_reps = np.unique(H.coset_min[list(N.elements)]).tolist()
+        coset_reps = _sorted_unique(H.coset_min[list(N.elements)]).tolist()
         for r in reps:
             for t in coset_reps:
                 if t not in H.element_set:

@@ -5,8 +5,9 @@ End of all equivariant self-maps, the group Aut of equivariant bijections,
 and level-by-level closure of generator sets all live here; the rank
 machinery builds on these primitives.  A map is fixed by the images of
 the orbit representatives, so End has a dense mixed-radix index (one
-digit per orbit, the image's position among the admissible targets);
-enumeration emits End in that order and closure works on those indices.
+digit per orbit, the image's position among the admissible targets).
+Enumeration and closure find sorted End indices, and `_rows` alone turns
+them into image rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import _RowKeys, _count_text, _runs, make_cyclic
+from .groups import _RowKeys, _count_text, _runs, _sorted_unique, make_cyclic
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -220,19 +221,18 @@ def _lex_sorted(rows: np.ndarray) -> bool:
     return bool((rows[pair, first] <= rows[pair + 1, first]).all())
 
 
-def _targets(X: GSet, bijective: bool):
+def _targets(X: GSet):
     """Per orbit representative, the number of admissible targets, and a
     function listing them.
 
     A representative r may go to any y whose stabilizer contains Stab(r);
-    a bijection needs Stab(y) = Stab(r).  The counts cost O(|G| m) however
-    many orbits there are, so a budget can be checked on their product
-    before the lists (O(m) per distinct representative stabilizer) are built.
+    the position of y in r's list is r's digit of the End index.  The
+    counts cost O(|G| m) however many orbits there are, so a budget can be
+    checked on their product before the lists (O(m) per distinct
+    representative stabilizer) are built.
     """
     table = X.stabilizer_table
     cls, within = table.point_class, table.within
-    if bijective:
-        within = np.eye(len(within), dtype=bool)
     rep_cls = cls[X.orbit_reps]
     per_class = within.astype(np.int64) @ np.bincount(cls, minlength=len(within))
     counts = [int(c) for c in per_class[rep_cls]]
@@ -253,82 +253,74 @@ def _check_budget(total: int, budget: int, what: str) -> None:
 
 def end_monoid_order(X: GSet) -> int:
     """|End| as the product over orbit representatives of admissible targets."""
-    counts, _ = _targets(X, bijective=False)
+    counts, _ = _targets(X)
     return math.prod(counts)
 
 
 def enumerate_end(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
-    """All equivariant self-maps, by choosing images of orbit representatives.
+    """All equivariant self-maps: the rows of every End index, ascending.
 
     A representative x may go to any y whose stabilizer contains that of
     x; the rest of the orbit follows by equivariance.  The product of the
     choice counts is checked against the budget before any work happens.
     """
-    counts, lists = _targets(X, bijective=False)
+    counts, lists = _targets(X)
     _check_budget(math.prod(counts), budget, "maps")
-    return MonoidClosure._of_sorted_rows(X, _end_images(X, lists()))
+    keys = _RowKeys(counts)
+    indices = np.arange(math.prod(counts), dtype=keys.dtype)
+    return MonoidClosure._of_sorted_rows(X, _rows(X, lists(), keys, indices))
 
 
 def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
-    """All equivariant bijections: equal-stabilizer targets, distinct orbits."""
-    counts, lists = _targets(X, bijective=True)
-    _check_budget(math.prod(counts), budget, "choices")
-    return MonoidClosure._of_sorted_rows(X, _aut_images(X, lists()))
+    """All equivariant bijections: the End indices whose digits pick, per
+    representative, a target of its own stabilizer, in distinct orbits.
 
-
-# Both builders below emit the choices in mixed-radix order, first orbit
-# most significant, each orbit's targets ascending.  That is already the
-# lexicographic order of the image rows: orbits are ordered by their
-# minimal point r, every point before r lies in an earlier orbit, and the
-# image of r itself is the chosen target.
-
-def _orbit_tables(X: GSet, targets):
-    """Per orbit: its points, and the (targets, points) table of their images."""
-    via = _transporters(X)
-    for o, t in zip(X.orbits, targets):
-        pts = np.array(o, dtype=np.int64)
-        yield pts, X.action[via[pts][None, :], t[:, None]]
-
-
-def _end_images(X: GSet, targets) -> np.ndarray:
-    """Every choice of targets, as image rows.
-
-    The output is viewed as an array with one axis per orbit that has a
-    choice, and each orbit's columns are filled by broadcasting its small
-    image table, so no temporary as large as the output is made.
+    The budget is checked on the number of equal-stabilizer choices before
+    any work happens.  Choices grow one orbit at a time and a partial
+    choice that hits an orbit twice is dropped before it is extended.
+    Within a box every partial choice extends, so no stage holds more rows
+    than the result; the choices come out in End index order.
     """
-    radices = [len(t) for t in targets]
-    out = np.empty((math.prod(radices), X.size), dtype=np.int32)
-    axes = [k for k in radices if k > 1]
-    grid = out.reshape(*axes, X.size)
-    axis = 0
-    for (pts, table), k in zip(_orbit_tables(X, targets), radices):
-        if k > 1:
-            shape = [1] * len(axes) + [len(pts)]
-            shape[axis] = k
-            table = table.reshape(shape)
-            axis += 1
-        grid[..., pts] = table
-    return out
-
-
-def _aut_images(X: GSet, targets) -> np.ndarray:
-    """The choices whose targets lie in pairwise distinct orbits, as image rows.
-
-    Choices grow one orbit at a time and a partial choice that hits an
-    orbit twice is dropped before it is extended.  Within a box every
-    partial choice extends, so no stage holds more rows than the result.
-    """
+    cls = X.stabilizer_table.point_class
+    rep_cls = cls[X.orbit_reps]
+    _check_budget(math.prod(np.bincount(cls)[rep_cls].tolist()), budget, "choices")
+    counts, lists = _targets(X)
+    targets = lists()
     orbit_of = X.orbit_of_point
-    picks = np.zeros((1, 0), dtype=np.int32)        # target index per orbit so far
+    picks = np.zeros((1, 0), dtype=np.intp)         # End digit per orbit so far
     hit = np.zeros((1, len(targets)), dtype=bool)   # orbits already chosen
-    for t in targets:
-        t_orbit = orbit_of[t]
+    for t, a in zip(targets, rep_cls):
+        digits = np.flatnonzero(cls[t] == a)
+        t_orbit = orbit_of[t[digits]]
         row, j = np.nonzero(~hit[:, t_orbit])
-        picks = np.column_stack((picks[row], j.astype(np.int32)))
+        picks = np.column_stack((picks[row], digits[j]))
         hit = hit[row]
         hit[np.arange(len(row)), t_orbit[j]] = True
-    return _images_of_picks(X, targets, picks)
+    keys = _RowKeys(counts)
+    return MonoidClosure._of_sorted_rows(X, _rows(X, targets, keys, keys.pack(picks)))
+
+
+def _rows(X: GSet, targets, keys: _RowKeys, indices: np.ndarray) -> np.ndarray:
+    """The image rows of End indices, packed by `keys`.
+
+    Digit c of an index picks targets[c][digit] as the image of orbit c's
+    representative.  Ascending indices give rows in lexicographic order:
+    orbits are ordered by their minimal point r, every point before r lies
+    in an earlier orbit, and the image of r itself is the chosen target.
+    When the indices are one key word and the chunk tables hold no more
+    rows than were asked for, rows are sums of one table row per chunk of
+    consecutive orbits (`_rows_by_chunks`); otherwise they are built orbit
+    by orbit from the unpacked digits.
+    """
+    counts = [len(t) for t in targets]
+    chunks = [(math.prod(counts[run.stop:]), math.prod(counts[run.start:run.stop]))
+              for run in _runs(counts, _CLOSURE_CHUNK_VALUES)]
+    # a chunk of one value would only add zeros; without it every stride
+    # is below |End| and fits the key type
+    chunks = [chunk for chunk in chunks if chunk[1] > 1] or [(1, 1)]
+    if keys.words == 1 and sum(radix for _, radix in chunks) <= len(indices):
+        return _rows_by_chunks(X, targets, keys, chunks, indices)
+    return _images_of_picks(X, targets, keys.unpack(indices, keys.row_dtype))
 
 
 def _images_of_picks(X: GSet, targets, picks: np.ndarray) -> np.ndarray:
@@ -336,34 +328,22 @@ def _images_of_picks(X: GSet, targets, picks: np.ndarray) -> np.ndarray:
 
     A point p = g.r of the orbit of r goes to g.y, y the chosen target.
     Only the chosen targets' columns of the action are read, so the cost
-    follows n, not the number of admissible targets (`_orbit_tables`
-    builds every target's row, which a closure of a few maps on a large
-    G-set cannot afford).
+    follows n, not the number of admissible targets.
     """
     via = _transporters(X)
-    by_target = np.ascontiguousarray(X.action.T)        # by_target[y, g] = g.y
     out = np.empty((X.size, picks.shape[0]), dtype=np.int32)
     for o, t, col in zip(X.orbits, targets, picks.T):
         pts = np.array(o, dtype=np.intp)
-        out[pts] = np.take(by_target, t[col], axis=0)[:, via[pts]].T
+        out[pts] = X.action[via[pts][:, None], t[col][None, :]]
     return np.ascontiguousarray(out.T)
 
 
 # Candidate keys (frontier elements x generators) that `closure` forms at
 # once; the frontier is cut into blocks that stay within it.
 _CLOSURE_BLOCK_KEYS = 1 << 18
-# End indices a chunk of orbits covers at most in the bitmap closure (a
-# single orbit with more targets is a chunk of its own).
+# End indices a chunk of orbits covers at most, in the bitmap closure and
+# in `_rows` (a single orbit with more targets is a chunk of its own).
 _CLOSURE_CHUNK_VALUES = 1 << 12
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    # np.sort plus a neighbour test; np.unique took about 100 times as long
-    # as np.sort on a million uint64 keys under numpy 2.4
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
 
 
 def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosure:
@@ -390,17 +370,17 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
       chunks of at most `_CLOSURE_CHUNK_VALUES` digit combinations (and
       no more table keys than a block), and each chunk has one
       (chunk value, generators) table of its orbits' scaled digits summed,
-      so a block costs one gather per chunk.  The flagged indices unrank
-      through one table of image rows per chunk (`_rows_by_chunks`).
+      so a block costs one gather per chunk.
     - Otherwise End may be far larger than the closure: sorted keys.
       Keys already known are dropped by binary search and the rest are
       merged in; more than `cap` elements raises before they are stored,
       rather than truncating.  Each orbit's digit is gathered on its own:
       orbits share their stabilizer's table and a block scales it, since
       one table per orbit holds sum(counts) x generators keys (D4 q=4:
-      527 million per generator).  The sorted keys unrank orbit by orbit.
+      527 million per generator).
 
-    Either way the rows come out in lexicographic order.
+    Either way the known End indices are sorted, and `_rows` unranks them
+    into rows in lexicographic order.
     """
     maps = []
     for f in generators:
@@ -409,7 +389,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
                 raise DomainError("generator lives on a different action")
             f = f.image
         maps.append(EquivariantMap(X, f))
-    counts, lists = _targets(X, bijective=False)
+    counts, lists = _targets(X)
     targets = lists()
     keys = _RowKeys(counts)
     gens = np.array([f.image for f in maps], dtype=np.int32).reshape(len(maps), X.size)
@@ -429,14 +409,13 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     if keys.words == 1 and math.prod(counts) <= min(cap, DEFAULT_CLOSURE_CAP):
         seen = np.zeros(math.prod(counts), dtype=bool)
         seen[known] = True
-        chunks, parts = [], []      # chunk: (End stride, number of values)
+        parts = []                  # as below, one per chunk, word 0 and scale 1
         for run in _runs(counts, min(_CLOSURE_CHUNK_VALUES, step)):
             table = np.zeros((1, len(maps)), dtype=keys.dtype)
             for c in run:           # outer sums: first orbit most significant
                 scaled = by_class[rep_cls[c]] * keys.stride[c]
                 table = (table[:, None] + scaled[None]).reshape(len(table) * len(scaled), -1)
-            chunks.append((math.prod(counts[run.stop:]), len(table)))
-            parts.append((0, *chunks[-1], table, 1))
+            parts.append((0, math.prod(counts[run.stop:]), len(table), table, 1))
     else:                           # (word, stride, radix, table, scale) per orbit
         parts = [(keys.word_of[c], keys.stride[c], keys.radix[c], by_class[a], keys.stride[c])
                  for c, a in enumerate(rep_cls)]
@@ -468,11 +447,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
         frontier = np.concatenate(fresh) if seen is None else np.flatnonzero(seen > before)
     if seen is not None:
         known = np.flatnonzero(seen)
-    if seen is not None and sum(radix for _, radix in chunks) <= len(known):
-        rows = _rows_by_chunks(X, targets, keys, chunks, known)
-    else:                           # orbit by orbit, when tables would outgrow the rows
-        rows = _images_of_picks(X, targets, keys.unpack(known, keys.row_dtype))
-    return MonoidClosure._of_sorted_rows(X, rows, generators=tuple(maps))
+    return MonoidClosure._of_sorted_rows(X, _rows(X, targets, keys, known), generators=tuple(maps))
 
 
 def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarray) -> np.ndarray:
@@ -487,7 +462,8 @@ def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarra
     row per table.  Rows are summed in blocks of about
     `_CLOSURE_BLOCK_KEYS` cells.
     """
-    table_keys = np.concatenate([np.arange(radix) * stride for stride, radix in chunks])
+    table_keys = np.concatenate([np.arange(radix, dtype=keys.dtype) * stride
+                                 for stride, radix in chunks])
     tables = np.split(_images_of_picks(X, targets, keys.unpack(table_keys, keys.row_dtype)),
                       np.cumsum([radix for _, radix in chunks])[:-1])
     tables[1:] = [table - tables[0][0] for table in tables[1:]]
@@ -496,10 +472,10 @@ def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarra
     for start in range(0, len(indices), step):
         block, rows = indices[start:start + step], out[start:start + step]
         for c, ((stride, radix), table) in enumerate(zip(chunks, tables)):
-            value = block // stride % radix
+            value = block // stride
             if c:
-                rows += np.take(table, value, axis=0)
-            else:               # values are in range; mode="raise" would buffer `out`
+                rows += np.take(table, value % radix, axis=0)
+            else:               # below radix, as indices < |End|; mode="raise" would buffer `out`
                 np.take(table, value, axis=0, out=rows, mode="clip")
     return out
 

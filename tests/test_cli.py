@@ -110,6 +110,22 @@ def test_huge_group_specs_exit_3_at_once():
     assert done.stderr.count("error: ") == len(HUGE_GROUP_SPECS)
 
 
+def test_commands_leave_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma on first use (about 17 ms a process);
+    # a fresh interpreter shows whether any command still reaches it
+    script = ("import sys\n"
+              "from equirank.cli import main\n"
+              "for argv in ([c, 'S3', 'shift:q=2'] for c in ('verify', 'rank')):\n"
+              "    assert main(argv) == 0\n"
+              "assert main(['boxes', 'S3', 'cosets:1']) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_enumerate_count_past_the_int_str_limit_exits_3(capsys):
     # 1600^1600 maps: too many digits to print, still a budget error
     assert main(["enumerate", "Z1", "shift:q=1600"]) == 3

@@ -333,13 +333,15 @@ def test_closure_of_a_proper_submonoid_on_both_membership_paths(verify_closures,
 
 @pytest.mark.parametrize("chunk_values", [1, 2, 3, 1 << 12])
 def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_closures,
-                                                        chunk_values):
+                                                        small_instances, chunk_values):
     # chunks of at most 1, 2 or 3 End indices, so most orbits (up to 16
     # targets) are a chunk of their own.  The pushes-only submonoids also
     # run at 48 keys a block: many blocks per level and per unranking, and
     # chunks of at most 48 // generators values, which alone sets the
     # bound at the default of 4,096.  (The closures to all of End keep the
     # default block; 48 keys would take 32,768 blocks on 65,536 maps.)
+    # End and Aut unrank through the same chunk tables, or orbit by orbit
+    # where those would hold more rows than were asked for (most Aut here).
     import equirank.transform
 
     monkeypatch.setattr(equirank.transform, "_CLOSURE_CHUNK_VALUES", chunk_values)
@@ -352,7 +354,10 @@ def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_clos
         assert got.images.tobytes() == expected.tobytes()
     # an orbit whose targets alone outnumber the bound (16 on Z4 q=2)
     X, _, (pushes, _) = verify_closures[1]
-    assert max(_targets(X, bijective=False)[0]) > min(chunk_values, 48 // len(pushes))
+    assert max(_targets(X)[0]) > min(chunk_values, 48 // len(pushes))
+    for X in small_instances:
+        rows = np.array(sorted(oracles.all_equivariant_images(X.action)), dtype=np.int32)
+        _assert_end_and_aut_rows(X, rows)
     # without a fixed point the row of End index 0 is no constant map, and
     # every chunk table but the first must have it taken off: S3 acting on
     # two copies of itself and on its cosets of C2 and C3 (17 x 17 x 1 x 2 maps)
@@ -361,8 +366,20 @@ def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_clos
     X = disjoint_union(disjoint_union(trivial, trivial), disjoint_union(c2, c3))
     end = enumerate_end(X)
     assert end.images[0].any()
-    got = closure(X, aut_generators(X) + list(relative_rank(X).generating_set), cap=end.size)
+    gens = aut_generators(X) + list(relative_rank(X).generating_set)
+    got = closure(X, gens, cap=end.size)
     assert got.images.tobytes() == end.images.tobytes()
+    rows = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
+    assert len(rows) == end_monoid_order(X)
+    _assert_end_and_aut_rows(X, rows)
+
+
+def _assert_end_and_aut_rows(X, rows):
+    """enumerate_end gives exactly `rows` (all of End, in lexicographic
+    order) and enumerate_aut its bijective rows."""
+    bijective = np.array([oracles.is_bijection(row) for row in rows])
+    assert enumerate_end(X).images.tobytes() == rows.tobytes()
+    assert enumerate_aut(X).images.tobytes() == rows[bijective].tobytes()
 
 
 def test_bitmap_closure_edge_cases(z2_shift):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _RowKeys, _rule_break, _sorted_unique
+from .groups import FiniteGroup, _exact_int32, _RowKeys, _rule_break, _sorted_unique
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -46,7 +46,7 @@ class GSet:
     point_labels: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "action", np.ascontiguousarray(self.action, dtype=np.int32))
+        object.__setattr__(self, "action", _exact_int32(self.action, "action table"))
         _check_action(self.group, self.action)
         if self.point_labels is not None:
             labels = tuple(str(s) for s in self.point_labels)
@@ -71,21 +71,26 @@ class GSet:
 
     @cached_property
     def orbit_reps(self) -> np.ndarray:
-        """The smallest point of each orbit, ascending (the order of `orbits`).
-
-        Column x of the table is the orbit of x, so x is its orbit's
-        smallest point exactly when it is its column's minimum.
-        """
-        return np.flatnonzero(self._orbit_minima == np.arange(self.size))
+        """The smallest point of each orbit, ascending (the order of `orbits`)."""
+        return np.flatnonzero(self._is_orbit_minimum)
 
     @cached_property
     def orbit_of_point(self) -> np.ndarray:
-        """Per point, the position of its orbit in `orbits`."""
-        return np.searchsorted(self.orbit_reps, self._orbit_minima).astype(np.int32)
+        """Per point, the position of its orbit in `orbits`: how many orbit
+        minima lie at or below its orbit's minimum, less one."""
+        ranks = np.cumsum(self._is_orbit_minimum, dtype=np.int32)
+        ranks -= 1
+        return np.take(ranks, self._orbit_minima)
 
     @cached_property
     def _orbit_minima(self) -> np.ndarray:
         return self.action.min(axis=0)
+
+    @cached_property
+    def _is_orbit_minimum(self) -> np.ndarray:
+        """Column x of the table is the orbit of x, so x is its orbit's
+        smallest point exactly when it is its column's minimum."""
+        return self._orbit_minima == np.arange(self.size)
 
     @cached_property
     def stabilizer_table(self) -> StabilizerTable:
@@ -93,14 +98,16 @@ class GSet:
 
         Each point's column of fixed flags is packed into a key, one bit
         per group element with element 0 most significant, so the distinct
-        keys come out of `np.unique` in the lexicographic order of the
-        flag columns.
+        keys, sorted, follow the lexicographic order of the flag columns.
+        There are few of them, and each point finds its class by binary
+        search among them.
         """
         keys = _RowKeys([2] * self.group.order)
         fixes = self.action == np.arange(self.size, dtype=np.int32)
-        distinct, cls = np.unique(keys.pack(fixes.T), return_inverse=True)
+        packed = keys.pack(fixes.T)
+        distinct = _sorted_unique(packed)
         masks = keys.unpack(distinct, bool)
-        return StabilizerTable(cls, masks, containment(masks))
+        return StabilizerTable(np.searchsorted(distinct, packed), masks, containment(masks))
 
     def stabilizer(self, x: int) -> Subgroup:
         table = self.stabilizer_table
@@ -239,6 +246,19 @@ class BoxDecomposition:
         form N(H)/H; the box's End and Aut are wreath products over it.
         """
         return self.box_normalizer(i).order // self.box_subgroup(i).order
+
+    @cached_property
+    def canonical_reps(self) -> np.ndarray:
+        """Per orbit (in `gset.orbits` order), its smallest point whose
+        stabilizer is its box's canonical subgroup: one minimum per orbit
+        over the points with a canonical stabilizer."""
+        X = self.gset
+        canonical = np.array(self.lattice.class_reps)[list(self.box_classes)]
+        pts = np.flatnonzero((canonical[self.box_of_stabilizer] == self.stabilizers)
+                             [X.stabilizer_table.point_class])
+        reps = np.full(len(X.orbit_reps), X.size, dtype=np.intp)
+        np.minimum.at(reps, X.orbit_of_point[pts], pts)
+        return reps
 
     @cached_property
     def kappa(self) -> tuple[int, ...]:

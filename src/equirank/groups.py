@@ -27,7 +27,8 @@ DEFAULT_GROUP_BUDGET = 10_080
 # Cells a blocked step builds at once: the (elements, generators, points)
 # products `_group_from_permutations` looks up, and the (elements, columns)
 # table rows that `_fill_by_generators` fills and `_rule_break` compares.
-_BLOCK_CELLS = 1 << 22
+# 2^18 int32 cells (1 MB) keep each temporary within a core's cache.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +49,8 @@ class FiniteGroup:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "mul", np.asarray(self.mul, dtype=np.int32))
-        object.__setattr__(self, "inv", np.asarray(self.inv, dtype=np.int32))
+        object.__setattr__(self, "mul", _exact_int32(self.mul, "multiplication table"))
+        object.__setattr__(self, "inv", _exact_int32(self.inv, "inverse table"))
         _check_group_axioms(self)
 
     def multiply(self, a: int, b: int) -> int:
@@ -100,6 +101,16 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
+
+
+def _exact_int32(values, what: str) -> np.ndarray:
+    """`values` as a C-contiguous int32 array, refused with DomainError when
+    narrowing would change an entry (2^32 + 1 would wrap to 1)."""
+    given = np.asarray(values)
+    out = np.ascontiguousarray(given, dtype=np.int32)
+    if given.dtype != out.dtype and not np.array_equal(given, out):
+        raise DomainError(f"{what} entries out of range")
+    return out
 
 
 def _check_group_axioms(G: FiniteGroup) -> None:
@@ -162,16 +173,18 @@ def _rule_break(G: FiniteGroup, table: np.ndarray) -> tuple[int, int] | None:
     """The first (g, s), s in `G.generators`, with table[g s] != table[g][table[s]].
 
     On `G.mul` this is Light's test, on a G-set's table the action law.  g
-    runs ascending within each generator, in blocks of at most
-    `_BLOCK_CELLS` cells.  None when the rule holds (then for all products).
+    runs ascending within each generator, in blocks of rows of at most
+    `_BLOCK_CELLS` cells, so both sides of a compare stay cache-sized; the
+    first block that differs is searched for its first row.  None when the
+    rule holds (then for all products).
     """
     step = max(1, _BLOCK_CELLS // max(1, table.shape[1]))
     for s in G.generators:
         for start in range(0, len(table), step):
-            bad = table[G.mul[start:start + step, s]] != np.take(table[start:start + step],
-                                                                  table[s], axis=1)
-            if bad.any():
-                return start + int(bad.any(axis=1).argmax()), s
+            lhs = np.take(table, G.mul[start:start + step, s], axis=0)
+            rhs = np.take(table[start:start + step], table[s], axis=1)
+            if not np.array_equal(lhs, rhs):
+                return start + int((lhs != rhs).any(axis=1).argmax()), s
     return None
 
 

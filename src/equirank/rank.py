@@ -93,15 +93,27 @@ def _v_with_tags(decomp: BoxDecomposition, u_sets) -> tuple[tuple, tuple]:
     for i in range(decomp.n_boxes):
         # x_i, the smallest point with stabilizer H_i, is the smallest orbit
         # representative; the next one is the smallest such point elsewhere
-        x_i, *others = sorted(_box_orbit_reps(decomp, i))
+        x_i, *others = sorted(_box_orbit_reps(decomp, i).tolist())
         if others:
             maps.append(point_push(X, x_i, others[0]))
             tags.append(f"push {i + 1}->{i + 1}'")
         self_class = (lat.class_reps[decomp.box_classes[i]],)
         for j, cls in enumerate((c for c in u_sets[i] if c != self_class), 1):
-            maps.append(point_push(X, x_i, int(np.flatnonzero(decomp.stab_index == cls[0])[0])))
+            maps.append(point_push(X, x_i, _first_point_with(decomp, cls[0])))
             tags.append(f"push {i + 1}->({i + 1},{j})")
     return tuple(maps), tuple(tags)
+
+
+def _first_point_with(decomp: BoxDecomposition, k: int) -> int:
+    """The smallest point whose stabilizer is subgroup k, an occurring one.
+
+    With H the canonical subgroup of k's box, those points are g.c for the
+    box's canonical representatives c and the g with g H g^-1 = subgroup k.
+    """
+    lat = decomp.lattice
+    i = decomp.box_classes.index(int(lat.subgroup_class[k]))
+    g = np.flatnonzero(lat.conj[:, lat.class_reps[decomp.box_classes[i]]] == k)
+    return int(decomp.gset.action[np.ix_(g, _box_orbit_reps(decomp, i))].min())
 
 
 def relative_rank(X: GSet) -> RankReport:
@@ -251,13 +263,10 @@ class WreathFactor:
     cosets: tuple[int, ...]
 
 
-def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> list[int]:
-    """Per orbit of box i, its smallest point whose stabilizer is the box's
-    canonical subgroup."""
-    H_idx = decomp.lattice.class_reps[decomp.box_classes[i]]
-    pts = np.flatnonzero(decomp.stab_index == H_idx)
-    _, first = np.unique(decomp.gset.orbit_of_point[pts], return_index=True)
-    return pts[first].tolist()
+def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> np.ndarray:
+    """Per orbit of box i, in orbit order, its smallest point whose
+    stabilizer is the box's canonical subgroup."""
+    return decomp.canonical_reps[decomp.box_of_point[decomp.gset.orbit_reps] == i]
 
 
 def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
@@ -266,7 +275,7 @@ def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
     if (decomp.box_of_point[tau.image[decomp.box_of_point == i]] != i).any():
         raise DomainError(f"map does not keep box {i} inside itself")
     X = decomp.gset
-    reps = np.array(_box_orbit_reps(decomp, i))     # ascending orbit ids
+    reps = _box_orbit_reps(decomp, i)
     y = tau.image[reps]
     f = np.searchsorted(X.orbit_of_point[reps], X.orbit_of_point[y])
     # every g with g.reps[f] = y lies in N(H), and they form one coset gH
@@ -305,7 +314,7 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
     for i in range(decomp.n_boxes):
         H = decomp.box_subgroup(i)
         N = decomp.box_normalizer(i)
-        reps = _box_orbit_reps(decomp, i)
+        reps = _box_orbit_reps(decomp, i).tolist()
         for k in range(1, len(reps)):
             gens.append(point_swap(X, reps[0], reps[k]))
         coset_reps = _sorted_unique(H.coset_min[list(N.elements)]).tolist()

@@ -110,6 +110,10 @@ def _verify_shift_rows(space: ShiftSpace) -> None:
     """Check the generator rows of the action table against the defining
     formula, on every configuration.
 
+    Row g must hold, per configuration x, the code of g.x built from x's
+    digits: sum over positions i of q^(n-1-i) times x's digit at source[i].
+    Codes below q^n are equal exactly when their digits are, so the first
+    configuration where the codes differ is the first where g.x does.
     The table passed `GSet`'s check that it is an action, so it agrees
     with the formula (also an action) on every row once it does on the
     generators.
@@ -120,9 +124,12 @@ def _verify_shift_rows(space: ShiftSpace) -> None:
     for g in G.generators:
         # the digit of g.x at display[i] is the digit of x at g^-1 display[i]
         source = space.position_of[G.mul[G.inv[g], display]]
-        lhs, rhs = np.take(digits, act[g], axis=1), digits[source]
-        if not np.array_equal(lhs, rhs):
-            bad = int(np.argmax((lhs != rhs).any(axis=0)))
+        code = np.zeros(space.size, dtype=np.int32)
+        for i in source.tolist():       # Horner's rule, most significant digit first
+            code *= space.q
+            code += digits[i]
+        if not np.array_equal(act[g], code):
+            bad = int(np.argmax(act[g] != code))
             raise PropertyFailure(f"shift row {g} disagrees with the formula at {bad}")
 
 
@@ -181,8 +188,9 @@ def ca_from_rule(space: ShiftSpace, rule: LocalRule) -> EquivariantMap:
     # through the action of display[i]^-1.
     act = space.gset.action
     image = np.zeros(space.size, dtype=np.int32)
-    for i, g in enumerate(space.display):
-        image += int(space.weights[i]) * out_e[act[G.inv[g]]]
+    for g in space.display:             # Horner's rule, most significant digit first
+        image *= q
+        image += np.take(out_e, act[G.inv[g]])
     return EquivariantMap(space.gset, image)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import _RowKeys, _count_text, _runs, _sorted_unique, make_cyclic
+from .groups import _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique, make_cyclic
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -39,7 +39,7 @@ class EquivariantMap:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.ascontiguousarray(self.image, dtype=np.int32)
+        img = _exact_int32(self.image, "image")
         object.__setattr__(self, "image", img)
         g = _first_non_commuting_generator(self.gset, img)
         if g is not None:
@@ -101,10 +101,11 @@ def _first_non_commuting_generator(X: GSet, img: np.ndarray) -> int | None:
         raise DomainError(f"image has shape {img.shape}, expected ({m},)")
     if m and (img.min() < 0 or img.max() >= m):
         raise DomainError("image entries out of range")
-    gens = list(X.group.generators)
-    act = X.action[gens]
-    bad = (img[act] != np.take(act, img, axis=1)).any(axis=1)
-    return gens[int(np.argmax(bad))] if bad.any() else None
+    for s in X.group.generators:
+        row = X.action[s]
+        if not np.array_equal(np.take(img, row), np.take(row, img)):
+            return s
+    return None
 
 
 def _transporters(X: GSet) -> np.ndarray:

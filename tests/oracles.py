@@ -152,6 +152,37 @@ def orbit_partition(act: np.ndarray) -> list[frozenset]:
     return sorted(orbits, key=min)
 
 
+def orbit_ids_by_search(act: np.ndarray) -> np.ndarray:
+    """Per point, the position of its orbit among the orbits sorted by
+    smallest point: its column minimum, binary-searched among the points
+    that are their own column minimum."""
+    minima = act.min(axis=0)
+    reps = np.flatnonzero(minima == np.arange(act.shape[1]))
+    return np.searchsorted(reps, minima)
+
+
+def stabilizer_classes_by_unique(act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct fixed-flag columns (one row each, (g fixes x) per group
+    element, sorted lexicographically with False first) and, per point,
+    the position of its own column among them, from `np.unique`."""
+    fixes = act == np.arange(act.shape[1])
+    distinct, cls = np.unique(fixes.T, axis=0, return_inverse=True)
+    return distinct, cls.ravel()
+
+
+def canonical_reps_by_box(stab_index: np.ndarray, orbit_ids: np.ndarray,
+                          box_subgroups) -> list[np.ndarray]:
+    """Per box, given its canonical subgroup's index, and per orbit that
+    holds points with exactly that stabilizer, the smallest such point, in
+    orbit order: one `np.unique(return_index)` per box."""
+    out = []
+    for h in box_subgroups:
+        pts = np.flatnonzero(stab_index == h)
+        _, first = np.unique(orbit_ids[pts], return_index=True)
+        out.append(pts[first])
+    return out
+
+
 def coset_action_table(mul: np.ndarray, subgroup_elements) -> np.ndarray:
     """G acting on the left cosets gH, cosets ordered by smallest member.
 

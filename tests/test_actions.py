@@ -19,11 +19,15 @@ from equirank import (
     decompose,
     disjoint_union,
     make_cyclic,
+    make_dihedral,
     make_symmetric,
     relative_rank,
     restrict_to_invariant,
     trivial_gset,
 )
+from equirank.groups import _BLOCK_CELLS
+from equirank.rank import _first_point_with
+
 import oracles
 from catalog import small_groups
 
@@ -44,6 +48,8 @@ def test_action_validation():
         GSet(Z2, np.array([[0, 1, 2], [1, 2, 0]]))    # order-2 element acting with order 3
     with pytest.raises(DomainError):
         GSet(Z2, np.array([[0, 1], [0, 5]]))          # out of range
+    with pytest.raises(DomainError):
+        GSet(Z2, np.array([[0, 1], [1 + 2**32, 0]]))  # out of range, valid once cut to int32
     with pytest.raises(BudgetExceeded):
         trivial_gset(make_cyclic(100), 20_000)
 
@@ -109,6 +115,22 @@ def test_action_check_names_the_first_bad_generator_pair(X, data):
     assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
 
 
+def test_action_check_names_the_first_bad_pair_past_the_first_block():
+    G = make_dihedral(4)
+    X = build_shift(G, 4).gset                  # 8 rows of 65,536 points, 4 rows a block
+    rows_per_block = _BLOCK_CELLS // X.size
+    assert rows_per_block < G.order
+    for x in (0, 12345, X.size - 1):
+        act = X.action.copy()
+        act[-1, x] = (act[-1, x] + 1) % X.size
+        assert oracles.action_violation(G.mul, act, G.identity) is not None
+        bad_g, bad_s = oracles.first_generator_violation(G.mul, act, G.generators)
+        assert bad_g >= rows_per_block
+        with pytest.raises(DomainError) as info:
+            GSet(G, act)
+        assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
+
+
 def _box_instances():
     out = []
     for G in small_groups().values():
@@ -166,11 +188,7 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
     for name in ("Z6", "S3", "D4", "Q8"):
         G = zoo[name]
         L = build_lattice(G)
-        parts = [coset_action(G, s) for s in L.subgroups]
-        X = parts[0]
-        for p in parts[1:]:
-            X = disjoint_union(X, p)
-        instances = [X] + ([build_shift(G, 2).gset] if name == "D4" else [])
+        instances = [_union_of_cosets(G)] + ([build_shift(G, 2).gset] if name == "D4" else [])
         for X in instances:
             assert [set(o) for o in X.orbits] == \
                 [set(o) for o in oracles.orbit_partition(X.action)]
@@ -183,19 +201,46 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
             assert X.orbit_reps.tolist() == [min(o) for o in oracles.orbit_partition(X.action)]
 
 
-def test_stabilizers_past_one_key_word():
+def _union_of_cosets(G, ks=None):
+    subgroups = build_lattice(G).subgroups
+    parts = [coset_action(G, subgroups[k]) for k in (range(len(subgroups)) if ks is None else ks)]
+    X = parts[0]
+    for p in parts[1:]:
+        X = disjoint_union(X, p)
+    return X
+
+
+def _s5_union():
     # |G| = 120 > 64: each point's fixed flags span two key words
-    G = make_symmetric(5)
-    L = build_lattice(G)
-    X = coset_action(G, L.subgroups[0])
-    for k in (1, 40, 100, 150):
-        X = disjoint_union(X, coset_action(G, L.subgroups[k]))
+    return _union_of_cosets(make_symmetric(5), (0, 1, 40, 100, 150))
+
+
+def test_stabilizers_past_one_key_word():
+    X = _s5_union()
     table = X.stabilizer_table
     for x in range(X.size):
         assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
     flags = table.masks.astype(int)
     assert (np.lexsort(flags.T[::-1]) == np.arange(len(flags))).all()   # ascending
     assert len(np.unique(flags, axis=0)) == len(flags)                  # distinct
+
+
+def test_labels_and_representatives_match_the_sort_and_search_routes(zoo):
+    instances = [build_shift(make_dihedral(4), 4).gset, _s5_union()]
+    instances += [_union_of_cosets(zoo[name]) for name in ("Z6", "S3", "D4", "Q8")]
+    for X in instances:
+        distinct, cls = oracles.stabilizer_classes_by_unique(X.action)
+        assert np.array_equal(X.stabilizer_table.masks, distinct)
+        assert np.array_equal(X.stabilizer_table.point_class, cls)
+        assert np.array_equal(X.orbit_of_point, oracles.orbit_ids_by_search(X.action))
+        D = decompose(X)
+        box_of_orbit = D.box_of_point[X.orbit_reps]
+        expected = oracles.canonical_reps_by_box(
+            D.stab_index, X.orbit_of_point, [D.lattice.class_reps[c] for c in D.box_classes])
+        for i, reps in enumerate(expected):
+            assert np.array_equal(D.canonical_reps[box_of_orbit == i], reps)
+        for k in D.stabilizers.tolist():
+            assert _first_point_with(D, k) == np.flatnonzero(D.stab_index == k)[0]
 
 
 def test_fix_against_oracle(zoo):

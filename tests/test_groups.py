@@ -1,5 +1,6 @@
 import itertools
 import re
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from equirank import (
     make_symmetric,
 )
 from equirank.actions import GSet, coset_action
-from equirank.groups import _group_from_permutations, _RowKeys
+from equirank.groups import _BLOCK_CELLS, _group_from_permutations, _rule_break, _RowKeys
 from equirank.lattice import build_lattice
 
 import oracles
@@ -274,6 +275,22 @@ def test_order_budget():
         make_symmetric(8)
 
 
+def test_associativity_check_names_the_first_bad_pair_past_the_first_block():
+    G = make_dihedral(300)
+    rows_per_block = _BLOCK_CELLS // G.order
+    assert rows_per_block < G.order
+    mul = G.mul.copy()
+    mul[500, 7] = (mul[500, 7] + 1) % G.order      # no identity entry made or lost
+    assert G.identity not in (G.mul[500, 7], mul[500, 7])
+    bad = types.SimpleNamespace(order=G.order, mul=mul, identity=G.identity, inv=G.inv)
+    bad.generators = FiniteGroup.generators.func(bad)
+    bad_g, bad_s = oracles.first_generator_violation(mul, mul, bad.generators)
+    assert bad_g >= rows_per_block
+    assert _rule_break(bad, mul) == (bad_g, bad_s)
+    with pytest.raises(DomainError, match=f"associativity fails for middle factor {bad_s}$"):
+        FiniteGroup(order=G.order, mul=mul, identity=G.identity, inv=G.inv)
+
+
 def test_bad_tables_rejected():
     with pytest.raises(DomainError):
         FiniteGroup(order=2, mul=np.zeros((2, 2), dtype=int), identity=0,
@@ -281,6 +298,9 @@ def test_bad_tables_rejected():
     good = make_cyclic(2)
     with pytest.raises(DomainError):
         FiniteGroup(order=2, mul=good.mul, identity=0, inv=np.array([1, 0]))
+    with pytest.raises(DomainError, match="out of range"):       # Z2's table once cut to int32
+        FiniteGroup(order=2, mul=good.mul + np.array([[0, 0], [0, 2**32]]), identity=0,
+                    inv=np.array([0, 1]))
     with pytest.raises(DomainError):
         from_permutation_generators(3, [(0, 0, 1)])
 

@@ -62,6 +62,8 @@ def test_map_validation(z2_shift):
         EquivariantMap(X, [0, 1, 2])             # wrong length
     with pytest.raises(DomainError):
         EquivariantMap(X, [0, 1, 2, 4])          # out of range
+    with pytest.raises(DomainError):             # out of range, the identity once cut to int32
+        EquivariantMap(trivial_gset(make_cyclic(2), 3), np.array([2**32, 2**32 + 1, 2]))
     with pytest.raises(DomainError):
         EquivariantMap(X, [0, 1, 3, 3])          # tau(1.1)=3 but 1.tau(1)=2
     tau = EquivariantMap(X, [0, 2, 1, 3])
@@ -75,6 +77,29 @@ def test_is_equivariant_scan_matches_oracle(z2_shift):
     for flat in range(4 ** 4):
         img = [(flat // 4 ** k) % 4 for k in range(4)]
         assert is_equivariant(X, img) == oracles.is_equivariant(X.action, img)
+
+
+def test_equivariance_check_names_the_first_generator_that_fails():
+    X = build_shift(make_symmetric(3), 2).gset
+    first, second = X.group.generators
+    P = X.action[first]
+
+    def first_orbit(x):                     # x under the powers of `first`
+        orbit = [x]
+        while P[orbit[-1]] != x:
+            orbit.append(int(P[orbit[-1]]))
+        return orbit
+
+    # send a <first>-orbit that `second` leaves onto the all-0 configuration,
+    # which every element fixes, and fix every other point
+    x = next(x for x in range(X.size) if X.action[second, x] not in first_orbit(x))
+    img = np.arange(X.size)
+    img[first_orbit(x)] = 0
+    assert np.array_equal(img[P], P[img])
+    assert not np.array_equal(img[X.action[second]], X.action[second][img])
+    assert not oracles.is_equivariant(X.action, img)
+    with pytest.raises(DomainError, match=f"not equivariant at group element {second}$"):
+        EquivariantMap(X, img)
 
 
 def _map_instances():

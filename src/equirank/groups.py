@@ -105,9 +105,13 @@ class FiniteGroup:
 
 def _exact_int32(values, what: str) -> np.ndarray:
     """`values` as a C-contiguous int32 array, refused with DomainError when
-    narrowing would change an entry (2^32 + 1 would wrap to 1)."""
+    narrowing would change an entry (2^32 + 1 would wrap to 1) or a Python
+    integer does not fit in 64 bits."""
     given = np.asarray(values)
-    out = np.ascontiguousarray(given, dtype=np.int32)
+    try:
+        out = np.ascontiguousarray(given, dtype=np.int32)
+    except OverflowError:
+        raise DomainError(f"{what} entries out of range") from None
     if given.dtype != out.dtype and not np.array_equal(given, out):
         raise DomainError(f"{what} entries out of range")
     return out

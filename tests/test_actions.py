@@ -50,6 +50,8 @@ def test_action_validation():
         GSet(Z2, np.array([[0, 1], [0, 5]]))          # out of range
     with pytest.raises(DomainError):
         GSet(Z2, np.array([[0, 1], [1 + 2**32, 0]]))  # out of range, valid once cut to int32
+    with pytest.raises(DomainError):
+        GSet(Z2, [[0, 1], [1 + 2**64, 0]])            # past int64 as well
     with pytest.raises(BudgetExceeded):
         trivial_gset(make_cyclic(100), 20_000)
 

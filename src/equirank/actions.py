@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _exact_int32, _RowKeys, _rule_break, _sorted_unique
+from .groups import FiniteGroup, _exact_int32, _group_by, _RowKeys, _rule_break, _sorted_unique
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -43,16 +43,10 @@ class GSet:
     group: FiniteGroup
     action: np.ndarray
     name: str = ""
-    point_labels: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "action", _exact_int32(self.action, "action table"))
         _check_action(self.group, self.action)
-        if self.point_labels is not None:
-            labels = tuple(str(s) for s in self.point_labels)
-            if len(labels) != self.action.shape[1]:
-                raise DomainError("point_labels length does not match the number of points")
-            object.__setattr__(self, "point_labels", labels)
 
     @property
     def size(self) -> int:
@@ -278,13 +272,6 @@ class BoxDecomposition:
     def expected_aut_orbits(self, i: int) -> int:
         """Index of the box stabilizer's normalizer; equals the sub-box count."""
         return self.lattice.group.order // self.box_normalizer(i).order
-
-
-def _group_by(labels: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """Points grouped by their label 0, ..., n-1; each group ascending."""
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=n)).tolist()
-    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def decompose(gset: GSet) -> BoxDecomposition:

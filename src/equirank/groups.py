@@ -25,9 +25,10 @@ from .errors import BudgetExceeded, DomainError
 DEFAULT_GROUP_BUDGET = 10_080
 
 # Cells a blocked step builds at once: the (elements, generators, points)
-# products `_group_from_permutations` looks up, and the (elements, columns)
-# table rows that `_fill_by_generators` fills and `_rule_break` compares.
-# 2^18 int32 cells (1 MB) keep each temporary within a core's cache.
+# products `_group_from_permutations` looks up, the (elements, columns)
+# table rows that `_fill_by_generators` fills and `_rule_break` compares,
+# and the lattice's word and chain temporaries.  2^18 int32 cells (1 MB,
+# 2 MB at 64 bits) keep each temporary within a core's cache.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -242,6 +243,13 @@ def _runs(radices: list[int], bound: int) -> list[range]:
             product = 1
         product *= r
     return [range(a, b) for a, b in zip(cuts, cuts[1:] + [len(radices)])]
+
+
+def _group_by(labels: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """Positions grouped by their label 0, ..., n-1; each group ascending."""
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=n)).tolist()
+    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -15,15 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .groups import FiniteGroup, _fill_by_generators, _RowIndex, _sorted_unique
+from .groups import (_BLOCK_CELLS, FiniteGroup, _fill_by_generators, _group_by, _RowIndex,
+                     _sorted_unique)
 
 DEFAULT_LATTICE_ORDER_BUDGET = 360
 # The lattice keeps two dense subgroups x subgroups tables, `leq` (bool) and
 # `moebius_table` (int64): 9 bytes a cell, so 5,000 subgroups take 225 MB.
 # Enumeration stops as soon as it has found more.
 _SUBGROUP_COUNT_CAP = 5_000
-# cells of int64 (or uint64) temporaries one blocked step builds: 2 MB
-_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,16 +223,11 @@ def _subgroup_masks(G: FiniteGroup) -> np.ndarray:
     return masks[by_elements[np.argsort(masks[by_elements].sum(axis=1), kind="stable")]]
 
 
-def _runs(values: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
-    """`values` cut into consecutive runs of the given sizes, as int lists."""
-    flat = values.tolist()
-    ends = np.cumsum(sizes).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def element_lists(masks: np.ndarray) -> list[list[int]]:
     """The sorted element list of every row of a bool mask array, in one pass."""
-    return _runs(np.nonzero(masks)[1], masks.sum(axis=1))
+    flat = np.nonzero(masks)[1].tolist()
+    ends = np.cumsum(masks.sum(axis=1)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> list[Subgroup]:
@@ -448,8 +442,7 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
         leq=leq,
         conj=conj,
         subgroup_class=subgroup_class,
-        classes=[tuple(c) for c in _runs(np.argsort(subgroup_class, kind="stable"),
-                                         np.bincount(subgroup_class))],
+        classes=_group_by(subgroup_class, len(reps)),
         class_reps=tuple(reps.tolist()),
         normalizer_idx=tuple(normalizers.tolist()),
         moebius_table=_moebius_table(leq, masks.sum(axis=1)),

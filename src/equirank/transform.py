@@ -6,8 +6,9 @@ and level-by-level closure of generator sets all live here; the rank
 machinery builds on these primitives.  A map is fixed by the images of
 the orbit representatives, so End has a dense mixed-radix index (one
 digit per orbit, the image's position among the admissible targets).
-Enumeration and closure find sorted End indices, and `_rows` alone turns
-them into image rows.
+A set of maps (`MonoidClosure`) is its sorted End indices: enumeration
+and closure find only those, and `_rows` alone turns them into image
+rows, when a caller reads them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +46,6 @@ class EquivariantMap:
         g = _first_non_commuting_generator(self.gset, img)
         if g is not None:
             raise DomainError(f"map is not equivariant at group element {g}")
-        object.__setattr__(self, "_hash", hash(img.tobytes()))
 
     def __call__(self, x: int) -> int:
         return int(self.image[x])
@@ -55,7 +56,7 @@ class EquivariantMap:
         return _same_gset(self.gset, other.gset) and (self.image == other.image).all()
 
     def __hash__(self):
-        return self._hash
+        return hash(self.image.tobytes())
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(int(v) for v in self.image)
@@ -152,38 +153,29 @@ def point_swap(X: GSet, x: int, y: int) -> EquivariantMap:
 
 @dataclass(frozen=True, eq=False)
 class MonoidClosure:
-    """A deduplicated, deterministically ordered set of equivariant maps.
+    """A set of equivariant maps, kept as their End indices.
 
-    Rows of `images` are image arrays in lexicographic order, so
-    membership is a binary search.  Instances come out of the enumerators
-    (End, Aut) and out of `closure`, which also records its seed in
-    `generators`; those emit their rows sorted and construct through
-    `_of_sorted_rows`, which does not check the order again (the tests
-    do).  `MonoidClosure(X, rows)` checks it and sorts rows given out of
-    order.
+    `indices` holds ascending, distinct End indices as keys packed by
+    `_RowKeys` over the G-set's target counts.  Since ascending indices
+    unrank to rows in lexicographic order, two instances on one G-set
+    hold the same maps exactly when their index arrays are equal.  The
+    image rows are unranked on first read of `images`.  Instances come
+    out of the enumerators (End, Aut) and out of `closure`, which also
+    records its seed in `generators`.
     """
 
     gset: GSet
-    images: np.ndarray
+    indices: np.ndarray
     generators: tuple = ()
 
-    def __post_init__(self):
-        imgs = np.ascontiguousarray(self.images, dtype=np.int32)
-        if not _lex_sorted(imgs):
-            imgs = imgs[np.lexsort(imgs.T[::-1])]
-        object.__setattr__(self, "images", imgs)
-
-    @classmethod
-    def _of_sorted_rows(cls, gset: GSet, images: np.ndarray, generators: tuple = ()):
-        """An instance over int32 rows already in lexicographic order."""
-        out = object.__new__(cls)
-        for name, value in (("gset", gset), ("images", images), ("generators", generators)):
-            object.__setattr__(out, name, value)
-        return out
+    @cached_property
+    def images(self) -> np.ndarray:
+        """The (size, points) int32 image rows, in lexicographic order."""
+        return _rows(self.gset, self.indices)
 
     @property
     def size(self) -> int:
-        return self.images.shape[0]
+        return len(self.indices)
 
     def __len__(self):
         return self.size
@@ -191,18 +183,11 @@ class MonoidClosure:
     def __contains__(self, item) -> bool:
         if isinstance(item, EquivariantMap):
             item = item.image
-        key = np.ascontiguousarray(item, dtype=np.int32).ravel()
-        if key.size != self.images.shape[1]:
+        index = _end_index(self.gset, np.asarray(item, dtype=np.int64).ravel())
+        if index is None:
             return False
-        key = key.tolist()
-        lo, hi = 0, self.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.images[mid].tolist() < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < self.size and self.images[lo].tolist() == key
+        at = np.searchsorted(self.indices, index)
+        return bool(at[0] < self.size and self.indices[at[0]] == index[0])
 
     def maps(self):
         for row in self.images:
@@ -210,16 +195,6 @@ class MonoidClosure:
 
     def __repr__(self):
         return f"MonoidClosure({self.size} maps on {self.gset.size} points)"
-
-
-def _lex_sorted(rows: np.ndarray) -> bool:
-    """Is each row lexicographically at most the next?  Every neighbouring
-    pair at once, at its first differing column (column 0 if equal)."""
-    if not rows.size:
-        return True
-    first = (rows[1:] != rows[:-1]).argmax(axis=1)
-    pair = np.arange(rows.shape[0] - 1)
-    return bool((rows[pair, first] <= rows[pair + 1, first]).all())
 
 
 def _targets(X: GSet):
@@ -259,17 +234,15 @@ def end_monoid_order(X: GSet) -> int:
 
 
 def enumerate_end(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
-    """All equivariant self-maps: the rows of every End index, ascending.
+    """All equivariant self-maps: every End index, ascending.
 
     A representative x may go to any y whose stabilizer contains that of
     x; the rest of the orbit follows by equivariance.  The product of the
     choice counts is checked against the budget before any work happens.
     """
-    counts, lists = _targets(X)
+    counts, _ = _targets(X)
     _check_budget(math.prod(counts), budget, "maps")
-    keys = _RowKeys(counts)
-    indices = np.arange(math.prod(counts), dtype=keys.dtype)
-    return MonoidClosure._of_sorted_rows(X, _rows(X, lists(), keys, indices))
+    return MonoidClosure(X, np.arange(math.prod(counts), dtype=_RowKeys(counts).dtype))
 
 
 def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
@@ -297,30 +270,55 @@ def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
         picks = np.column_stack((picks[row], digits[j]))
         hit = hit[row]
         hit[np.arange(len(row)), t_orbit[j]] = True
-    keys = _RowKeys(counts)
-    return MonoidClosure._of_sorted_rows(X, _rows(X, targets, keys, keys.pack(picks)))
+    return MonoidClosure(X, _RowKeys(counts).pack(picks))
 
 
-def _rows(X: GSet, targets, keys: _RowKeys, indices: np.ndarray) -> np.ndarray:
-    """The image rows of End indices, packed by `keys`.
+def _end_index(X: GSet, row: np.ndarray) -> np.ndarray | None:
+    """The End index of an image row, as an array of one key; None if the
+    row is no equivariant self-map of X.
 
-    Digit c of an index picks targets[c][digit] as the image of orbit c's
-    representative.  Ascending indices give rows in lexicographic order:
-    orbits are ordered by their minimal point r, every point before r lies
-    in an earlier orbit, and the image of r itself is the chosen target.
-    When the indices are one key word and the chunk tables hold no more
-    rows than were asked for, rows are sums of one table row per chunk of
-    consecutive orbits (`_rows_by_chunks`); otherwise they are built orbit
-    by orbit from the unpacked digits.
+    Digit c is the position of row[r] among the admissible targets of
+    orbit c's representative r.  A row with a target missing is not in
+    End, and neither is one whose index unranks to another row: the rest
+    of some orbit is not where equivariance puts it.
     """
-    counts = [len(t) for t in targets]
-    chunks = [(math.prod(counts[run.stop:]), math.prod(counts[run.start:run.stop]))
-              for run in _runs(counts, _CLOSURE_CHUNK_VALUES)]
-    # a chunk of one value would only add zeros; without it every stride
-    # is below |End| and fits the key type
-    chunks = [chunk for chunk in chunks if chunk[1] > 1] or [(1, 1)]
-    if keys.words == 1 and sum(radix for _, radix in chunks) <= len(indices):
-        return _rows_by_chunks(X, targets, keys, chunks, indices)
+    if row.shape != (X.size,):
+        return None
+    counts, lists = _targets(X)
+    digits = []
+    for t, y in zip(lists(), row[X.orbit_reps].tolist()):
+        d = int(np.searchsorted(t, y))
+        if d == len(t) or t[d] != y:
+            return None
+        digits.append(d)
+    index = _RowKeys(counts).pack(np.array(digits, dtype=np.intp)[None])
+    return index if np.array_equal(_rows(X, index)[0], row) else None
+
+
+def _rows(X: GSet, indices: np.ndarray) -> np.ndarray:
+    """The image rows of End indices, keys packed by `_RowKeys` over X's
+    target counts.
+
+    Digit c of an index picks the digit-th admissible target (`_targets`)
+    as the image of orbit c's representative.  Ascending indices give
+    rows in lexicographic order: orbits are ordered by their minimal
+    point r, every point before r lies in an earlier orbit, and the image
+    of r itself is the chosen target.  When the indices are one key word
+    and the chunk tables hold no more rows than were asked for, rows are
+    sums of one table row per chunk of consecutive orbits
+    (`_rows_by_chunks`); otherwise they are built orbit by orbit from the
+    unpacked digits.
+    """
+    counts, lists = _targets(X)
+    targets, keys = lists(), _RowKeys(counts)
+    if keys.words == 1:         # |End| below 2^64, so the products below stay small
+        chunks = [(math.prod(counts[run.stop:]), math.prod(counts[run.start:run.stop]))
+                  for run in _runs(counts, _CLOSURE_CHUNK_VALUES)]
+        # a chunk of one value would only add zeros; without it every
+        # stride is below |End| and fits the key type
+        chunks = [chunk for chunk in chunks if chunk[1] > 1] or [(1, 1)]
+        if sum(radix for _, radix in chunks) <= len(indices):
+            return _rows_by_chunks(X, targets, keys, chunks, indices)
     return _images_of_picks(X, targets, keys.unpack(indices, keys.row_dtype))
 
 
@@ -380,8 +378,8 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
       one table per orbit holds sum(counts) x generators keys (D4 q=4:
       527 million per generator).
 
-    Either way the known End indices are sorted, and `_rows` unranks them
-    into rows in lexicographic order.
+    Either way the known End indices come out sorted and are the result;
+    `_rows` unranks them only when the result's `images` are read.
     """
     maps = []
     for f in generators:
@@ -401,8 +399,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
             pos = np.zeros(X.size, dtype=keys.dtype)
             pos[t] = np.arange(len(t))
             by_class[a] = np.ascontiguousarray(pos[gens[:, t]].T)
-    known = keys.pack(np.array([[np.searchsorted(t, r) for t, r in zip(targets, X.orbit_reps)]],
-                               dtype=np.intp))
+    known = _end_index(X, np.arange(X.size))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
     step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
@@ -447,8 +444,8 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
             fresh.append(found)
         frontier = np.concatenate(fresh) if seen is None else np.flatnonzero(seen > before)
     if seen is not None:
-        known = np.flatnonzero(seen)
-    return MonoidClosure._of_sorted_rows(X, _rows(X, targets, keys, known), generators=tuple(maps))
+        known = np.flatnonzero(seen).astype(keys.dtype)
+    return MonoidClosure(X, known, generators=tuple(maps))
 
 
 def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarray) -> np.ndarray:

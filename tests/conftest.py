@@ -1,21 +1,25 @@
+import numpy as np
 import pytest
 
 from catalog import small_groups
-from equirank.transform import MonoidClosure, _lex_sorted
+from equirank.groups import _RowKeys, _sorted_unique
+from equirank.transform import MonoidClosure, _targets
 
 
 def pytest_configure(config):
-    # enumerate_end, enumerate_aut and closure build their MonoidClosure
-    # without checking that its rows are in lexicographic order, because
-    # they emit them so; every instance the suite builds is checked here
-    build = MonoidClosure._of_sorted_rows.__func__
+    # enumerate_end, enumerate_aut and closure hand MonoidClosure their End
+    # indices unchecked, because they find them ascending and distinct;
+    # every instance the suite builds is checked here
+    init = MonoidClosure.__init__
 
-    def checked(cls, gset, images, generators=()):
-        assert _lex_sorted(images), "builder rows out of lexicographic order"
-        return build(cls, gset, images, generators)
+    def checked(self, gset, indices, generators=()):
+        keys = _RowKeys(_targets(gset)[0])
+        assert indices.dtype == keys.pack(np.zeros((0, keys.length), dtype=np.intp)).dtype
+        assert np.array_equal(_sorted_unique(indices), indices), "End indices not ascending"
+        init(self, gset, indices, generators)
 
-    config.add_cleanup(lambda: setattr(MonoidClosure, "_of_sorted_rows", classmethod(build)))
-    MonoidClosure._of_sorted_rows = classmethod(checked)
+    config.add_cleanup(lambda: setattr(MonoidClosure, "__init__", init))
+    MonoidClosure.__init__ = checked
 
 
 @pytest.fixture(scope="session")

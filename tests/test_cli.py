@@ -214,6 +214,33 @@ def test_paper_layout_golden(capsys):
     assert capsys.readouterr().out == Z6_PAPER_TABLE
 
 
+def test_table_output_of_nested_reports(capsys):
+    # a list of dicts is written one indexed block per item
+    _, report = _json_out(capsys, ["verify", "Z2", "shift:q=2"])
+    assert main(["verify", "Z2", "shift:q=2", "--output", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["schema: 1", "command: verify", "group: Z2", "gset: Z2 shift q=2"]
+    blocks = [[f"checks[{k}]:", f"  name: {c['name']}", f"  status: {c['status']}"]
+              for k, c in enumerate(report["checks"])]
+    assert lines[4:-1] == sum(blocks, []) and lines[-1] == "failures: 0"
+    # a dict inside such an item is written indented one more level
+    assert main(["boxes", "Z6", "shift:q=2", "--output", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("boxes[3]:")
+    assert lines[at:] == [
+        "boxes[3]:",
+        "  stabilizer: [0, 1, 2, 3, 4, 5]",
+        "  stabilizer_order: 6",
+        "  alpha: 2",
+        "  aut_orbits: 1",
+        "  sub_boxes:",
+        "    3: [0, 63]",
+        "  points: [0, 63]",
+        "  orbits: [[0], [63]]",
+    ]
+    assert lines[lines.index("boxes[1]:") + 6] == "    1: [9, 18, 27, 36, 45, 54]"
+
+
 def test_boxes_z4(capsys):
     code, report = _json_out(capsys, ["boxes", "Z4", "shift:q=2"])
     assert code == 0

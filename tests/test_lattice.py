@@ -239,3 +239,21 @@ def test_conj_order_graph_s3():
 def test_lattice_budget():
     with pytest.raises(BudgetExceeded):
         all_subgroups(make_cyclic(720), budget=360)
+
+
+def test_subgroup_membership_order_and_equality(zoo):
+    # containment and equality against element sets, for every pair of subgroups
+    for G in zoo.values():
+        subgroups = all_subgroups(G)
+        for H in subgroups:
+            assert all((g in H) == (g in set(H.elements)) for g in range(G.order))
+        for H, K in itertools.product(subgroups, repeat=2):
+            assert (H <= K) == set(H.elements).issubset(K.elements)
+            assert (H == K) == (H.elements == K.elements)
+        # a copy built apart is equal and hashes equal; a set dedupes it
+        copies = [Subgroup(G, reversed(H.elements)) for H in subgroups]
+        assert copies == subgroups and [hash(c) for c in copies] == [hash(H) for H in subgroups]
+        assert len(set(subgroups) | set(copies)) == len(subgroups)
+    # the same elements in another group's copy are another subgroup
+    trivial = Subgroup(make_cyclic(2), (0,))
+    assert trivial != Subgroup(make_cyclic(2), (0,)) and trivial != (0,)

@@ -1,6 +1,7 @@
 """Equivariant maps: construction, composition, pushes, enumeration, closure."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from equirank import (
     trivial_gset,
 )
 
-from equirank.transform import _lex_sorted, _targets
+from equirank.transform import _targets
 
 import oracles
 from catalog import make_quaternion, small_groups
@@ -149,6 +150,32 @@ def test_identity_and_compose(z2_shift):
         compose(p1, identity_map(other))
 
 
+def test_maps_on_separately_built_equal_actions():
+    # two shift spaces of one group, built apart: equal tables, so their
+    # maps compose and compare; another group's copy does neither
+    G = make_cyclic(2)
+    X, Y = build_shift(G, 2).gset, build_shift(G, 2).gset
+    assert X is not Y
+    p, q = point_push(X, 1, 0), point_push(Y, 0, 3)
+    assert compose(q, p).as_tuple() == (3, 3, 3, 3)
+    assert compose(p, identity_map(Y)) == p == EquivariantMap(Y, p.image)
+    assert p != EquivariantMap(Y, q.image)
+    Z = build_shift(make_cyclic(2), 2).gset
+    assert p != EquivariantMap(Z, p.image)
+    with pytest.raises(DomainError):
+        compose(p, identity_map(Z))
+
+
+def test_equal_maps_hash_equal(z2_shift):
+    X = z2_shift
+    p = point_push(X, 1, 0)
+    twin = EquivariantMap(X, np.array([0, 0, 0, 3], dtype=np.int64))
+    assert p is not twin and p == twin and hash(p) == hash(twin)
+    maps = {p, twin, identity_map(X), identity_map(X), point_push(X, 0, 3)}
+    assert len(maps) == 3
+    assert twin in maps and compose(p, p) in maps
+
+
 def test_point_push_requires_stabilizer_growth(z2_shift):
     X = z2_shift
     with pytest.raises(StabilizerError):
@@ -251,20 +278,6 @@ def test_monoid_closure_container(z2_shift):
 
 
 
-@given(st.integers(0, 6), st.integers(0, 5), st.booleans(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_lex_order_check_matches_python_sort(n, m, presort, data):
-    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
-                              min_size=n, max_size=n))
-    if presort:                                   # sorted inputs, ties included
-        rows.sort()
-        if n > 1 and data.draw(st.booleans()):
-            k = data.draw(st.integers(0, n - 2))
-            rows[k], rows[k + 1] = rows[k + 1], rows[k]
-    table = np.array(rows, dtype=np.int32).reshape(n, m)
-    assert _lex_sorted(table) == (rows == sorted(rows))
-
-
 def test_monoid_closure_membership(z2_shift):
     end = enumerate_end(z2_shift)
     expected = oracles.all_equivariant_images(z2_shift.action)
@@ -272,10 +285,12 @@ def test_monoid_closure_membership(z2_shift):
         assert (img in end) == (img in expected)
     assert [0, 1, 2] not in end                 # wrong length
     assert np.arange(5) not in end
-    # rows given out of order are sorted, and membership still holds
-    shuffled = MonoidClosure(z2_shift, end.images[::-1])
-    assert shuffled.images.tobytes() == end.images.tobytes()
-    assert all(row in shuffled for row in end.images)
+    assert [0, 1, 2, 9] not in end              # a target out of range
+    assert [0, 0, 0, 1] not in end              # admissible targets, not equivariant
+    # every other End index: their rows, and membership among them only
+    half = MonoidClosure(z2_shift, end.indices[::2])
+    assert half.images.tobytes() == end.images[::2].tobytes()
+    assert all((row in half) == (i % 2 == 0) for i, row in enumerate(end.images))
 
 def test_closure(z2_shift):
     X = z2_shift
@@ -461,9 +476,26 @@ def test_closure_at_every_key_width(group, q, width):
     expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
     assert got.images.tobytes() == expected.tobytes()
     assert (got.images[-1] == last.image).all()
+    # membership ranks a row into a key of that width
+    assert all(row in got for row in expected)
+    outside = [f for f in aut_generators(X) if not (expected == f.image).all(axis=1).any()]
+    assert outside and not any(f in got for f in outside)
     assert closure(X, gens, cap=got.size).size == got.size
     with pytest.raises(ClosureCapExceeded):
         closure(X, gens, cap=got.size - 1)
+
+
+def test_closure_and_membership_on_thousands_of_orbits():
+    # S3 shift:q=6: 7,896 orbits, End indices of 1,969 key words.  Rows
+    # are built orbit by orbit; the chunk strides, each a product over all
+    # later orbits, would take time quadratic in the orbits to form
+    X = build_shift(make_symmetric(3), 6).gset
+    start = time.perf_counter()
+    got = closure(X, [])
+    assert got.images.tobytes() == np.arange(X.size, dtype=np.int32).tobytes()
+    assert identity_map(X) in got
+    assert point_push(X, 1, 0) not in got
+    assert time.perf_counter() - start < 10
 
 
 _ORACLE_CAP = 64

@@ -194,8 +194,8 @@ class BoxDecomposition:
     subgroup size, then elements), restricted to the classes that occur.
     Distinct stabilizer a (row a of `gset.stabilizer_table`) is subgroup
     `stabilizers[a]`, in box `box_of_stabilizer[a]`; `alpha[i]` counts the
-    G-orbits inside box i.  The point tuples `boxes` and `sub_boxes` are
-    derived from these arrays on first use.
+    G-orbits inside box i.  The point tuples `boxes` and the point arrays
+    of `sub_boxes` are derived from these arrays on first use.
     """
 
     gset: GSet
@@ -218,8 +218,12 @@ class BoxDecomposition:
 
     @cached_property
     def sub_boxes(self) -> tuple[dict, ...]:
-        """Per box, {subgroup index: points with that exact stabilizer}, keys ascending."""
-        by_stabilizer = _group_by(self.gset.stabilizer_table.point_class, len(self.stabilizers))
+        """Per box, {subgroup index: ascending array of the points with that
+        exact stabilizer}, keys ascending: one stable sort of the points by
+        distinct stabilizer, split at the class sizes."""
+        point_class = self.gset.stabilizer_table.point_class
+        by_stabilizer = np.split(np.argsort(point_class, kind="stable"),
+                                 np.cumsum(np.bincount(point_class))[:-1])
         out = tuple({} for _ in range(self.n_boxes))
         for a in np.argsort(self.stabilizers).tolist():
             out[self.box_of_stabilizer[a]][int(self.stabilizers[a])] = by_stabilizer[a]

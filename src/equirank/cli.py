@@ -303,7 +303,7 @@ def _boxes_report(X: GSet) -> dict:
             "stabilizer_order": H.order,
             "alpha": decomp.alpha[i],
             "aut_orbits": decomp.expected_aut_orbits(i),
-            "sub_boxes": {str(k): list(pts) for k, pts in decomp.sub_boxes[i].items()},
+            "sub_boxes": {str(k): pts for k, pts in decomp.sub_boxes[i].items()},
         }
         if X.size <= _IMAGE_LIMIT:
             entry["points"] = list(decomp.boxes[i])
@@ -322,17 +322,30 @@ def _boxes_report(X: GSet) -> dict:
 
 
 def _paper_table(X: GSet) -> str:
-    """Boxes as printed tables: largest stabilizer first, one column per orbit."""
+    """Boxes as printed tables: largest stabilizer first, one column per
+    orbit, each box's `orbit_table` written as one block (`_table_rows`)."""
     decomp = decompose(X)
     lines = [f"{X.name}: {X.size} points, {decomp.n_boxes} boxes"]
     for i in reversed(range(decomp.n_boxes)):
         H = decomp.box_subgroup(i)
         label = "{" + ",".join(X.group.label(e) for e in H.elements) + "}"
-        lines.append(f"stabilizer class {label}  alpha = {decomp.alpha[i]}")
-        table = decomp.orbit_table(i)
-        row = "  " + "  ".join([f"%{len(str(table.max()))}d"] * table.shape[1])
-        lines.extend(row % tuple(r) for r in table.tolist())
+        lines.append(f"stabilizer class {label}  alpha = {decomp.alpha[i]}"
+                     + _table_rows(decomp.orbit_table(i)))
     return "\n".join(lines)
+
+
+def _table_rows(table: np.ndarray) -> str:
+    """A non-empty table of non-negative integers as text, written as one
+    fixed-width block of ASCII codes: each row on a new line, each cell
+    two spaces and its value right-aligned to the width of the largest
+    (the rows of `"  %*d" * columns`)."""
+    digits = _decimal_places(table)
+    cells = np.full((2 + len(digits), table.size), ord(" "), dtype=np.uint8)
+    cells[2:] = digits
+    block = np.empty((len(table), 1 + cells.size // len(table)), dtype=np.uint8)
+    block[:, 0] = ord("\n")
+    block[:, 1:] = cells.T.reshape(len(table), -1)
+    return block.tobytes().decode("ascii")
 
 
 def _enumerate_report(X: GSet, config: RunConfig) -> dict:
@@ -523,18 +536,67 @@ def _as_table(report, indent: str = "") -> str:
                 lines.append(f"{indent}{key}[{k}]:")
                 lines.append(_as_table(item, indent + "  "))
         else:
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)
 
 
-class _ReportEncoder(JSONEncoder):
-    """The bytes of `json.dumps(report, sort_keys=True, indent=2)` for CLI reports.
+def _decimal_places(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as ASCII codes, one row per decimal place:
+    column k holds `"%*d" % (width, values.flat[k])`, width that of the
+    largest value, so leading zeros are spaces."""
+    rest = values.ravel()
+    top = rest.max()
+    if top < 1 << 32:                   # uint32 divides about 3 times as fast as uint64
+        rest = rest.astype(np.uint32)
+    out = np.empty((len(str(top)), rest.size), dtype=np.uint8)
+    leading = np.empty(out.shape, dtype=bool)
+    for place, zero in zip(out[::-1], leading[::-1]):
+        np.equal(rest, 0, out=zero)
+        quotient = rest // 10
+        np.subtract(rest, quotient * 10, out=place, casting="unsafe")
+        rest = quotient
+    out += ord("0")
+    leading[-1] = False                 # the value 0 itself is "0"
+    out[leading] = ord(" ")
+    return out
 
-    Reports are trees of str-keyed dicts, lists, tuples and JSON scalars.
-    Whatever options it is given, it writes sorted keys indented by two, and
-    a non-str key raises TypeError.  A list of plain ints is written in one
-    join, and a list of int lists (element lists, Moebius triples) in one
-    join per row, where the stock encoder steps a generator per item.
+
+def _int_join(values: np.ndarray, sep: str) -> str:
+    """`sep.join(map(str, values.tolist()))` for a non-empty 1-D integer array.
+
+    Each item is one column of ASCII codes: a sign, its decimal places and
+    the separator.  One boolean compress drops the signs of non-negative
+    items, leading spaces and the last separator.
+    """
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)   # modulo 2^64: |int64 min| too
+    digits = _decimal_places(magnitude)
+    block = np.empty((1 + len(digits) + len(sep), len(values)), dtype=np.uint8)
+    block[0] = ord("-")
+    block[1:1 + len(digits)] = digits
+    block[1 + len(digits):] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)[:, None]
+    keep = np.ones(block.shape, dtype=bool)
+    keep[0] = negative
+    keep[1:1 + len(digits)] = digits != ord(" ")
+    keep[1 + len(digits):, -1] = False
+    return block.T[keep.T].tobytes().decode("ascii")
+
+
+class _ReportEncoder(JSONEncoder):
+    """The bytes of `json.dumps(report, sort_keys=True, indent=2,
+    default=np.ndarray.tolist)` for CLI reports.
+
+    Reports are trees of str-keyed dicts, lists, tuples, numpy arrays and
+    JSON scalars.  Whatever options it is given, it writes sorted keys
+    indented by two, and a non-str key raises TypeError.  A 1-D integer
+    array is written from its digits in one pass (`_int_join`), any other
+    array as its `tolist()`.  A list of plain ints is written in one join,
+    and a list of int lists (element lists, Moebius triples) in one join
+    per row, where the stock encoder steps a generator per item.  Each
+    level is built by one f-string, which copies its parts once.
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -543,22 +605,27 @@ class _ReportEncoder(JSONEncoder):
             if isinstance(v, dict):
                 if not v:
                     return "{}"
-                return "{" + inner + ("," + inner).join(
-                    encode_basestring_ascii(k) + ": " + value(x, inner)
-                    for k, x in sorted(v.items())) + pad + "}"
+                body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {value(x, inner)}"
+                                           for k, x in sorted(v.items())])
+                return f"{{{inner}{body}{pad}}}"
+            if isinstance(v, np.ndarray):
+                if v.ndim == 1 and v.size and v.dtype.kind in "iu":
+                    return f"[{inner}{_int_join(v, ',' + inner)}{pad}]"
+                return value(v.tolist(), pad)
             if not isinstance(v, (list, tuple)):
                 return _encode_scalar(v)
             if not v:
                 return "[]"
             join, kinds = ("," + inner).join, {*map(type, v)}
             if kinds == {int}:
-                return "[" + inner + join(map(int.__repr__, v)) + pad + "]"
+                return f"[{inner}{join(map(int.__repr__, v))}{pad}]"
             if kinds <= {list, tuple} and {*map(type, chain.from_iterable(v))} <= {int}:
                 row = inner + "  "
                 row_join = ("," + row).join
-                return "[" + inner + join(["[" + row + row_join(map(int.__repr__, x)) + inner + "]"
-                                           if x else "[]" for x in v]) + pad + "]"
-            return "[" + inner + join([value(x, inner) for x in v]) + pad + "]"
+                body = join([f"[{row}{row_join(map(int.__repr__, x))}{inner}]" if x else "[]"
+                             for x in v])
+                return f"[{inner}{body}{pad}]"
+            return f"[{inner}{join([value(x, inner) for x in v])}{pad}]"
 
         return [value(o, "\n")]
 

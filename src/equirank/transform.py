@@ -277,22 +277,39 @@ def _end_index(X: GSet, row: np.ndarray) -> np.ndarray | None:
     """The End index of an image row, as an array of one key; None if the
     row is no equivariant self-map of X.
 
-    Digit c is the position of row[r] among the admissible targets of
-    orbit c's representative r.  A row with a target missing is not in
-    End, and neither is one whose index unranks to another row: the rest
-    of some orbit is not where equivariance puts it.
+    A row is in End exactly when it is equivariant, and then it sends each
+    orbit representative r to a point whose stabilizer contains Stab(r),
+    one of r's admissible targets.  Digit c is that target's position in
+    the list of orbit c's representative: one gather per representative
+    stabilizer class.
     """
-    if row.shape != (X.size,):
+    try:
+        if _first_non_commuting_generator(X, row) is not None:
+            return None
+    except DomainError:                 # wrong shape, or entries out of range
         return None
     counts, lists = _targets(X)
-    digits = []
-    for t, y in zip(lists(), row[X.orbit_reps].tolist()):
-        d = int(np.searchsorted(t, y))
-        if d == len(t) or t[d] != y:
-            return None
-        digits.append(d)
-    index = _RowKeys(counts).pack(np.array(digits, dtype=np.intp)[None])
-    return index if np.array_equal(_rows(X, index)[0], row) else None
+    keys = _RowKeys(counts)
+    rep_cls = X.stabilizer_table.point_class[X.orbit_reps]
+    images = row[X.orbit_reps]
+    digits = np.empty((1, len(counts)), dtype=keys.dtype)
+    for a, (_, positions) in _target_positions(X, lists(), keys.dtype).items():
+        at = rep_cls == a
+        digits[0, at] = positions[images[at]]
+    return keys.pack(digits)
+
+
+def _target_positions(X: GSet, targets, dtype) -> dict[int, tuple]:
+    """Per representative stabilizer class a, its target list t (`targets`
+    holds one per orbit, from `_targets`) and an array over the points
+    that holds each target's position in t and 0 at other points."""
+    out = {}
+    for a, t in zip(X.stabilizer_table.point_class[X.orbit_reps].tolist(), targets):
+        if a not in out:
+            positions = np.zeros(X.size, dtype=dtype)
+            positions[t] = np.arange(len(t))
+            out[a] = t, positions
+    return out
 
 
 def _rows(X: GSet, indices: np.ndarray) -> np.ndarray:
@@ -393,12 +410,9 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     keys = _RowKeys(counts)
     gens = np.array([f.image for f in maps], dtype=np.int32).reshape(len(maps), X.size)
     rep_cls = X.stabilizer_table.point_class[X.orbit_reps].tolist()
-    by_class = {}
-    for a, t in zip(rep_cls, targets):
-        if a not in by_class:           # table[d, s] = position of gens[s](t[d]) in t
-            pos = np.zeros(X.size, dtype=keys.dtype)
-            pos[t] = np.arange(len(t))
-            by_class[a] = np.ascontiguousarray(pos[gens[:, t]].T)
+    # table[d, s] = position of gens[s](t[d]) in t
+    by_class = {a: np.ascontiguousarray(positions[gens[:, t]].T)
+                for a, (t, positions) in _target_positions(X, targets, keys.dtype).items()}
     known = _end_index(X, np.arange(X.size))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))

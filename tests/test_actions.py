@@ -171,8 +171,8 @@ def test_boxes_and_orbit_tables_match_oracle_groupings():
                                 for i in range(len(classes)))
         for i in range(len(classes)):
             keys = sorted({k for x, k in enumerate(stab) if box[x] == i})
-            assert list(D.sub_boxes[i].items()) == [
-                (k, tuple(x for x in range(m) if stab[x] == k)) for k in keys]
+            assert [(k, pts.tolist()) for k, pts in D.sub_boxes[i].items()] == [
+                (k, [x for x in range(m) if stab[x] == k]) for k in keys]
             in_box = tuple(o for o in orbits if box[o[0]] == i)
             assert D.orbits_in_box(i) == in_box
             assert np.array_equal(D.orbit_table(i), np.array(in_box).T)
@@ -325,10 +325,10 @@ def test_s3_shift_boxes():
     assert D.boxes[3] == (0, 63)
     assert X.stabilizer(28).elements == (0, 3, 4)
     assert X.stabilizer(5).elements == (0, 2)
-    assert D.sub_boxes[1] == {
-        1: (9, 18, 27, 36, 45, 54),     # fixed pointwise by (1 2)
-        2: (5, 10, 15, 48, 53, 58),     # by (0 1)
-        3: (6, 17, 23, 40, 46, 57),     # by (0 2)
+    assert {k: pts.tolist() for k, pts in D.sub_boxes[1].items()} == {
+        1: [9, 18, 27, 36, 45, 54],     # fixed pointwise by (1 2)
+        2: [5, 10, 15, 48, 53, 58],     # by (0 1)
+        3: [6, 17, 23, 40, 46, 57],     # by (0 2)
     }
     assert [o[0] for o in D.orbits_in_box(0)] == [1, 3, 7, 11, 19, 29, 31]
     assert [D.expected_aut_orbits(i) for i in range(4)] == [1, 3, 1, 1]

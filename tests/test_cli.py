@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from equirank import EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic
-from equirank.cli import COMMANDS, _ReportEncoder, main, parse_specs, run
+from equirank.cli import COMMANDS, _ReportEncoder, _table_rows, main, parse_specs, run
 
 Z6_PAPER_TABLE = """\
 Z6 shift q=2: 64 points, 4 boxes
@@ -432,18 +434,39 @@ _INTS = st.integers(-10 ** 20, 10 ** 20)
 _INT_ROWS = st.lists(st.lists(_INTS | st.booleans(), max_size=4)
                      | st.lists(_INTS, min_size=1, max_size=4) | st.tuples(_INTS, _INTS),
                      max_size=5)
+_INT_DTYPES = hnp.integer_dtypes() | hnp.unsigned_integer_dtypes()    # both byte orders
+# arrays of every integer dtype, 0-d to 2-D and 0-size among them, each
+# dtype's extremes side by side, and bool and float arrays
+_ARRAYS = (hnp.arrays(_INT_DTYPES, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0))
+           | _INT_DTYPES.map(lambda d: np.array([np.iinfo(d).min, 0, np.iinfo(d).max], dtype=d))
+           | hnp.arrays(hnp.boolean_dtypes() | hnp.floating_dtypes(),
+                        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0)))
 _JSON_VALUES = st.recursive(
-    _SCALARS | st.lists(_INTS) | _INT_ROWS,
+    _SCALARS | st.lists(_INTS) | _INT_ROWS | _ARRAYS,
     lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
                    | st.dictionaries(st.text(), inner, max_size=5)),
     max_leaves=20)
 
 
 @given(_JSON_VALUES)
-@settings(max_examples=150, deadline=None)
+@example({code: np.array([np.iinfo(code).min, 0, np.iinfo(code).max], dtype=code)
+          for code in np.typecodes["AllInteger"]})
+@settings(max_examples=200, deadline=None)
 def test_report_encoder_writes_the_stock_bytes(value):
     assert (json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
-            == json.dumps(value, sort_keys=True, indent=2))
+            == json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 4)])
+def test_table_rows_are_the_printf_rows(shape):
+    # every width from 1 to 7 digits; the table is a strided view, as
+    # orbit_table's rows are
+    rng = np.random.default_rng(shape)
+    for top in (0, 9, 10, 99, 999, 9_999, 99_999, 100_000, 999_999, 9_999_999):
+        table = rng.integers(0, top + 1, size=(2 * shape[0], shape[1]), dtype=np.int32)[::2]
+        table[rng.integers(shape[0]), rng.integers(shape[1])] = top
+        row = "  " + "  ".join([f"%{len(str(top))}d"] * shape[1])
+        assert _table_rows(table) == "".join("\n" + row % tuple(r) for r in table.tolist())
 
 
 def test_report_encoder_keeps_the_stock_errors():
@@ -475,7 +498,8 @@ REPORT_COMMANDS = [
 def test_stdout_is_the_stock_json_of_the_report(capsys, argv):
     _, report = run(parse_specs(argv))
     main(argv)
-    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2,
+                                                 default=np.ndarray.tolist) + "\n"
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,

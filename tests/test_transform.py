@@ -40,7 +40,7 @@ from equirank import (
     trivial_gset,
 )
 
-from equirank.transform import _targets
+from equirank.transform import _end_index, _targets
 
 import oracles
 from catalog import make_quaternion, small_groups
@@ -477,9 +477,22 @@ def test_closure_at_every_key_width(group, q, width):
     assert got.images.tobytes() == expected.tobytes()
     assert (got.images[-1] == last.image).all()
     # membership ranks a row into a key of that width
+    assert np.array_equal(np.concatenate([_end_index(X, row) for row in expected]), got.indices)
     assert all(row in got for row in expected)
     outside = [f for f in aut_generators(X) if not (expected == f.image).all(axis=1).any()]
     assert outside and not any(f in got for f in outside)
+    # and finds no index for a row that is no equivariant self-map: one
+    # image moved within a non-trivial orbit, entries out of range, or the
+    # wrong shape
+    row = expected[-1].astype(np.int64)
+    x = np.flatnonzero((X.action != np.arange(X.size)).any(axis=0))[0]
+    bent = row.copy()
+    bent[x] = (row[x] + 1) % X.size
+    assert not is_equivariant(X, bent)
+    for bad in (bent, np.full(X.size, X.size), np.full(X.size, -1),
+                np.where(row == row[0], -1, row), row[:-1], np.append(row, 0),
+                expected[:2].ravel(), row[:0]):
+        assert _end_index(X, bad) is None and bad not in got
     assert closure(X, gens, cap=got.size).size == got.size
     with pytest.raises(ClosureCapExceeded):
         closure(X, gens, cap=got.size - 1)

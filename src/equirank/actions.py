@@ -119,13 +119,13 @@ class GSet:
         return f"GSet({self.name or self.group.name}, {self.size} points)"
 
 
-def _check_action(G: FiniteGroup, act: np.ndarray, budget: int = DEFAULT_CELL_BUDGET) -> None:
+def _check_action(G: FiniteGroup, act: np.ndarray) -> None:
     n = G.order
     if act.ndim != 2 or act.shape[0] != n:
         raise DomainError(f"action table has shape {act.shape}, expected ({n}, m)")
     m = act.shape[1]
-    if n * m > budget:
-        raise BudgetExceeded(f"action table of {n * m} cells exceeds budget {budget}")
+    if n * m > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"action table of {n * m} cells exceeds budget {DEFAULT_CELL_BUDGET}")
     if m and (act.min() < 0 or act.max() >= m):
         raise DomainError("action table entries out of range")
     if (act[G.identity] != np.arange(m)).any():

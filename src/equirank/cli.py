@@ -172,26 +172,28 @@ def _parse_gset(token: str, position: int) -> tuple:
         token=token, position=position)
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="equirank",
+    description="structure of the equivariant self-maps of a finite group action")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("group", help="Z6 | S3 | D4 | Z2xZ4 | perm:<degree>:<gens>")
+_PARSER.add_argument("gset", nargs="?",
+                     help="shift:q=<n> | cosets:<elements> | union:<a>+<b>")
+_PARSER.add_argument("--rule", help="local rule as <memory>:<table>, e.g. 0,1:0110")
+_PARSER.add_argument("--paper-layout", action="store_true",
+                     help="render boxes as a compact printed-style table")
+_PARSER.add_argument("--aut-only", action="store_true",
+                     help="enumerate only the bijections")
+_PARSER.add_argument("--verify", action="store_true",
+                     help="run the property suite after the command")
+_PARSER.add_argument("--budget", type=int)
+_PARSER.add_argument("--output", choices=["json", "table"], default="json")
+
+
 def parse_specs(args) -> RunConfig:
     """Parse and validate the argument list; raises SpecStringError on bad tokens."""
-    parser = argparse.ArgumentParser(
-        prog="equirank",
-        description="structure of the equivariant self-maps of a finite group action")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("group", help="Z6 | S3 | D4 | Z2xZ4 | perm:<degree>:<gens>")
-    parser.add_argument("gset", nargs="?",
-                        help="shift:q=<n> | cosets:<elements> | union:<a>+<b>")
-    parser.add_argument("--rule", help="local rule as <memory>:<table>, e.g. 0,1:0110")
-    parser.add_argument("--paper-layout", action="store_true",
-                        help="render boxes as a compact printed-style table")
-    parser.add_argument("--aut-only", action="store_true",
-                        help="enumerate only the bijections")
-    parser.add_argument("--verify", action="store_true",
-                        help="run the property suite after the command")
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--output", choices=["json", "table"], default="json")
     try:
-        ns = parser.parse_args(list(args))
+        ns = _PARSER.parse_args(list(args))
     except SystemExit:
         raise SpecStringError(f"could not parse arguments: {' '.join(args)}") from None
 
@@ -536,8 +538,9 @@ def _as_table(report, indent: str = "") -> str:
                 lines.append(f"{indent}{key}[{k}]:")
                 lines.append(_as_table(item, indent + "  "))
         else:
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
+            if isinstance(value, np.ndarray):   # as str(value.tolist())
+                value = (f"[{_int_join(value, ', ')}]" if _is_int_vector(value)
+                         else value.tolist())
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)
 
@@ -561,6 +564,11 @@ def _decimal_places(values: np.ndarray) -> np.ndarray:
     leading[-1] = False                 # the value 0 itself is "0"
     out[leading] = ord(" ")
     return out
+
+
+def _is_int_vector(values: np.ndarray) -> bool:
+    """Is `values` a non-empty 1-D integer array, as `_int_join` takes?"""
+    return values.ndim == 1 and values.size > 0 and values.dtype.kind in "iu"
 
 
 def _int_join(values: np.ndarray, sep: str) -> str:
@@ -609,7 +617,7 @@ class _ReportEncoder(JSONEncoder):
                                            for k, x in sorted(v.items())])
                 return f"{{{inner}{body}{pad}}}"
             if isinstance(v, np.ndarray):
-                if v.ndim == 1 and v.size and v.dtype.kind in "iu":
+                if _is_int_vector(v):
                     return f"[{inner}{_int_join(v, ',' + inner)}{pad}]"
                 return value(v.tolist(), pad)
             if not isinstance(v, (list, tuple)):

@@ -27,8 +27,9 @@ DEFAULT_GROUP_BUDGET = 10_080
 # Cells a blocked step builds at once: the (elements, generators, points)
 # products `_group_from_permutations` looks up, the (elements, columns)
 # table rows that `_fill_by_generators` fills and `_rule_break` compares,
-# and the lattice's word and chain temporaries.  2^18 int32 cells (1 MB,
-# 2 MB at 64 bits) keep each temporary within a core's cache.
+# the lattice's word and chain temporaries, and the candidate End keys
+# that `transform.closure` forms per block.  2^18 int32 cells (1 MB, 2 MB
+# at 64 bits) keep each temporary within a core's cache.
 _BLOCK_CELLS = 1 << 18
 
 

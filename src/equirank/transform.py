@@ -22,7 +22,8 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique, make_cyclic
+from .groups import (_BLOCK_CELLS, _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique,
+                     make_cyclic)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -107,13 +108,6 @@ def _first_non_commuting_generator(X: GSet, img: np.ndarray) -> int | None:
         if not np.array_equal(np.take(img, row), np.take(row, img)):
             return s
     return None
-
-
-def _transporters(X: GSet) -> np.ndarray:
-    """Per point p, the first group element g with g.r = p, r the minimal
-    point of p's orbit."""
-    reps = X.orbit_reps[X.orbit_of_point]
-    return np.argmax(X.action[:, reps] == np.arange(X.size), axis=0).astype(np.int32)
 
 
 def point_push(X: GSet, x: int, y: int) -> EquivariantMap:
@@ -316,49 +310,29 @@ def _rows(X: GSet, indices: np.ndarray) -> np.ndarray:
     """The image rows of End indices, keys packed by `_RowKeys` over X's
     target counts.
 
-    Digit c of an index picks the digit-th admissible target (`_targets`)
-    as the image of orbit c's representative.  Ascending indices give
-    rows in lexicographic order: orbits are ordered by their minimal
-    point r, every point before r lies in an earlier orbit, and the image
-    of r itself is the chosen target.  When the indices are one key word
-    and the chunk tables hold no more rows than were asked for, rows are
-    sums of one table row per chunk of consecutive orbits
-    (`_rows_by_chunks`); otherwise they are built orbit by orbit from the
-    unpacked digits.
+    Digit c of an index picks the digit-th admissible target y
+    (`_targets`) as the image of orbit c's representative r, and a point
+    g.r of that orbit goes to g.y.  Ascending indices give rows in
+    lexicographic order: orbits are ordered by their minimal point r,
+    every point before r lies in an earlier orbit, and the image of r
+    itself is the chosen target.  Only the chosen targets' columns of the
+    action are read, so the cost follows the number of indices, not the
+    number of admissible targets.
     """
     counts, lists = _targets(X)
-    targets, keys = lists(), _RowKeys(counts)
-    if keys.words == 1:         # |End| below 2^64, so the products below stay small
-        chunks = [(math.prod(counts[run.stop:]), math.prod(counts[run.start:run.stop]))
-                  for run in _runs(counts, _CLOSURE_CHUNK_VALUES)]
-        # a chunk of one value would only add zeros; without it every
-        # stride is below |End| and fits the key type
-        chunks = [chunk for chunk in chunks if chunk[1] > 1] or [(1, 1)]
-        if sum(radix for _, radix in chunks) <= len(indices):
-            return _rows_by_chunks(X, targets, keys, chunks, indices)
-    return _images_of_picks(X, targets, keys.unpack(indices, keys.row_dtype))
-
-
-def _images_of_picks(X: GSet, targets, picks: np.ndarray) -> np.ndarray:
-    """The image rows of (n, orbits) target indices, one row per choice.
-
-    A point p = g.r of the orbit of r goes to g.y, y the chosen target.
-    Only the chosen targets' columns of the action are read, so the cost
-    follows n, not the number of admissible targets.
-    """
-    via = _transporters(X)
-    out = np.empty((X.size, picks.shape[0]), dtype=np.int32)
-    for o, t, col in zip(X.orbits, targets, picks.T):
+    keys = _RowKeys(counts)
+    picks = keys.unpack(indices, keys.row_dtype)
+    # per point p, the first g with g.r = p, r the minimal point of p's orbit
+    via = np.argmax(X.action[:, X.orbit_reps[X.orbit_of_point]] == np.arange(X.size), axis=0)
+    out = np.empty((X.size, len(indices)), dtype=np.int32)
+    for o, t, col in zip(X.orbits, lists(), picks.T):
         pts = np.array(o, dtype=np.intp)
         out[pts] = X.action[via[pts][:, None], t[col][None, :]]
     return np.ascontiguousarray(out.T)
 
 
-# Candidate keys (frontier elements x generators) that `closure` forms at
-# once; the frontier is cut into blocks that stay within it.
-_CLOSURE_BLOCK_KEYS = 1 << 18
-# End indices a chunk of orbits covers at most, in the bitmap closure and
-# in `_rows` (a single orbit with more targets is a chunk of its own).
+# End indices a chunk of orbits covers at most in the bitmap closure (a
+# single orbit with more targets is a chunk of its own).
 _CLOSURE_CHUNK_VALUES = 1 << 12
 
 
@@ -375,7 +349,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
 
     Level-synchronous: the frontier holds the elements the previous level
     found, and a level forms the keys of every generator after every
-    frontier element, in blocks of at most `_CLOSURE_BLOCK_KEYS` keys.
+    frontier element, in blocks of at most `_BLOCK_CELLS` keys.
     Known elements are kept one of two ways, chosen by the size of End:
 
     - End has at most min(cap, DEFAULT_CLOSURE_CAP) elements, so its
@@ -416,7 +390,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     known = _end_index(X, np.arange(X.size))
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
-    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, len(maps)))
+    step = max(1, _BLOCK_CELLS // max(1, len(maps)))
     seen = None
     if keys.words == 1 and math.prod(counts) <= min(cap, DEFAULT_CLOSURE_CAP):
         seen = np.zeros(math.prod(counts), dtype=bool)
@@ -460,36 +434,6 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     if seen is not None:
         known = np.flatnonzero(seen).astype(keys.dtype)
     return MonoidClosure(X, known, generators=tuple(maps))
-
-
-def _rows_by_chunks(X: GSet, targets, keys: _RowKeys, chunks, indices: np.ndarray) -> np.ndarray:
-    """The image rows of End indices, from one table per (stride, number
-    of values) chunk of consecutive orbits.
-
-    A chunk's table row for value v is the image of the End index whose
-    chunk value is v and whose other digits are 0.  Outside the chunk's
-    orbits that row is the row of index 0, which is every table's row 0.
-    With it subtracted from every table but the first, a table holds only
-    its own orbits' columns, and the row of an index is the sum of one
-    row per table.  Rows are summed in blocks of about
-    `_CLOSURE_BLOCK_KEYS` cells.
-    """
-    table_keys = np.concatenate([np.arange(radix, dtype=keys.dtype) * stride
-                                 for stride, radix in chunks])
-    tables = np.split(_images_of_picks(X, targets, keys.unpack(table_keys, keys.row_dtype)),
-                      np.cumsum([radix for _, radix in chunks])[:-1])
-    tables[1:] = [table - tables[0][0] for table in tables[1:]]
-    out = np.empty((len(indices), X.size), dtype=np.int32)
-    step = max(1, _CLOSURE_BLOCK_KEYS // max(1, X.size))
-    for start in range(0, len(indices), step):
-        block, rows = indices[start:start + step], out[start:start + step]
-        for c, ((stride, radix), table) in enumerate(zip(chunks, tables)):
-            value = block // stride
-            if c:
-                rows += np.take(table, value % radix, axis=0)
-            else:               # below radix, as indices < |End|; mode="raise" would buffer `out`
-                np.take(table, value, axis=0, out=rows, mode="clip")
-    return out
 
 
 def _letters_gset(n: int) -> GSet:

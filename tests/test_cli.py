@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from equirank import EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic
-from equirank.cli import COMMANDS, _ReportEncoder, _table_rows, main, parse_specs, run
+from equirank.cli import (COMMANDS, _as_table, _ReportEncoder, _table_rows, main, parse_specs,
+                          run)
 
 Z6_PAPER_TABLE = """\
 Z6 shift q=2: 64 points, 4 boxes
@@ -455,6 +456,18 @@ _JSON_VALUES = st.recursive(
 def test_report_encoder_writes_the_stock_bytes(value):
     assert (json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
             == json.dumps(value, sort_keys=True, indent=2, default=np.ndarray.tolist))
+
+
+@given(_ARRAYS)
+@example(np.array([0, -1, 7, -10, np.iinfo(np.int64).min, np.iinfo(np.int64).max]))
+@example(np.array([0, 1, np.iinfo(np.uint64).max], dtype=np.uint64))
+@example(np.array([], dtype=np.int64))
+@example(np.array([], dtype=np.uint8))
+@settings(max_examples=200, deadline=None)
+def test_table_output_writes_an_array_as_its_list(value):
+    # 1-D integer arrays are written from their digits, all others
+    # through tolist(); both must read as the list's str
+    assert _as_table({"key": value}) == f"key: {value.tolist()}"
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 4)])

@@ -376,19 +376,19 @@ def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_clos
                                                         small_instances, chunk_values):
     # chunks of at most 1, 2 or 3 End indices, so most orbits (up to 16
     # targets) are a chunk of their own.  The pushes-only submonoids also
-    # run at 48 keys a block: many blocks per level and per unranking, and
-    # chunks of at most 48 // generators values, which alone sets the
-    # bound at the default of 4,096.  (The closures to all of End keep the
-    # default block; 48 keys would take 32,768 blocks on 65,536 maps.)
-    # End and Aut unrank through the same chunk tables, or orbit by orbit
-    # where those would hold more rows than were asked for (most Aut here).
+    # run at 48 keys a block: many blocks per level, and chunks of at most
+    # 48 // generators values, which alone sets the bound at the default
+    # of 4,096.  (The closures to all of End keep the default block; 48
+    # keys would take 32,768 blocks on 65,536 maps.)
+    # End and Aut, which no chunk bound reaches, are unranked orbit by
+    # orbit and compared with the oracle's rows.
     import equirank.transform
 
     monkeypatch.setattr(equirank.transform, "_CLOSURE_CHUNK_VALUES", chunk_values)
     for X, (gens, expected), _ in verify_closures:
         got = closure(X, gens, cap=len(expected))
         assert got.images.tobytes() == expected.tobytes()
-    monkeypatch.setattr(equirank.transform, "_CLOSURE_BLOCK_KEYS", 48)
+    monkeypatch.setattr(equirank.transform, "_BLOCK_CELLS", 48)
     for X, _, (pushes, expected) in verify_closures:
         got = closure(X, pushes, cap=end_monoid_order(X))
         assert got.images.tobytes() == expected.tobytes()
@@ -398,9 +398,10 @@ def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_clos
     for X in small_instances:
         rows = np.array(sorted(oracles.all_equivariant_images(X.action)), dtype=np.int32)
         _assert_end_and_aut_rows(X, rows)
-    # without a fixed point the row of End index 0 is no constant map, and
-    # every chunk table but the first must have it taken off: S3 acting on
-    # two copies of itself and on its cosets of C2 and C3 (17 x 17 x 1 x 2 maps)
+    # without a fixed point the row of End index 0 is no constant map; the
+    # closure, the enumeration and the BFS oracle agree on all of End of
+    # S3 acting on two copies of itself and on its cosets of C2 and C3
+    # (17 x 17 x 1 x 2 maps)
     S3 = make_symmetric(3)
     trivial, c2, _, _, c3, _ = (coset_action(S3, H) for H in build_lattice(S3).subgroups)
     X = disjoint_union(disjoint_union(trivial, trivial), disjoint_union(c2, c3))
@@ -437,8 +438,9 @@ def test_bitmap_closure_edge_cases(z2_shift):
 
 
 def test_closure_near_the_default_cap_matches_enumeration():
-    # Z1 shift:q=7: 823,543 maps on 7 points, End indices in two chunks of
-    # 7^4 and 7^3 values; closure and enumeration are independent routes
+    # Z1 shift:q=7: 823,543 maps on 7 points, the closure's End indices in
+    # two chunks of 7^4 and 7^3 values; closure and enumeration are
+    # independent routes to the same indices, and both unrank to the rows
     X = build_shift(make_cyclic(1), 7).gset
     gens = aut_generators(X) + list(relative_rank(X).generating_set)
     end = enumerate_end(X)
@@ -499,9 +501,9 @@ def test_closure_at_every_key_width(group, q, width):
 
 
 def test_closure_and_membership_on_thousands_of_orbits():
-    # S3 shift:q=6: 7,896 orbits, End indices of 1,969 key words.  Rows
-    # are built orbit by orbit; the chunk strides, each a product over all
-    # later orbits, would take time quadratic in the orbits to form
+    # S3 shift:q=6: 7,896 orbits, End indices of 1,969 key words: sorted
+    # keys in the closure, membership ranks a row into such a key, and the
+    # identity's row is unranked from it orbit by orbit
     X = build_shift(make_symmetric(3), 6).gset
     start = time.perf_counter()
     got = closure(X, [])

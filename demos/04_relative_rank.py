@@ -4,6 +4,8 @@ The relative rank is the number of maps that must be added to the
 equivariant bijections to generate the whole endomorphism monoid.  It is
 computed structurally (sum of |U(H_i)| minus the number of single-orbit
 boxes) and each generator is an elementary collapse with a distinct type.
+The same numbers come from the subgroup lattice alone, which reaches shift
+spaces far too large to build (S5 has 2^120 binary configurations).
 Run with:  python3 demos/04_relative_rank.py
 """
 
@@ -13,6 +15,7 @@ from equirank import (
     collapse_type_census,
     make_symmetric,
     relative_rank,
+    shift_rank,
 )
 
 G = make_symmetric(3)
@@ -34,3 +37,9 @@ for tag, gen in zip(report.tags, report.generating_set):
 census = collapse_type_census(X)
 print(f"\ncollapse-type census has {len(census)} entries "
       f"(= relative rank: {len(census) == report.relative_rank})")
+
+print("\nfrom the lattice alone, without building a configuration:")
+for n, q in ((3, 2), (4, 2), (5, 2), (5, 1000)):
+    count = shift_rank(make_symmetric(n), q)
+    print(f"  S{n} with {q} letters: relative rank {count.relative_rank}, "
+          f"{len(count.alpha)} boxes")

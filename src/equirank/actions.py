@@ -243,7 +243,7 @@ class BoxDecomposition:
         Each orbit of the box is a copy of G/H, whose equivariant bijections
         form N(H)/H; the box's End and Aut are wreath products over it.
         """
-        return self.box_normalizer(i).order // self.box_subgroup(i).order
+        return self.lattice.weyl_order(self.lattice.class_reps[self.box_classes[i]])
 
     @cached_property
     def canonical_reps(self) -> np.ndarray:
@@ -318,20 +318,30 @@ def decompose(gset: GSet) -> BoxDecomposition:
 def alpha_by_moebius(X: GSet, i: int) -> int:
     """Orbit count of box i from fixed-point counts alone.
 
-    Moebius inversion over the subgroup order turns the fixed-point counts
-    |Fix(K)| into the number of points whose stabilizer is exactly H, and
-    dividing by [N_G(H):H] (the orbit's share of that sub-box) gives the
-    orbit count.  An independent route to `alpha`, kept separate so the
-    two can be compared.
+    The counts |Fix(K)| are read off the action table, one subgroup K at a
+    time (see `_orbits_by_moebius`).  An independent route to `alpha`, kept
+    separate so the two can be compared.
     """
     decomp = decompose(X)
     lat = decomp.lattice
-    H_idx = lat.class_reps[decomp.box_classes[i]]
-    total = 0
-    for j, K in enumerate(lat.subgroups):
-        if lat.leq[H_idx, j]:
-            total += lat.moebius(H_idx, j) * len(X.fix(K.elements))
-    share = decomp.wreath_base(i)
+    return _orbits_by_moebius(lat, lat.class_reps[decomp.box_classes[i]],
+                             lambda k: len(X.fix(lat.subgroups[k])))
+
+
+def _orbits_by_moebius(lattice: SubgroupLattice, h: int, fixed) -> int:
+    """The number of orbits whose stabilizers are conjugate to subgroup h.
+
+    `fixed(k)` is |Fix(K)|, the number of points that subgroup k fixes, for
+    every subgroup K containing h.  Moebius inversion over the subgroups
+    above h turns these counts into the number of points whose stabilizer
+    is exactly h.  Each such orbit holds w = [N(h):h] of them, one per coset
+    of h in its normalizer, so dividing by w gives the orbit count.
+    Subgroups K with mu(h, K) = 0 are never asked for.
+    """
+    mu = lattice.moebius_table[h]
+    above = np.flatnonzero(lattice.leq[h] & (mu != 0))
+    total = sum(int(mu[k]) * fixed(k) for k in above.tolist())
+    share = lattice.weyl_order(h)
     if total % share != 0:
         raise PropertyFailure("sub-box size is not divisible by the normalizer index")
     return total // share

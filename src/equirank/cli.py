@@ -44,13 +44,24 @@ from .groups import (
 )
 from .lattice import Subgroup, build_lattice, element_lists, generated_subgroup
 from .rank import (
+    RankCount,
     aut_generators,
     aut_group_order,
     collapse_type_census,
     relative_rank,
     wreath_order_checks,
 )
-from .shift import LocalRule, ShiftSpace, build_shift, ca_from_rule, minimal_memory_set, rule_from_map
+from .shift import (
+    LocalRule,
+    ShiftSpace,
+    _shift_name,
+    _shift_size,
+    build_shift,
+    ca_from_rule,
+    minimal_memory_set,
+    rule_from_map,
+    shift_rank,
+)
 from .transform import (
     closure,
     end_monoid_order,
@@ -376,30 +387,48 @@ def _enumerate_report(X: GSet, config: RunConfig) -> dict:
 
 def _rank_report(X: GSet) -> dict:
     report = relative_rank(X)
-    decomp = report.decomposition
-    out = {
-        "schema": 1,
-        "command": "rank",
-        "group": X.group.name,
-        "gset": X.name,
-        "points": X.size,
-        "relative_rank": report.relative_rank,
-        "u_sizes": [len(u) for u in report.u_sets],
-        "u_sets": [[list(cls) for cls in u] for u in report.u_sets],
-        "alpha": list(decomp.alpha),
-        "kappa": list(decomp.kappa),
-        "kappa_size": len(decomp.kappa),
-        "tags": list(report.tags),
-        "aut_order": aut_group_order(X),
-    }
+    out = _rank_fields(X.group, X.name, X.size, report.count)
     if X.size <= _IMAGE_LIMIT:
         out["generators"] = [g.image.tolist() for g in report.generating_set]
     return out
 
 
+def _rank_fields(G: FiniteGroup, name: str, points: int, count: RankCount) -> dict:
+    return {
+        "schema": 1,
+        "command": "rank",
+        "group": G.name,
+        "gset": name,
+        "points": points,
+        "relative_rank": count.relative_rank,
+        "u_sizes": [len(u) for u in count.u_sets],
+        "u_sets": [[list(cls) for cls in u] for u in count.u_sets],
+        "alpha": list(count.alpha),
+        "kappa": list(count.kappa),
+        "kappa_size": len(count.kappa),
+        "tags": list(count.tags),
+        "aut_order": count.aut_order,
+    }
+
+
+def _shift_rank_report(G: FiniteGroup, config: RunConfig) -> dict | None:
+    """The rank report of a shift space read off the lattice (`shift_rank`),
+    or None where it needs points: when it would print the generators (at
+    most `_IMAGE_LIMIT` points) or `--verify` follows.  A shift space past
+    the cell budget is refused here, as `build_shift` would refuse it."""
+    kind, q = config.gset
+    if kind != "shift" or config.verify_after:
+        return None
+    points = _shift_size(G, q)
+    if points <= _IMAGE_LIMIT:
+        return None
+    return _rank_fields(G, _shift_name(G, q), points, shift_rank(G, q))
+
+
 def _ca_report(space: ShiftSpace, config: RunConfig) -> dict:
     rule = _build_rule(space, config)
     tau = ca_from_rule(space, rule)
+    image_size = map_rank(tau)
     out = {
         "schema": 1,
         "command": "ca",
@@ -408,8 +437,8 @@ def _ca_report(space: ShiftSpace, config: RunConfig) -> dict:
         "memory": list(rule.memory),
         "rule": rule.table.tolist(),
         "equivariant": True,
-        "invertible": tau.is_bijective(),
-        "map_rank": map_rank(tau),
+        "invertible": image_size == space.size,
+        "map_rank": image_size,
         "minimal_memory": list(minimal_memory_set(space, tau)),
     }
     if space.size <= _IMAGE_LIMIT:
@@ -504,6 +533,11 @@ def run(config: RunConfig) -> tuple[int, dict | str]:
     G = _build_group(config.group, config.group_spec)
     if config.command == "lattice":
         return 0, _lattice_report(G)
+
+    if config.command == "rank":
+        report = _shift_rank_report(G, config)
+        if report is not None:
+            return 0, report
 
     X, space = _build_gset(G, config.gset, config.gset_spec)
     code = 0

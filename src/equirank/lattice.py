@@ -291,6 +291,15 @@ class SubgroupLattice:
         return _LazySubgroups(self.group, self.masks)
 
     @cached_property
+    def orders(self) -> np.ndarray:
+        """Per subgroup, its order."""
+        return self.masks.sum(axis=1)
+
+    def weyl_order(self, i: int) -> int:
+        """w = |N(S_i):S_i|, the order of the quotient N(S_i)/S_i."""
+        return int(self.orders[self.normalizer_idx[i]] // self.orders[i])
+
+    @cached_property
     def _index(self) -> _RowIndex:
         return _RowIndex(self.masks, _row_keys)
 

@@ -16,13 +16,15 @@ unique minimal one by a coordinate dependence scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .actions import DEFAULT_CELL_BUDGET, GSet
+from .actions import DEFAULT_CELL_BUDGET, GSet, _orbits_by_moebius
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _count_text
+from .lattice import build_lattice
+from .rank import RankCount
 from .transform import EquivariantMap
 
 # The classic presentation of S3 lists e, then the transpositions a, b,
@@ -74,15 +76,30 @@ class ShiftSpace:
         return f"ShiftSpace({self.group.name}, q={self.q}, {self.size} configurations)"
 
 
+def _check_alphabet(q: int) -> None:
+    if q < 2:
+        raise DomainError(f"alphabet size must be at least 2, got {q}")
+
+
+def _shift_size(G: FiniteGroup, q: int, budget: int = DEFAULT_CELL_BUDGET) -> int:
+    """|A^G| = q^|G|, refused when its action table would pass `budget` cells."""
+    _check_alphabet(q)
+    m = q ** G.order
+    if m * G.order > budget:
+        raise BudgetExceeded(f"shift space of {_count_text(m)} configurations "
+                             f"({_count_text(m * G.order)} cells) exceeds budget {budget}")
+    return m
+
+
+def _shift_name(G: FiniteGroup, q: int) -> str:
+    """The name of A^G's G-set, as `build_shift` gives it."""
+    return f"{G.name} shift q={q}"
+
+
 def build_shift(G: FiniteGroup, q: int, display=None,
                 budget: int = DEFAULT_CELL_BUDGET) -> ShiftSpace:
     """Construct A^G with the shift action, |A| = q."""
-    if q < 2:
-        raise DomainError(f"alphabet size must be at least 2, got {q}")
-    m = q ** G.order
-    if m * G.order > budget:
-        raise BudgetExceeded(
-            f"shift space of {m} configurations ({m * G.order} cells) exceeds budget {budget}")
+    m = _shift_size(G, q, budget)
     if display is None:
         display = _S3_DISPLAY if (G.name == "S3" and G.order == 6) else tuple(range(G.order))
     else:
@@ -100,10 +117,29 @@ def build_shift(G: FiniteGroup, q: int, display=None,
     for g in range(n):
         perm = pos[G.mul[G.inv[g], list(display)]]
         act[g].reshape((q,) * n)[...] = codes.transpose(np.argsort(perm))
-    gset = GSet(G, act, name=f"{G.name} shift q={q}")
+    gset = GSet(G, act, name=_shift_name(G, q))
     space = ShiftSpace(group=G, q=q, display=display, gset=gset)
     _verify_shift_rows(space)
     return space
+
+
+def shift_rank(G: FiniteGroup, q: int) -> RankCount:
+    """The rank numbers of A^G, |A| = q, from the subgroup lattice alone.
+
+    No configuration is built, so no cell budget applies; the lattice's
+    budgets do.  A subgroup L fixes exactly the configurations constant on
+    its right cosets, q^[G:L] of them, and Moebius inversion of these
+    counts (`actions._orbits_by_moebius`) gives the orbits per stabilizer
+    class, one class representative at a time.  The classes with orbits
+    are the boxes, in the order `decompose` gives them on `build_shift(G, q)`.
+    """
+    _check_alphabet(q)
+    lat = build_lattice(G)
+    index = (G.order // lat.orders).tolist()
+    power = cache(q.__pow__)
+    alpha = [_orbits_by_moebius(lat, h, lambda k: power(index[k])) for h in lat.class_reps]
+    boxes = [c for c, a in enumerate(alpha) if a]
+    return RankCount(lat, tuple(boxes), tuple(alpha[c] for c in boxes))
 
 
 def _verify_shift_rows(space: ShiftSpace) -> None:

@@ -490,3 +490,36 @@ def subgroup_violation(mul: np.ndarray, inv: np.ndarray, identity: int, elements
     if mul.shape[0] % len(s) != 0:
         return "subgroup order does not divide the group order"
     return None
+
+
+def shift_orbit_count(mul: np.ndarray, identity: int, q: int) -> int:
+    """Orbits of G on the q^|G| configurations, by Burnside's lemma.
+
+    An element g of order d fixes the configurations constant on the
+    cosets of <g>, q^(|G|/d) of them; its order is found by multiplying
+    g with itself until the identity comes back.
+    """
+    n = mul.shape[0]
+    total = 0
+    for g in range(n):
+        order, power = 1, g
+        while power != identity:
+            order, power = order + 1, int(mul[power, g])
+        total += q ** (n // order)
+    assert total % n == 0, "fixed-point total not divisible by group order"
+    return total // n
+
+
+def u_classes(mul: np.ndarray, inv: np.ndarray, act: np.ndarray, subgroup_elements) -> set:
+    """The classes, under conjugation by the normalizer N of H, of the
+    point stabilizers of `act` that contain H, as sets of element sets.
+
+    Stabilizers are read off the table's fixed-point columns; each class
+    is the set of n S n^-1 for n in N.
+    """
+    h = frozenset(subgroup_elements)
+    normalizer = normalizer_elements(mul, inv, h)
+    distinct, _ = stabilizer_classes_by_unique(act)
+    stabilizers = {frozenset(np.flatnonzero(row).tolist()) for row in distinct}
+    return {frozenset(conjugate_set(mul, inv, n, s) for n in normalizer)
+            for s in stabilizers if h <= s}

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from equirank import EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic
+import equirank.cli
+from equirank import (EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic,
+                      make_dihedral, make_symmetric)
 from equirank.cli import (COMMANDS, _as_table, _ReportEncoder, _table_rows, main, parse_specs,
                           run)
 
@@ -515,11 +517,24 @@ def test_stdout_is_the_stock_json_of_the_report(capsys, argv):
                                                  default=np.ndarray.tolist) + "\n"
 
 
+# rank instances inside the cell budget whose aut_order has more than 4300
+# digits, as (group spec, q, group)
+_DIGIT_LIMIT_RANKS = [
+    ("Z6", 7, lambda: make_cyclic(6)),
+    ("D4", 4, lambda: make_dihedral(4)),
+    ("D5", 3, lambda: make_dihedral(5)),
+    ("S3", 7, lambda: make_symmetric(3)),
+    ("Z6", 5, lambda: make_cyclic(6)),
+]
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="ROADMAP item 1: aut_order has over 4300 digits and "
                           "json.dumps raises out of main")
-def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys):
-    code = main(["rank", "Z6", "shift:q=7"])
+@pytest.mark.parametrize("group, q, make", _DIGIT_LIMIT_RANKS,
+                         ids=[f"{g}-q{q}" for g, q, _ in _DIGIT_LIMIT_RANKS])
+def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys, group, q, make):
+    code = main(["rank", group, f"shift:q={q}"])
     out = capsys.readouterr().out
     assert code == 0
     limit = sys.get_int_max_str_digits()
@@ -528,7 +543,66 @@ def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys):
         report = json.loads(out)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert report["aut_order"] == aut_group_order(build_shift(make_cyclic(6), 7).gset)
+    assert report["aut_order"] == aut_group_order(build_shift(make(), q).gset)
+
+
+# sha256 of the stdout of rank commands on shift spaces of more than 512
+# points, which `rank` reads off the lattice; recorded from the point route
+RANK_SHA256 = {
+    ("rank", "D4", "shift:q=3"):
+        "18956a8cd4eee660eff8e98edd94d605a9e7a17205e83e61af734b8bf0424a3b",
+    ("rank", "Z2xZ4", "shift:q=3"):
+        "0016b42497346eec0e3d335c9ca44d9f2ad0faba97064f43fe43d6fbbe50afc2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RANK_SHA256), ids=" ".join)
+def test_large_rank_output_frozen(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == RANK_SHA256[argv]
+
+
+# The zoo's shift spaces of more than 512 points inside the cell budget,
+# alphabet 2 to 7, for the groups a spec can name (all but Q8)
+_LATTICE_RANKS = [(group, q) for group, n in [("Z4", 4), ("Z5", 5), ("Z6", 6), ("Z7", 7),
+                                              ("Z8", 8), ("Z2xZ2", 4), ("S3", 6), ("D4", 8),
+                                              ("Z4xZ2", 8), ("Z2xZ2xZ2", 8)]
+                  for q in range(2, 8) if 512 < q ** n and q ** n * n <= 10 ** 6]
+
+
+@pytest.mark.parametrize("group, q", _LATTICE_RANKS, ids=[f"{g}-q{q}" for g, q in _LATTICE_RANKS])
+def test_rank_from_the_lattice_prints_the_point_route_bytes(capsys, monkeypatch, group, q):
+    argv = ["rank", group, f"shift:q={q}"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)                      # some aut_orders pass the limit
+    try:
+        assert main(argv) == 0
+        from_lattice = capsys.readouterr().out
+        monkeypatch.setattr(equirank.cli, "_shift_rank_report", lambda G, config: None)
+        assert main(argv) == 0
+        from_points = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert from_lattice == from_points
+
+
+def test_rank_builds_points_only_where_it_needs_them(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("points were built")
+
+    monkeypatch.setattr(equirank.cli, "build_shift", unreachable)
+    assert main(["rank", "D4", "shift:q=3"]) == 0          # 6,561 points
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == RANK_SHA256["rank", "D4", "shift:q=3"]
+    # the generators of 64 points, and --verify, need the points
+    for argv in (["rank", "S3", "shift:q=2"], ["rank", "D4", "shift:q=3", "--verify"]):
+        assert main(argv) == 5
+        assert "points were built" in capsys.readouterr().err
+    # past the cell budget, rank still exits 3 before building anything
+    assert main(["rank", "S4", "shift:q=2"]) == 3
+    assert capsys.readouterr().err == ("error: shift space of 16777216 configurations "
+                                       "(402653184 cells) exceeds budget 1000000\n")
 
 
 def test_table_output(capsys):

@@ -24,10 +24,12 @@ from equirank import (
     coset_action,
     decompose,
     decompose_by_boxes,
+    direct_product,
     disjoint_union,
     end_monoid_order,
     enumerate_aut,
     enumerate_end,
+    from_permutation_generators,
     identity_map,
     is_elementary_collapse,
     make_cyclic,
@@ -36,12 +38,16 @@ from equirank import (
     recompose,
     relative_rank,
     restrict_to_invariant,
+    shift_rank,
     u_set,
     wreath_factorize,
     wreath_multiply,
     wreath_order_checks,
 )
+from equirank.actions import DEFAULT_CELL_BUDGET
+
 import oracles
+from catalog import small_groups
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +315,78 @@ def test_relative_rank_is_minimal(zoo, name, parts):
         for subset in itertools.combinations(reps, max(rank - 1, 0)) if rank else ():
             assert closure(X, aut + list(subset), cap=end.size).size < end.size, X.name
         del decomp
+
+
+# Every shift space of a zoo group with an alphabet of 2 to 7 letters that
+# fits the cell budget: 67 spaces of 2 to 117,649 points
+ZOO_SHIFTS = [(name, q) for name, G in small_groups().items() for q in range(2, 8)
+              if q ** G.order * G.order <= DEFAULT_CELL_BUDGET]
+
+
+@pytest.mark.parametrize("name, q", ZOO_SHIFTS, ids=[f"{n}-q{q}" for n, q in ZOO_SHIFTS])
+def test_shift_rank_equals_the_point_route(zoo, name, q):
+    G = zoo[name]
+    count = shift_rank(G, q)
+    X = build_shift(G, q).gset
+    report = relative_rank(X)
+    decomp = report.decomposition
+    assert count.lattice is decomp.lattice
+    assert count.box_classes == decomp.box_classes
+    assert count.alpha == decomp.alpha
+    assert count.kappa == decomp.kappa
+    assert count.u_sets == report.u_sets
+    assert count.tags == report.tags
+    assert count.relative_rank == report.relative_rank == len(report.generating_set)
+    assert count.wreath == tuple(zip(map(decomp.wreath_base, range(decomp.n_boxes)),
+                                     decomp.alpha))
+    assert count.aut_order == aut_group_order(X)
+    if X.size <= 4096:
+        lat = count.lattice
+        for c, u in zip(count.box_classes, count.u_sets):
+            h = lat.subgroups[lat.class_reps[c]].elements
+            found = {frozenset(lat.subgroups[k].element_set for k in cls) for cls in u}
+            assert found == oracles.u_classes(G.mul, G.inv, X.action, h)
+
+
+# The ranks of full shifts in ROADMAP item 3's table: all past the cell
+# budget but S3 at q = 2, the paper's headline.  Each group with its order.
+_PAST_BUDGET_GROUPS = {
+    "S3": (lambda: make_symmetric(3), 6),
+    "S4": (lambda: make_symmetric(4), 24),
+    # A5 = <(0 1 2), (2 3 4)> and A6 = <(0 1 2), (1 2 3 4 5)>
+    "A5": (lambda: from_permutation_generators(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]), 60),
+    "S5": (lambda: make_symmetric(5), 120),
+    "A6": (lambda: from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]),
+           360),
+    "Z2xS5": (lambda: direct_product(make_cyclic(2), make_symmetric(5)), 240),
+}
+SHIFT_RANKS = {
+    ("S3", 2): 8, ("S3", 1000): 9, ("S4", 2): 44, ("S4", 1000): 45, ("A5", 2): 32,
+    ("S5", 2): 102, ("S5", 1000): 103, ("A6", 2): 132, ("A6", 1000): 132,
+    ("Z2xS5", 2): 513, ("Z2xS5", 1000): 516,
+}
+
+
+@pytest.mark.parametrize("name, q", sorted(SHIFT_RANKS), ids=[f"{n}-q{q}" for n, q in
+                                                            sorted(SHIFT_RANKS)])
+def test_shift_rank_past_the_cell_budget(name, q):
+    make, order = _PAST_BUDGET_GROUPS[name]
+    G = make()
+    assert G.order == order
+    count = shift_rank(G, q)
+    assert count.relative_rank == SHIFT_RANKS[name, q]
+    assert sum(count.alpha) == oracles.shift_orbit_count(G.mul, G.identity, q)
+    orders = count.lattice.orders
+    indices = [G.order // int(orders[count.lattice.class_reps[c]]) for c in count.box_classes]
+    assert sum(a * k for a, k in zip(count.alpha, indices)) == q ** G.order
+    assert count.kappa == tuple(i for i, a in enumerate(count.alpha) if a == 1)
+    assert len(count.tags) == count.relative_rank
+
+
+def test_shift_rank_guards():
+    with pytest.raises(DomainError):
+        shift_rank(make_cyclic(3), 1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        shift_rank(make_symmetric(6), 2)       # the lattice budget: order 720 > 360
+    assert time.perf_counter() - start < 1.0

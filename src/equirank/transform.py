@@ -6,9 +6,10 @@ and level-by-level closure of generator sets all live here; the rank
 machinery builds on these primitives.  A map is fixed by the images of
 the orbit representatives, so End has a dense mixed-radix index (one
 digit per orbit, the image's position among the admissible targets).
-A set of maps (`MonoidClosure`) is its sorted End indices: enumeration
-and closure find only those, and `_rows` alone turns them into image
-rows, when a caller reads them.
+`_EndIndex` ranks blocks of image rows to End indices, masking the rows
+that are no equivariant self-maps, and unranks indices to rows.  A set
+of maps (`MonoidClosure`) is its sorted End indices: enumeration and
+closure find only those, and rows are unranked when a caller reads them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import GSet, trivial_gset
+from .actions import GSet, decompose, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
 from .groups import (_BLOCK_CELLS, _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique,
                      make_cyclic)
@@ -44,8 +45,12 @@ class EquivariantMap:
     def __post_init__(self):
         img = _exact_int32(self.image, "image")
         object.__setattr__(self, "image", img)
-        g = _first_non_commuting_generator(self.gset, img)
-        if g is not None:
+        g = int(_first_non_commuting_generators(self.gset, img[None])[0])
+        if g == -2:
+            m = self.gset.size
+            raise DomainError(f"image has shape {img.shape}, expected ({m},)"
+                              if img.shape != (m,) else "image entries out of range")
+        if g >= 0:
             raise DomainError(f"map is not equivariant at group element {g}")
 
     def __call__(self, x: int) -> int:
@@ -88,26 +93,30 @@ def compose(f: EquivariantMap, g: EquivariantMap) -> EquivariantMap:
 
 
 def is_equivariant(X: GSet, image) -> bool:
-    return _first_non_commuting_generator(X, np.asarray(image, dtype=np.int64)) is None
+    """Is `image` an equivariant self-map of X?  False also for an image of
+    the wrong shape or with entries out of range."""
+    return bool(_first_non_commuting_generators(X, np.asarray(image, np.int64)[None])[0] == -1)
 
 
-def _first_non_commuting_generator(X: GSet, img: np.ndarray) -> int | None:
-    """The first generator s with img(s.x) != s.img(x) for some x, else None.
+def _first_non_commuting_generators(X: GSet, rows: np.ndarray) -> np.ndarray:
+    """Per row of a (k, m) block of images: -1 where the row commutes with
+    every generator s (row(s.x) = s.row(x) for all x), else the first s it
+    does not commute with, and -2 where the row has an entry outside
+    0..m-1.  A block of the wrong width is -2 on every row.
 
     A map commuting with the generators commutes with their products, so
-    this decides equivariance for the whole group (X is already an action);
-    an image of the wrong shape or range raises DomainError.
+    -1 marks exactly the equivariant self-maps (X is already an action).
     """
     m = X.size
-    if img.shape != (m,):
-        raise DomainError(f"image has shape {img.shape}, expected ({m},)")
-    if m and (img.min() < 0 or img.max() >= m):
-        raise DomainError("image entries out of range")
-    for s in X.group.generators:
-        row = X.action[s]
-        if not np.array_equal(np.take(img, row), np.take(row, img)):
-            return s
-    return None
+    if rows.shape[1:] != (m,):
+        return np.full(len(rows), -2)
+    out = np.full(len(rows), -1)
+    for s in reversed(X.group.generators):     # a row's first failure is written last
+        row = X.action[s]       # clipped entries lie in rows marked -2 below
+        out[(np.take(rows, row, axis=1) != np.take(row, rows, mode="clip")).any(axis=1)] = s
+    if m:
+        out[(rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)] = -2
+    return out
 
 
 def point_push(X: GSet, x: int, y: int) -> EquivariantMap:
@@ -149,23 +158,29 @@ def point_swap(X: GSet, x: int, y: int) -> EquivariantMap:
 class MonoidClosure:
     """A set of equivariant maps, kept as their End indices.
 
-    `indices` holds ascending, distinct End indices as keys packed by
-    `_RowKeys` over the G-set's target counts.  Since ascending indices
-    unrank to rows in lexicographic order, two instances on one G-set
-    hold the same maps exactly when their index arrays are equal.  The
-    image rows are unranked on first read of `images`.  Instances come
-    out of the enumerators (End, Aut) and out of `closure`, which also
-    records its seed in `generators`.
+    `indices` holds ascending, distinct End indices of the G-set's
+    `_EndIndex`, which the instance holds (built when none is given).
+    Since ascending indices unrank to rows in lexicographic order, two
+    instances on one G-set hold the same maps exactly when their index
+    arrays are equal.  The rows are unranked on first read of `images`,
+    and membership ranks the row asked about.  Instances come out of the
+    enumerators (End, Aut) and out of `closure`, which also records its
+    seed in `generators`.
     """
 
     gset: GSet
     indices: np.ndarray
     generators: tuple = ()
+    _codec: _EndIndex | None = None
+
+    def __post_init__(self):
+        if self._codec is None:
+            object.__setattr__(self, "_codec", _EndIndex(self.gset))
 
     @cached_property
     def images(self) -> np.ndarray:
         """The (size, points) int32 image rows, in lexicographic order."""
-        return _rows(self.gset, self.indices)
+        return self._codec.unrank(self.indices)
 
     @property
     def size(self) -> int:
@@ -177,11 +192,9 @@ class MonoidClosure:
     def __contains__(self, item) -> bool:
         if isinstance(item, EquivariantMap):
             item = item.image
-        index = _end_index(self.gset, np.asarray(item, dtype=np.int64).ravel())
-        if index is None:
-            return False
-        at = np.searchsorted(self.indices, index)
-        return bool(at[0] < self.size and self.indices[at[0]] == index[0])
+        key, ok = self._codec.rank(np.asarray(item, dtype=np.int64).reshape(1, -1))
+        at = np.searchsorted(self.indices, key)
+        return bool(ok[0] and at[0] < self.size and self.indices[at[0]] == key[0])
 
     def maps(self):
         for row in self.images:
@@ -191,28 +204,88 @@ class MonoidClosure:
         return f"MonoidClosure({self.size} maps on {self.gset.size} points)"
 
 
-def _targets(X: GSet):
-    """Per orbit representative, the number of admissible targets, and a
-    function listing them.
+class _EndIndex:
+    """The End index format of a G-set X: one ranker and one unranker.
 
-    A representative r may go to any y whose stabilizer contains Stab(r);
-    the position of y in r's list is r's digit of the End index.  The
-    counts cost O(|G| m) however many orbits there are, so a budget can be
-    checked on their product before the lists (O(m) per distinct
-    representative stabilizer) are built.
+    A map is fixed by the images of the orbit representatives, and a
+    representative r may go to any point whose stabilizer contains
+    Stab(r): r's admissible targets, ascending.  A map's End index has one
+    digit per orbit, the position of its representative's image among
+    those targets, read as a mixed-radix number over `counts` (first orbit
+    most significant) and packed by `keys`.
+
+    The counts cost O(|G| m) however many orbits there are, so a budget
+    can be checked on their product before the keys, target lists and
+    position tables (O(m) per representative stabilizer) are built.
     """
-    table = X.stabilizer_table
-    cls, within = table.point_class, table.within
-    rep_cls = cls[X.orbit_reps]
-    per_class = within.astype(np.int64) @ np.bincount(cls, minlength=len(within))
-    counts = [int(c) for c in per_class[rep_cls]]
 
-    def lists() -> list[np.ndarray]:
-        by_class = {a: np.flatnonzero(within[a][cls]).astype(np.int32)
-                    for a in set(rep_cls.tolist())}
-        return [by_class[a] for a in rep_cls.tolist()]
+    def __init__(self, X: GSet):
+        table = X.stabilizer_table
+        self.gset = X
+        self.rep_class = table.point_class[X.orbit_reps]
+        per_class = (table.within.astype(np.int64)
+                     @ np.bincount(table.point_class, minlength=len(table.within)))
+        self.counts = [int(c) for c in per_class[self.rep_class]]
 
-    return counts, lists
+    @cached_property
+    def keys(self) -> _RowKeys:
+        return _RowKeys(self.counts)
+
+    @cached_property
+    def targets(self) -> dict[int, np.ndarray]:
+        """Per representative stabilizer class a, its admissible targets."""
+        table = self.gset.stabilizer_table
+        return {a: np.flatnonzero(table.within[a][table.point_class]).astype(np.int32)
+                for a in dict.fromkeys(self.rep_class.tolist())}
+
+    @cached_property
+    def positions(self) -> dict[int, np.ndarray]:
+        """Per representative stabilizer class a, an array over the points
+        holding each target's position in `targets[a]`, and 0 elsewhere."""
+        out = {}
+        for a, t in self.targets.items():
+            out[a] = np.zeros(self.gset.size, dtype=self.keys.dtype)
+            out[a][t] = np.arange(len(t))
+        return out
+
+    def rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The End indices of a (k, m) block of image rows, and the mask of
+        the rows that are equivariant self-maps of X; the other rows' keys
+        mean nothing.
+
+        An equivariant row sends each representative to one of its
+        targets, whose position is the digit: one gather per
+        representative stabilizer class, then one pack.
+        """
+        ok = _first_non_commuting_generators(self.gset, rows) == -1
+        digits = np.zeros((len(ok), len(self.counts)), dtype=self.keys.dtype)
+        if ok.any():                    # so the block has X's width
+            images = np.where(ok[:, None], rows[:, self.gset.orbit_reps], 0)
+            for a, positions in self.positions.items():
+                at = self.rep_class == a
+                digits[:, at] = positions[images[:, at]]
+        return self.keys.pack(digits), ok
+
+    def unrank(self, indices: np.ndarray) -> np.ndarray:
+        """The (k, m) int32 image rows of k End indices.
+
+        Digit c picks the target y of orbit c's representative r, and a
+        point g.r of that orbit goes to g.y.  Ascending indices give rows
+        in lexicographic order: orbits are ordered by their minimal point
+        r, every point before r lies in an earlier orbit, and the image of
+        r itself is the chosen target.  Only the chosen targets' columns
+        of the action are read, so the cost follows the number of indices,
+        not the number of targets.
+        """
+        X = self.gset
+        picks = self.keys.unpack(indices, self.keys.row_dtype)
+        # per point p, the first g with g.r = p, r the minimal point of p's orbit
+        via = np.argmax(X.action[:, X.orbit_reps[X.orbit_of_point]] == np.arange(X.size), axis=0)
+        out = np.empty((X.size, len(indices)), dtype=np.int32)
+        for o, a, col in zip(X.orbits, self.rep_class.tolist(), picks.T):
+            pts = np.array(o, dtype=np.intp)
+            out[pts] = X.action[via[pts][:, None], self.targets[a][col][None, :]]
+        return np.ascontiguousarray(out.T)
 
 
 def _check_budget(total: int, budget: int, what: str) -> None:
@@ -222,21 +295,23 @@ def _check_budget(total: int, budget: int, what: str) -> None:
 
 
 def end_monoid_order(X: GSet) -> int:
-    """|End| as the product over orbit representatives of admissible targets."""
-    counts, _ = _targets(X)
-    return math.prod(counts)
+    """|End| in closed form: the product over the boxes of |Fix_X(H_i)|^alpha_i.
+
+    Each of box i's alpha_i orbits may send its representative r to any
+    point that Stab(r), a conjugate of H_i, fixes.  The enumerators count
+    the same choices orbit by orbit.
+    """
+    decomp = decompose(X)
+    return math.prod(len(X.fix(decomp.box_subgroup(i))) ** a for i, a in enumerate(decomp.alpha))
 
 
 def enumerate_end(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
-    """All equivariant self-maps: every End index, ascending.
-
-    A representative x may go to any y whose stabilizer contains that of
-    x; the rest of the orbit follows by equivariance.  The product of the
-    choice counts is checked against the budget before any work happens.
-    """
-    counts, _ = _targets(X)
-    _check_budget(math.prod(counts), budget, "maps")
-    return MonoidClosure(X, np.arange(math.prod(counts), dtype=_RowKeys(counts).dtype))
+    """All equivariant self-maps: every End index, ascending.  The product
+    of the target counts is checked against the budget before any work."""
+    codec = _EndIndex(X)
+    order = math.prod(codec.counts)
+    _check_budget(order, budget, "maps")
+    return MonoidClosure(X, np.arange(order, dtype=codec.keys.dtype), _codec=codec)
 
 
 def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
@@ -250,85 +325,20 @@ def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
     than the result; the choices come out in End index order.
     """
     cls = X.stabilizer_table.point_class
-    rep_cls = cls[X.orbit_reps]
-    _check_budget(math.prod(np.bincount(cls)[rep_cls].tolist()), budget, "choices")
-    counts, lists = _targets(X)
-    targets = lists()
+    codec = _EndIndex(X)
+    _check_budget(math.prod(np.bincount(cls)[codec.rep_class].tolist()), budget, "choices")
     orbit_of = X.orbit_of_point
-    picks = np.zeros((1, 0), dtype=np.intp)         # End digit per orbit so far
-    hit = np.zeros((1, len(targets)), dtype=bool)   # orbits already chosen
-    for t, a in zip(targets, rep_cls):
+    picks = np.zeros((1, 0), dtype=np.intp)             # End digit per orbit so far
+    hit = np.zeros((1, len(codec.counts)), dtype=bool)  # orbits already chosen
+    for a in codec.rep_class.tolist():
+        t = codec.targets[a]
         digits = np.flatnonzero(cls[t] == a)
         t_orbit = orbit_of[t[digits]]
         row, j = np.nonzero(~hit[:, t_orbit])
         picks = np.column_stack((picks[row], digits[j]))
         hit = hit[row]
         hit[np.arange(len(row)), t_orbit[j]] = True
-    return MonoidClosure(X, _RowKeys(counts).pack(picks))
-
-
-def _end_index(X: GSet, row: np.ndarray) -> np.ndarray | None:
-    """The End index of an image row, as an array of one key; None if the
-    row is no equivariant self-map of X.
-
-    A row is in End exactly when it is equivariant, and then it sends each
-    orbit representative r to a point whose stabilizer contains Stab(r),
-    one of r's admissible targets.  Digit c is that target's position in
-    the list of orbit c's representative: one gather per representative
-    stabilizer class.
-    """
-    try:
-        if _first_non_commuting_generator(X, row) is not None:
-            return None
-    except DomainError:                 # wrong shape, or entries out of range
-        return None
-    counts, lists = _targets(X)
-    keys = _RowKeys(counts)
-    rep_cls = X.stabilizer_table.point_class[X.orbit_reps]
-    images = row[X.orbit_reps]
-    digits = np.empty((1, len(counts)), dtype=keys.dtype)
-    for a, (_, positions) in _target_positions(X, lists(), keys.dtype).items():
-        at = rep_cls == a
-        digits[0, at] = positions[images[at]]
-    return keys.pack(digits)
-
-
-def _target_positions(X: GSet, targets, dtype) -> dict[int, tuple]:
-    """Per representative stabilizer class a, its target list t (`targets`
-    holds one per orbit, from `_targets`) and an array over the points
-    that holds each target's position in t and 0 at other points."""
-    out = {}
-    for a, t in zip(X.stabilizer_table.point_class[X.orbit_reps].tolist(), targets):
-        if a not in out:
-            positions = np.zeros(X.size, dtype=dtype)
-            positions[t] = np.arange(len(t))
-            out[a] = t, positions
-    return out
-
-
-def _rows(X: GSet, indices: np.ndarray) -> np.ndarray:
-    """The image rows of End indices, keys packed by `_RowKeys` over X's
-    target counts.
-
-    Digit c of an index picks the digit-th admissible target y
-    (`_targets`) as the image of orbit c's representative r, and a point
-    g.r of that orbit goes to g.y.  Ascending indices give rows in
-    lexicographic order: orbits are ordered by their minimal point r,
-    every point before r lies in an earlier orbit, and the image of r
-    itself is the chosen target.  Only the chosen targets' columns of the
-    action are read, so the cost follows the number of indices, not the
-    number of admissible targets.
-    """
-    counts, lists = _targets(X)
-    keys = _RowKeys(counts)
-    picks = keys.unpack(indices, keys.row_dtype)
-    # per point p, the first g with g.r = p, r the minimal point of p's orbit
-    via = np.argmax(X.action[:, X.orbit_reps[X.orbit_of_point]] == np.arange(X.size), axis=0)
-    out = np.empty((X.size, len(indices)), dtype=np.int32)
-    for o, t, col in zip(X.orbits, lists(), picks.T):
-        pts = np.array(o, dtype=np.intp)
-        out[pts] = X.action[via[pts][:, None], t[col][None, :]]
-    return np.ascontiguousarray(out.T)
+    return MonoidClosure(X, codec.keys.pack(picks), _codec=codec)
 
 
 # End indices a chunk of orbits covers at most in the bitmap closure (a
@@ -339,13 +349,10 @@ _CLOSURE_CHUNK_VALUES = 1 << 12
 def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosure:
     """The submonoid generated by the given maps (identity always included).
 
-    An equivariant map is fixed by where it sends the orbit
-    representatives, so each element is kept as its End index: the
-    position of each representative's image among its admissible targets,
-    first orbit most significant (`enumerate_end`'s order), packed by
-    `_RowKeys`.  Composing a generator g after an element moves each
-    digit through a (targets, generators) table of g's action on the
-    targets, one table per representative stabilizer.
+    Each element is kept as its End index (`_EndIndex`).  Composing a
+    generator g after an element moves each digit through a (targets,
+    generators) table of g's action on the targets, one table per
+    representative stabilizer.
 
     Level-synchronous: the frontier holds the elements the previous level
     found, and a level forms the keys of every generator after every
@@ -370,7 +377,7 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
       527 million per generator).
 
     Either way the known End indices come out sorted and are the result;
-    `_rows` unranks them only when the result's `images` are read.
+    the codec unranks them only when the result's `images` are read.
     """
     maps = []
     for f in generators:
@@ -379,15 +386,14 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
                 raise DomainError("generator lives on a different action")
             f = f.image
         maps.append(EquivariantMap(X, f))
-    counts, lists = _targets(X)
-    targets = lists()
-    keys = _RowKeys(counts)
+    codec = _EndIndex(X)
+    counts, keys = codec.counts, codec.keys
     gens = np.array([f.image for f in maps], dtype=np.int32).reshape(len(maps), X.size)
-    rep_cls = X.stabilizer_table.point_class[X.orbit_reps].tolist()
+    rep_cls = codec.rep_class.tolist()
     # table[d, s] = position of gens[s](t[d]) in t
-    by_class = {a: np.ascontiguousarray(positions[gens[:, t]].T)
-                for a, (t, positions) in _target_positions(X, targets, keys.dtype).items()}
-    known = _end_index(X, np.arange(X.size))
+    by_class = {a: np.ascontiguousarray(codec.positions[a][gens[:, t]].T)
+                for a, t in codec.targets.items()}
+    known, _ = codec.rank(np.arange(X.size)[None])
     if len(known) > cap:
         raise ClosureCapExceeded(cap=cap, partial_size=len(known))
     step = max(1, _BLOCK_CELLS // max(1, len(maps)))
@@ -433,32 +439,18 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
         frontier = np.concatenate(fresh) if seen is None else np.flatnonzero(seen > before)
     if seen is not None:
         known = np.flatnonzero(seen).astype(keys.dtype)
-    return MonoidClosure(X, known, generators=tuple(maps))
-
-
-def _letters_gset(n: int) -> GSet:
-    return trivial_gset(make_cyclic(1), n, name=f"letters({n})")
+    return MonoidClosure(X, known, generators=tuple(maps), _codec=codec)
 
 
 def sym_generators_check(n: int) -> bool:
     """Do a transposition and an n-cycle generate all n! permutations?"""
-    if n > 6:
-        raise BudgetExceeded(f"permutation closure limited to n <= 6, got {n}")
-    if n < 1:
-        raise DomainError("need at least one letter")
-    X = _letters_gset(n)
-    gens = _sym_seed(X, n)
+    X, gens = _letters_and_sym_seed(n, 6, "permutation")
     return closure(X, gens, cap=math.factorial(n)).size == math.factorial(n)
 
 
 def trans_generators_check(n: int) -> bool:
     """Do the permutation pair plus one rank-(n-1) map generate all n^n maps?"""
-    if n > 5:
-        raise BudgetExceeded(f"transformation closure limited to n <= 5, got {n}")
-    if n < 1:
-        raise DomainError("need at least one letter")
-    X = _letters_gset(n)
-    gens = _sym_seed(X, n)
+    X, gens = _letters_and_sym_seed(n, 5, "transformation")
     if n >= 2:
         collapse = np.arange(n)
         collapse[0] = 1
@@ -466,13 +458,19 @@ def trans_generators_check(n: int) -> bool:
     return closure(X, gens, cap=n ** n).size == n ** n
 
 
-def _sym_seed(X: GSet, n: int) -> list[EquivariantMap]:
+def _letters_and_sym_seed(n: int, limit: int, kind: str) -> tuple[GSet, list[EquivariantMap]]:
+    """n letters under the trivial group, with a transposition and an
+    n-cycle on them (none for one letter)."""
+    if n > limit:
+        raise BudgetExceeded(f"{kind} closure limited to n <= {limit}, got {n}")
+    if n < 1:
+        raise DomainError("need at least one letter")
+    X = trivial_gset(make_cyclic(1), n, name=f"letters({n})")
     if n < 2:
-        return []
+        return X, []
     swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
-    cycle = np.roll(np.arange(n), -1)
-    return [EquivariantMap(X, swap), EquivariantMap(X, cycle)]
+    return X, [EquivariantMap(X, swap), EquivariantMap(X, np.roll(np.arange(n), -1))]
 
 
 def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import equirank.cli
+import equirank.transform
 from equirank import (EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic,
                       make_dihedral, make_symmetric)
 from equirank.cli import (COMMANDS, _as_table, _ReportEncoder, _table_rows, main, parse_specs,
@@ -135,6 +136,22 @@ def test_enumerate_count_past_the_int_str_limit_exits_3(capsys):
     # 1600^1600 maps: too many digits to print, still a budget error
     assert main(["enumerate", "Z1", "shift:q=1600"]) == 3
     assert "at least 10^5126 maps" in capsys.readouterr().err
+
+
+def test_enumerate_checks_its_count_against_the_closed_form(monkeypatch, capsys):
+    # |End| comes from the boxes, not from the target counts that the
+    # enumeration reads, so a codec that loses one target of one orbit is
+    # caught: 32,768 maps enumerated against 65,536
+    init = equirank.transform._EndIndex.__init__
+
+    def one_target_short(self, X):
+        init(self, X)
+        self.counts[-1] -= 1
+
+    monkeypatch.setattr(equirank.transform._EndIndex, "__init__", one_target_short)
+    assert main(["enumerate", "Z4", "shift:q=2"]) == 4
+    assert "enumerated 32768 maps, formula gives 65536" in capsys.readouterr().err
+
 
 # 5001 digits: past int()'s default limit of 4300
 _LONG = "7" * 5001

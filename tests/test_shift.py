@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import time
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from equirank import (
     minimal_memory_set,
     rule_from_map,
 )
-from equirank.shift import _verify_shift_rows
+from equirank.groups import _count_text
+from equirank.shift import _shift_size, _verify_shift_rows
 
 import oracles
 
@@ -78,6 +81,32 @@ def test_build_shift_guards():
         build_shift(make_cyclic(6), 10)    # 6 * 10^6 cells
     with pytest.raises(DomainError):
         build_shift(make_cyclic(3), 2, display=(0, 0, 1))
+
+
+def test_shift_size_refuses_before_the_power():
+    # q^|G| for q = 10^639 and |G| = 10,080 has 6.4 million digits; the
+    # refusal bounds it from q's bit length instead of computing it.  Only
+    # the order is read, so a stand-in spares the test a 10,080-element table
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^shift space of at least 10\^6438959 "
+                       r"configurations \(at least 10\^6438963 cells\) exceeds budget 1000000$"):
+        _shift_size(types.SimpleNamespace(order=10_080), 10 ** 639)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(BudgetExceeded, match=r"^shift space of 16777216 configurations "
+                       r"\(402653184 cells\) exceeds budget 1000000$"):
+        _shift_size(make_symmetric(4), 2)
+    # while q^|G| has at most 4,300 digits the message holds the exact
+    # counts (or, for the cells past 4,300 digits, their own bound)
+    for q, n in [(2, 14_284), (2, 14_285), (3, 9_010), (3, 9_020), (10, 4_300), (10, 4_301),
+                 (1000, 1_433), (1000, 1_434)]:
+        m = q ** n
+        with pytest.raises(BudgetExceeded) as info:
+            _shift_size(types.SimpleNamespace(order=n), q)
+        if m < 10 ** 4300:
+            assert str(info.value) == (f"shift space of {m} configurations "
+                                       f"({_count_text(m * n)} cells) exceeds budget 1000000")
+        else:
+            assert str(info.value).startswith("shift space of at least 10^")
 
 
 def test_shift_tables_match_oracle(zoo):

@@ -1,6 +1,7 @@
 """Equivariant maps: construction, composition, pushes, enumeration, closure."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -40,7 +41,9 @@ from equirank import (
     trivial_gset,
 )
 
-from equirank.transform import _end_index, _targets
+from equirank.actions import DEFAULT_CELL_BUDGET
+from equirank.groups import _sorted_unique
+from equirank.transform import _EndIndex
 
 import oracles
 from catalog import make_quaternion, small_groups
@@ -59,10 +62,11 @@ def z6_shift():
 def test_map_validation(z2_shift):
     X = z2_shift
     assert (X.action[1] == [0, 2, 1, 3]).all()
-    with pytest.raises(DomainError):
-        EquivariantMap(X, [0, 1, 2])             # wrong length
-    with pytest.raises(DomainError):
-        EquivariantMap(X, [0, 1, 2, 4])          # out of range
+    with pytest.raises(DomainError, match=r"^image has shape \(3,\), expected \(4,\)$"):
+        EquivariantMap(X, [0, 1, 2])
+    for out_of_range in ([0, 1, 2, 4], [0, 1, 2, -1]):      # 3 is a fixed point
+        with pytest.raises(DomainError, match="^image entries out of range$"):
+            EquivariantMap(X, out_of_range)
     with pytest.raises(DomainError):             # out of range, the identity once cut to int32
         EquivariantMap(trivial_gset(make_cyclic(2), 3), np.array([2**32, 2**32 + 1, 2]))
     with pytest.raises(DomainError):
@@ -241,6 +245,74 @@ def test_end_monoid_order_formula():
     assert end_monoid_order(build_shift(make_cyclic(2), 3).gset) == 19683
 
 
+def test_end_order_closed_form_equals_the_enumerated_count(zoo):
+    # the closed form over the boxes against the product of the per-orbit
+    # target counts that enumerate_end enumerates: every shift space of the
+    # zoo with q = 2..7 inside the cell budget, and every union of two
+    # coset spaces of class representatives
+    instances = 0
+    for G in zoo.values():
+        spaces = [build_shift(G, q).gset for q in range(2, 8)
+                  if q ** G.order * G.order <= DEFAULT_CELL_BUDGET]
+        lattice = build_lattice(G)
+        cosets = [coset_action(G, lattice.subgroups[i]) for i in lattice.class_reps]
+        spaces += [disjoint_union(a, b) for a, b in
+                   itertools.combinations_with_replacement(cosets, 2)]
+        for X in spaces:
+            assert end_monoid_order(X) == math.prod(_EndIndex(X).counts)
+        instances += len(spaces)
+    assert instances > 300
+
+
+def test_rank_of_end_rows_gives_the_end_indices(small_instances):
+    for X in small_instances + [build_shift(group, q).gset for group, q in _VERIFY_INSTANCES]:
+        codec, end, aut = _EndIndex(X), enumerate_end(X), enumerate_aut(X)
+        keys, ok = codec.rank(end.images)
+        assert ok.all() and np.array_equal(keys, end.indices)
+        assert np.array_equal(codec.rank(aut.images)[0], aut.indices)
+
+
+def test_a_block_of_products_ranks_like_its_rows():
+    # g after every element of End on Z4 shift:q=2: 65,536 rows as one
+    # block, against ranking a sample of them one row at a time
+    X = build_shift(make_cyclic(4), 2).gset
+    end = enumerate_end(X)
+    g = aut_generators(X)[0].image
+    products = g[end.images]
+    codec = _EndIndex(X)
+    keys, ok = codec.rank(products)
+    assert ok.all() and len(keys) == 65536
+    assert np.array_equal(_sorted_unique(keys), end.indices)     # g is a bijection of End
+    sample = np.random.default_rng(5).choice(len(products), 300, replace=False)
+    for i in sample:
+        key, one = codec.rank(products[i][None])
+        assert one.all() and key[0] == keys[i]
+    assert np.array_equal(codec.unrank(keys[sample]), products[sample])
+
+
+@given(st.sampled_from(range(len(MAP_INSTANCES))), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_masks_exactly_the_rows_outside_end(case, data):
+    # a block of End rows, some with one entry changed (to any point, or
+    # to -1 or m, out of range); the mask is the oracle's verdict per row
+    X = MAP_INSTANCES[case][0]
+    m, end = X.size, enumerate_end(X)
+    picks = data.draw(st.lists(st.integers(0, end.size - 1), min_size=1, max_size=12))
+    rows = end.images[picks].astype(np.int64)
+    for r in range(len(rows)):
+        if data.draw(st.booleans()):
+            rows[r, data.draw(st.integers(0, m - 1))] = data.draw(st.integers(-1, m))
+    codec = _EndIndex(X)
+    keys, ok = codec.rank(rows)
+    expected = [row.min() >= 0 and row.max() < m and oracles.is_equivariant(X.action, row)
+                for row in rows]
+    assert ok.tolist() == expected == [is_equivariant(X, row) for row in rows]
+    assert np.array_equal(codec.unrank(keys[ok]), rows[ok])
+    for width in (m - 1, m + 1):
+        wrong = np.zeros((len(rows), width), dtype=np.int64)
+        assert len(codec.rank(wrong)[0]) == len(rows) and not codec.rank(wrong)[1].any()
+
+
 def test_enumerate_budget_guard(z6_shift):
     with pytest.raises(BudgetExceeded):
         enumerate_end(z6_shift)     # far beyond the default budget
@@ -394,7 +466,7 @@ def test_bitmap_closure_at_small_chunk_and_block_bounds(monkeypatch, verify_clos
         assert got.images.tobytes() == expected.tobytes()
     # an orbit whose targets alone outnumber the bound (16 on Z4 q=2)
     X, _, (pushes, _) = verify_closures[1]
-    assert max(_targets(X)[0]) > min(chunk_values, 48 // len(pushes))
+    assert max(_EndIndex(X).counts) > min(chunk_values, 48 // len(pushes))
     for X in small_instances:
         rows = np.array(sorted(oracles.all_equivariant_images(X.action)), dtype=np.int32)
         _assert_end_and_aut_rows(X, rows)
@@ -478,8 +550,13 @@ def test_closure_at_every_key_width(group, q, width):
     expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
     assert got.images.tobytes() == expected.tobytes()
     assert (got.images[-1] == last.image).all()
-    # membership ranks a row into a key of that width
-    assert np.array_equal(np.concatenate([_end_index(X, row) for row in expected]), got.indices)
+    # membership ranks a row into a key of that width; so does a block of
+    # rows, one row at a time or all at once, and the keys unrank to the rows
+    codec = _EndIndex(X)
+    keys, ok = codec.rank(expected)
+    assert ok.all() and np.array_equal(keys, got.indices)
+    assert np.array_equal(np.concatenate([codec.rank(row[None])[0] for row in expected]), keys)
+    _assert_round_trip(codec, _random_end_indices(codec, 200, seed=22))
     assert all(row in got for row in expected)
     outside = [f for f in aut_generators(X) if not (expected == f.image).all(axis=1).any()]
     assert outside and not any(f in got for f in outside)
@@ -491,10 +568,12 @@ def test_closure_at_every_key_width(group, q, width):
     bent = row.copy()
     bent[x] = (row[x] + 1) % X.size
     assert not is_equivariant(X, bent)
+    # (the fifth: the identity with its last point, a fixed one, sent to m)
     for bad in (bent, np.full(X.size, X.size), np.full(X.size, -1),
+                np.append(np.arange(X.size - 1), X.size),
                 np.where(row == row[0], -1, row), row[:-1], np.append(row, 0),
                 expected[:2].ravel(), row[:0]):
-        assert _end_index(X, bad) is None and bad not in got
+        assert not codec.rank(bad.reshape(1, -1))[1].any() and bad not in got
     assert closure(X, gens, cap=got.size).size == got.size
     with pytest.raises(ClosureCapExceeded):
         closure(X, gens, cap=got.size - 1)
@@ -510,7 +589,24 @@ def test_closure_and_membership_on_thousands_of_orbits():
     assert got.images.tobytes() == np.arange(X.size, dtype=np.int32).tobytes()
     assert identity_map(X) in got
     assert point_push(X, 1, 0) not in got
+    # End is far past any budget: End indices drawn at random round-trip
+    _assert_round_trip(got._codec, _random_end_indices(got._codec, 50, seed=6))
     assert time.perf_counter() - start < 10
+
+
+def _random_end_indices(codec, n, seed):
+    """n End indices of the codec's G-set, digits drawn at random, ascending."""
+    rng = np.random.default_rng(seed)
+    return _sorted_unique(codec.keys.pack(np.column_stack([rng.integers(0, c, n)
+                                                           for c in codec.counts])))
+
+
+def _assert_round_trip(codec, indices):
+    """Ranking the rows that End indices unrank to gives the indices back."""
+    rows = codec.unrank(indices)
+    keys, ok = codec.rank(rows)
+    assert ok.all() and np.array_equal(keys, indices)
+    assert all(is_equivariant(codec.gset, row) for row in rows[:5])
 
 
 _ORACLE_CAP = 64

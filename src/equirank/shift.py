@@ -85,23 +85,23 @@ def _check_alphabet(q: int) -> None:
 def _shift_size(G: FiniteGroup, q: int, budget: int = DEFAULT_CELL_BUDGET) -> int:
     """|A^G| = q^|G|, refused when its action table would pass `budget` cells.
 
-    q^|G| is at least 2^bits, bits = |G| (bit length of q, less one).  Past
-    the budget's bit length and past 4,300 digits (Python's default limit
-    on int-to-str conversion), the message bounds q^|G| from `bits`
-    instead of computing the power; below that it is computed and printed.
+    q^|G| >= 2^bits >= 10^digits, bits = |G| (bit length of q, less one).
+    A power past 4,300 digits (Python's default limit on int-to-str
+    conversion) is refused with "at least 10^k" bounds read from `bits`;
+    when `digits` alone reaches that limit the power is not computed.
     """
     _check_alphabet(q)
     bits = G.order * (q.bit_length() - 1)
     digits = math.floor(bits * math.log10(2))
-    if bits > budget.bit_length() and digits >= 4300:
-        cells = math.floor((bits + G.order.bit_length() - 1) * math.log10(2))
-        raise BudgetExceeded(f"shift space of at least 10^{digits} configurations "
-                             f"(at least 10^{cells} cells) exceeds budget {budget}")
-    m = q ** G.order
-    if m * G.order > budget:
-        raise BudgetExceeded(f"shift space of {_count_text(m)} configurations "
-                             f"({_count_text(m * G.order)} cells) exceeds budget {budget}")
-    return m
+    m = q ** G.order if digits < 4300 else None
+    if m is not None and m < 10 ** 4300:
+        if m * G.order > budget:
+            raise BudgetExceeded(f"shift space of {_count_text(m)} configurations "
+                                 f"({_count_text(m * G.order)} cells) exceeds budget {budget}")
+        return m
+    cells = math.floor((bits + G.order.bit_length() - 1) * math.log10(2))
+    raise BudgetExceeded(f"shift space of at least 10^{digits} configurations "
+                         f"(at least 10^{cells} cells) exceeds budget {budget}")
 
 
 def _shift_name(G: FiniteGroup, q: int) -> str:

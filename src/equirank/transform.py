@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import GSet, decompose, trivial_gset
+from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
 from .groups import (_BLOCK_CELLS, _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique,
                      make_cyclic)
@@ -45,11 +45,7 @@ class EquivariantMap:
     def __post_init__(self):
         img = _exact_int32(self.image, "image")
         object.__setattr__(self, "image", img)
-        g = int(_first_non_commuting_generators(self.gset, img[None])[0])
-        if g == -2:
-            m = self.gset.size
-            raise DomainError(f"image has shape {img.shape}, expected ({m},)"
-                              if img.shape != (m,) else "image entries out of range")
+        g = _non_commuting_generator(self.gset, img)
         if g >= 0:
             raise DomainError(f"map is not equivariant at group element {g}")
 
@@ -93,9 +89,16 @@ def compose(f: EquivariantMap, g: EquivariantMap) -> EquivariantMap:
 
 
 def is_equivariant(X: GSet, image) -> bool:
-    """Is `image` an equivariant self-map of X?  False also for an image of
-    the wrong shape or with entries out of range."""
-    return bool(_first_non_commuting_generators(X, np.asarray(image, np.int64)[None])[0] == -1)
+    return _non_commuting_generator(X, np.asarray(image, dtype=np.int64)) == -1
+
+
+def _non_commuting_generator(X: GSet, img: np.ndarray) -> int:
+    """One image's first non-commuting generator, or -1; a bad image raises DomainError."""
+    g = int(_first_non_commuting_generators(X, img[None])[0])
+    if g == -2:
+        raise DomainError(f"image has shape {img.shape}, expected ({X.size},)"
+                          if img.shape != (X.size,) else "image entries out of range")
+    return g
 
 
 def _first_non_commuting_generators(X: GSet, rows: np.ndarray) -> np.ndarray:
@@ -163,8 +166,7 @@ class MonoidClosure:
     Since ascending indices unrank to rows in lexicographic order, two
     instances on one G-set hold the same maps exactly when their index
     arrays are equal.  The rows are unranked on first read of `images`,
-    and membership ranks the row asked about.  Instances come out of the
-    enumerators (End, Aut) and out of `closure`, which also records its
+    and membership ranks the row asked about.  `closure` also records its
     seed in `generators`.
     """
 
@@ -207,16 +209,15 @@ class MonoidClosure:
 class _EndIndex:
     """The End index format of a G-set X: one ranker and one unranker.
 
-    A map is fixed by the images of the orbit representatives, and a
-    representative r may go to any point whose stabilizer contains
+    A representative r may go to any point whose stabilizer contains
     Stab(r): r's admissible targets, ascending.  A map's End index has one
     digit per orbit, the position of its representative's image among
     those targets, read as a mixed-radix number over `counts` (first orbit
     most significant) and packed by `keys`.
 
-    The counts cost O(|G| m) however many orbits there are, so a budget
-    can be checked on their product before the keys, target lists and
-    position tables (O(m) per representative stabilizer) are built.
+    The counts cost O(|G| m) however many orbits there are, so a budget is
+    checked on their product before the keys, target lists and position
+    tables (O(m) per representative stabilizer) are built.
     """
 
     def __init__(self, X: GSet):
@@ -241,12 +242,11 @@ class _EndIndex:
     @cached_property
     def positions(self) -> dict[int, np.ndarray]:
         """Per representative stabilizer class a, an array over the points
-        holding each target's position in `targets[a]`, and 0 elsewhere."""
-        out = {}
-        for a, t in self.targets.items():
-            out[a] = np.zeros(self.gset.size, dtype=self.keys.dtype)
-            out[a][t] = np.arange(len(t))
-        return out
+        holding each target's position in `targets[a]` (elsewhere, where
+        the point would be inserted)."""
+        points = np.arange(self.gset.size)
+        return {a: np.searchsorted(t, points).astype(self.keys.dtype)
+                for a, t in self.targets.items()}
 
     def rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The End indices of a (k, m) block of image rows, and the mask of
@@ -270,12 +270,11 @@ class _EndIndex:
         """The (k, m) int32 image rows of k End indices.
 
         Digit c picks the target y of orbit c's representative r, and a
-        point g.r of that orbit goes to g.y.  Ascending indices give rows
-        in lexicographic order: orbits are ordered by their minimal point
-        r, every point before r lies in an earlier orbit, and the image of
-        r itself is the chosen target.  Only the chosen targets' columns
-        of the action are read, so the cost follows the number of indices,
-        not the number of targets.
+        point g.r of that orbit goes to g.y; only the chosen targets'
+        columns of the action are read.  Ascending indices give rows in
+        lexicographic order: orbits are ordered by their minimal point r,
+        every point before r lies in an earlier orbit, and the image of r
+        itself is the chosen target.
         """
         X = self.gset
         picks = self.keys.unpack(indices, self.keys.row_dtype)
@@ -290,19 +289,17 @@ class _EndIndex:
 
 def _check_budget(total: int, budget: int, what: str) -> None:
     if total > budget:
-        raise BudgetExceeded(
-            f"{_count_text(total)} {what} exceed the enumeration budget {budget}")
+        raise BudgetExceeded(f"{_count_text(total)} {what} exceed the enumeration budget {budget}")
 
 
 def end_monoid_order(X: GSet) -> int:
-    """|End| in closed form: the product over the boxes of |Fix_X(H_i)|^alpha_i.
-
-    Each of box i's alpha_i orbits may send its representative r to any
-    point that Stab(r), a conjugate of H_i, fixes.  The enumerators count
-    the same choices orbit by orbit.
-    """
-    decomp = decompose(X)
-    return math.prod(len(X.fix(decomp.box_subgroup(i))) ** a for i, a in enumerate(decomp.alpha))
+    """|End| = prod over the orbit representatives r of |Fix_X(Stab(r))|
+    (over the boxes, prod_i |Fix_X(H_i)|^alpha_i), read from the action
+    rather than from the target counts the enumerators use."""
+    table = X.stabilizer_table
+    cls = table.point_class[X.orbit_reps].tolist()
+    fixed = {a: len(X.fix(np.flatnonzero(table.masks[a]))) for a in set(cls)}
+    return math.prod(fixed[a] for a in cls)
 
 
 def enumerate_end(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
@@ -327,13 +324,12 @@ def enumerate_aut(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> MonoidClosure:
     cls = X.stabilizer_table.point_class
     codec = _EndIndex(X)
     _check_budget(math.prod(np.bincount(cls)[codec.rep_class].tolist()), budget, "choices")
-    orbit_of = X.orbit_of_point
     picks = np.zeros((1, 0), dtype=np.intp)             # End digit per orbit so far
     hit = np.zeros((1, len(codec.counts)), dtype=bool)  # orbits already chosen
     for a in codec.rep_class.tolist():
         t = codec.targets[a]
         digits = np.flatnonzero(cls[t] == a)
-        t_orbit = orbit_of[t[digits]]
+        t_orbit = X.orbit_of_point[t[digits]]
         row, j = np.nonzero(~hit[:, t_orbit])
         picks = np.column_stack((picks[row], digits[j]))
         hit = hit[row]
@@ -375,9 +371,6 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
       orbits share their stabilizer's table and a block scales it, since
       one table per orbit holds sum(counts) x generators keys (D4 q=4:
       527 million per generator).
-
-    Either way the known End indices come out sorted and are the result;
-    the codec unranks them only when the result's `images` are read.
     """
     maps = []
     for f in generators:
@@ -442,15 +435,29 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     return MonoidClosure(X, known, generators=tuple(maps), _codec=codec)
 
 
+def _letters_gset(n: int) -> GSet:
+    return trivial_gset(make_cyclic(1), n, name=f"letters({n})")
+
+
 def sym_generators_check(n: int) -> bool:
     """Do a transposition and an n-cycle generate all n! permutations?"""
-    X, gens = _letters_and_sym_seed(n, 6, "permutation")
+    if n > 6:
+        raise BudgetExceeded(f"permutation closure limited to n <= 6, got {n}")
+    if n < 1:
+        raise DomainError("need at least one letter")
+    X = _letters_gset(n)
+    gens = _sym_seed(X, n)
     return closure(X, gens, cap=math.factorial(n)).size == math.factorial(n)
 
 
 def trans_generators_check(n: int) -> bool:
     """Do the permutation pair plus one rank-(n-1) map generate all n^n maps?"""
-    X, gens = _letters_and_sym_seed(n, 5, "transformation")
+    if n > 5:
+        raise BudgetExceeded(f"transformation closure limited to n <= 5, got {n}")
+    if n < 1:
+        raise DomainError("need at least one letter")
+    X = _letters_gset(n)
+    gens = _sym_seed(X, n)
     if n >= 2:
         collapse = np.arange(n)
         collapse[0] = 1
@@ -458,19 +465,13 @@ def trans_generators_check(n: int) -> bool:
     return closure(X, gens, cap=n ** n).size == n ** n
 
 
-def _letters_and_sym_seed(n: int, limit: int, kind: str) -> tuple[GSet, list[EquivariantMap]]:
-    """n letters under the trivial group, with a transposition and an
-    n-cycle on them (none for one letter)."""
-    if n > limit:
-        raise BudgetExceeded(f"{kind} closure limited to n <= {limit}, got {n}")
-    if n < 1:
-        raise DomainError("need at least one letter")
-    X = trivial_gset(make_cyclic(1), n, name=f"letters({n})")
+def _sym_seed(X: GSet, n: int) -> list[EquivariantMap]:
     if n < 2:
-        return X, []
+        return []
     swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
-    return X, [EquivariantMap(X, swap), EquivariantMap(X, np.roll(np.arange(n), -1))]
+    cycle = np.roll(np.arange(n), -1)
+    return [EquivariantMap(X, swap), EquivariantMap(X, cycle)]
 
 
 def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:

@@ -139,9 +139,9 @@ def test_enumerate_count_past_the_int_str_limit_exits_3(capsys):
 
 
 def test_enumerate_checks_its_count_against_the_closed_form(monkeypatch, capsys):
-    # |End| comes from the boxes, not from the target counts that the
-    # enumeration reads, so a codec that loses one target of one orbit is
-    # caught: 32,768 maps enumerated against 65,536
+    # |End| comes from the fixed points of the stabilizers, not from the
+    # target counts that the enumeration reads, so a codec that loses one
+    # target of one orbit is caught: 32,768 maps enumerated against 65,536
     init = equirank.transform._EndIndex.__init__
 
     def one_target_short(self, X):
@@ -279,6 +279,15 @@ def test_enumerate_command(capsys):
 
     code, report = _json_out(capsys, ["enumerate", "Z2", "shift:q=2", "--aut-only"])
     assert report["size"] == 4 and report["kind"] == "aut"
+
+
+def test_enumerate_past_the_lattice_budget(capsys):
+    # |End| is counted without the subgroup lattice, which Z400 and S6 pass
+    # (order above 360), so coset spaces of these groups enumerate
+    for argv, size in [(["Z400", "cosets:0"], 400), (["S6", "cosets:1,2"], 6)]:
+        code, report = _json_out(capsys, ["enumerate", *argv])
+        assert code == 0 and report["size"] == report["order_formula"] == size
+    assert main(["rank", "Z400", "cosets:0"]) == 3          # rank still needs the lattice
 
 
 def test_ca_command(capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import time
 import types
 
@@ -96,7 +97,8 @@ def test_shift_size_refuses_before_the_power():
                        r"\(402653184 cells\) exceeds budget 1000000$"):
         _shift_size(make_symmetric(4), 2)
     # while q^|G| has at most 4,300 digits the message holds the exact
-    # counts (or, for the cells past 4,300 digits, their own bound)
+    # counts (or, for the cells past 4,300 digits, their own bound); past
+    # that, both bounds come from q's bit length, power computed or not
     for q, n in [(2, 14_284), (2, 14_285), (3, 9_010), (3, 9_020), (10, 4_300), (10, 4_301),
                  (1000, 1_433), (1000, 1_434)]:
         m = q ** n
@@ -106,7 +108,10 @@ def test_shift_size_refuses_before_the_power():
             assert str(info.value) == (f"shift space of {m} configurations "
                                        f"({_count_text(m * n)} cells) exceeds budget 1000000")
         else:
-            assert str(info.value).startswith("shift space of at least 10^")
+            bits = n * (q.bit_length() - 1)
+            k, cells = (math.floor(b * math.log10(2)) for b in (bits, bits + n.bit_length() - 1))
+            assert str(info.value) == (f"shift space of at least 10^{k} configurations "
+                                       f"(at least 10^{cells} cells) exceeds budget 1000000")
 
 
 def test_shift_tables_match_oracle(zoo):

@@ -22,6 +22,7 @@ from equirank import (
     closure,
     compose,
     coset_action,
+    decompose,
     direct_product,
     disjoint_union,
     end_monoid_order,
@@ -64,9 +65,13 @@ def test_map_validation(z2_shift):
     assert (X.action[1] == [0, 2, 1, 3]).all()
     with pytest.raises(DomainError, match=r"^image has shape \(3,\), expected \(4,\)$"):
         EquivariantMap(X, [0, 1, 2])
+    with pytest.raises(DomainError, match=r"^image has shape \(3,\), expected \(4,\)$"):
+        is_equivariant(X, [0, 1, 2])
     for out_of_range in ([0, 1, 2, 4], [0, 1, 2, -1]):      # 3 is a fixed point
         with pytest.raises(DomainError, match="^image entries out of range$"):
             EquivariantMap(X, out_of_range)
+        with pytest.raises(DomainError, match="^image entries out of range$"):
+            is_equivariant(X, out_of_range)
     with pytest.raises(DomainError):             # out of range, the identity once cut to int32
         EquivariantMap(trivial_gset(make_cyclic(2), 3), np.array([2**32, 2**32 + 1, 2]))
     with pytest.raises(DomainError):
@@ -246,10 +251,11 @@ def test_end_monoid_order_formula():
 
 
 def test_end_order_closed_form_equals_the_enumerated_count(zoo):
-    # the closed form over the boxes against the product of the per-orbit
-    # target counts that enumerate_end enumerates: every shift space of the
-    # zoo with q = 2..7 inside the cell budget, and every union of two
-    # coset spaces of class representatives
+    # |End| read from the stabilizers' fixed points, the closed form over the
+    # boxes and the product of the per-orbit target counts that
+    # enumerate_end enumerates: every shift space of the zoo with q = 2..7
+    # inside the cell budget, and every union of two coset spaces of class
+    # representatives
     instances = 0
     for G in zoo.values():
         spaces = [build_shift(G, q).gset for q in range(2, 8)
@@ -259,7 +265,10 @@ def test_end_order_closed_form_equals_the_enumerated_count(zoo):
         spaces += [disjoint_union(a, b) for a, b in
                    itertools.combinations_with_replacement(cosets, 2)]
         for X in spaces:
-            assert end_monoid_order(X) == math.prod(_EndIndex(X).counts)
+            decomp = decompose(X)
+            boxes = math.prod(len(X.fix(decomp.box_subgroup(i))) ** a
+                              for i, a in enumerate(decomp.alpha))
+            assert end_monoid_order(X) == boxes == math.prod(_EndIndex(X).counts)
         instances += len(spaces)
     assert instances > 300
 
@@ -304,9 +313,10 @@ def test_rank_masks_exactly_the_rows_outside_end(case, data):
             rows[r, data.draw(st.integers(0, m - 1))] = data.draw(st.integers(-1, m))
     codec = _EndIndex(X)
     keys, ok = codec.rank(rows)
-    expected = [row.min() >= 0 and row.max() < m and oracles.is_equivariant(X.action, row)
-                for row in rows]
-    assert ok.tolist() == expected == [is_equivariant(X, row) for row in rows]
+    in_range = (rows.min(axis=1) >= 0) & (rows.max(axis=1) < m)
+    expected = [bool(r) and oracles.is_equivariant(X.action, row) for r, row in zip(in_range, rows)]
+    assert ok.tolist() == expected
+    assert ok[in_range].tolist() == [is_equivariant(X, row) for row in rows[in_range]]
     assert np.array_equal(codec.unrank(keys[ok]), rows[ok])
     for width in (m - 1, m + 1):
         wrong = np.zeros((len(rows), width), dtype=np.int64)

@@ -32,7 +32,7 @@ print(f"|Aut| enumerated = {aut.size}, formula = {aut_group_order(X)}\n")
 
 print("per-box monoid orders (w^alpha * alpha^alpha):")
 for i in range(decomp.n_boxes):
-    print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {decomp.wreath_base(i)}, "
+    print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {decomp.wreath[i][0]}, "
           f"|End(B_{i})| = {box_end_order(X, i)}")
 
 print("\nfirst few endomorphisms (as image rows):")

@@ -1,4 +1,5 @@
-"""Finite group actions as dense tables, and their box decompositions.
+"""Finite group actions as dense tables, their box decompositions, and the
+rank numbers the boxes determine.
 
 A G-set on m points is stored as an integer table of shape (|G|, m) with
 act[g, x] = g.x.  The box decomposition groups points by the conjugacy
@@ -12,6 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 
 import numpy as np
 
@@ -187,8 +189,108 @@ def burnside_orbit_count(gset: GSet) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class BoxDecomposition:
-    """Points of a G-set grouped by stabilizer conjugacy class.
+class RankCount:
+    """The rank numbers of a G-set, read off its subgroup lattice alone.
+
+    A G-set enters only through the stabilizer classes that occur in it,
+    `box_classes` (lattice class positions, ascending: one per box), and
+    the number of orbits in each box, `alpha`.  Points are never needed,
+    so the same numbers come from a point table (`decompose`, whose
+    `BoxDecomposition` extends this class) or from orbit counts found
+    without one (`shift.shift_rank`).
+    """
+
+    lattice: SubgroupLattice
+    box_classes: tuple[int, ...]
+    alpha: tuple[int, ...]
+
+    @property
+    def n_boxes(self) -> int:
+        return len(self.box_classes)
+
+    @cached_property
+    def kappa(self) -> tuple[int, ...]:
+        """Boxes that hold a single orbit (0-based positions)."""
+        return tuple(i for i, a in enumerate(self.alpha) if a == 1)
+
+    @cached_property
+    def u_sets(self) -> tuple:
+        """Per box i, the N_i-classes of occurring subgroups that contain H_i.
+
+        H_i is the box's canonical subgroup and N_i its normalizer.  Each
+        class is an ascending tuple of subgroup indices: the subgroups above
+        H_i that share their smallest N_i-conjugate.  The classes are
+        disjoint, so sorting them as tuples sorts them by first member, and
+        H_i's own class (H_i,) sorts first.
+        """
+        lat = self.lattice
+        occurring = np.isin(lat.subgroup_class, self.box_classes)
+        out = []
+        for c in self.box_classes:
+            h = lat.class_reps[c]
+            above = np.flatnonzero(lat.leq[h] & occurring)
+            normalizer = np.flatnonzero(lat.masks[lat.normalizer_idx[h]])
+            first = lat.conj[np.ix_(normalizer, above)].min(axis=0)
+            out.append(tuple(tuple(above[first == m].tolist())
+                             for m in _sorted_unique(first).tolist()))
+        return tuple(out)
+
+    @property
+    def relative_rank(self) -> int:
+        """Sum over boxes of |U(H_i)|, less one for every single-orbit box."""
+        return sum(len(u) for u in self.u_sets) - len(self.kappa)
+
+    @cached_property
+    def pushes(self) -> tuple[tuple[int, int | None], ...]:
+        """The witness pushes, one per collapse type, as (box, target).
+
+        Box i pushes its first orbit onto a second one (target None) when
+        it has one, then onto each further class of U(H_i) (target the
+        class's first member, a subgroup index).
+        """
+        return tuple((i, target) for i, u in enumerate(self.u_sets)
+                     for target in [None] * (self.alpha[i] > 1) + [cls[0] for cls in u[1:]])
+
+    @cached_property
+    def tags(self) -> tuple[str, ...]:
+        """Per push, 1-based: "push i->i'" onto box i's second orbit and
+        "push i->(i,j)" onto the j-th further class of U(H_i)."""
+        return tuple(tag for i, u in enumerate(self.u_sets)
+                     for tag in [f"push {i + 1}->{i + 1}'"] * (self.alpha[i] > 1)
+                     + [f"push {i + 1}->({i + 1},{j})" for j in range(1, len(u))])
+
+    @cached_property
+    def wreath(self) -> tuple[tuple[int, int], ...]:
+        """Per box, (w, alpha) with w = |N(H):H|.
+
+        Each orbit of the box is a copy of G/H, whose equivariant bijections
+        form N(H)/H, so the box's Aut is (N/H) wr S_alpha and its End is
+        (N/H) wr T_alpha.
+        """
+        lat = self.lattice
+        return tuple((lat.weyl_order(lat.class_reps[c]), a)
+                     for c, a in zip(self.box_classes, self.alpha))
+
+    def box_aut_order(self, i: int) -> int:
+        """|Aut| of box i on its own, w^alpha * alpha!."""
+        w, a = self.wreath[i]
+        return w ** a * factorial(a)
+
+    def box_end_order(self, i: int) -> int:
+        """|End| of box i on its own, w^alpha * alpha^alpha."""
+        w, a = self.wreath[i]
+        return w ** a * a ** a
+
+    @property
+    def aut_order(self) -> int:
+        """|Aut|, the product of the boxes' orders."""
+        return prod(self.box_aut_order(i) for i in range(self.n_boxes))
+
+
+@dataclass(frozen=True, eq=False)
+class BoxDecomposition(RankCount):
+    """Points of a G-set grouped by stabilizer conjugacy class: the rank
+    numbers of `RankCount` together with the points they count.
 
     Box order follows the lattice's canonical class order (ascending
     subgroup size, then elements), restricted to the classes that occur.
@@ -199,17 +301,10 @@ class BoxDecomposition:
     """
 
     gset: GSet
-    lattice: SubgroupLattice
     stab_index: np.ndarray                       # per point: subgroup index
-    box_classes: tuple[int, ...]                 # lattice class position per box
     box_of_point: np.ndarray
     stabilizers: np.ndarray
     box_of_stabilizer: np.ndarray
-    alpha: tuple[int, ...]
-
-    @property
-    def n_boxes(self) -> int:
-        return len(self.box_classes)
 
     @cached_property
     def boxes(self) -> tuple[tuple[int, ...], ...]:
@@ -237,14 +332,6 @@ class BoxDecomposition:
         rep = self.lattice.class_reps[self.box_classes[i]]
         return self.lattice.subgroups[self.lattice.normalizer_idx[rep]]
 
-    def wreath_base(self, i: int) -> int:
-        """w = |N(H):H| for box i's stabilizer H.
-
-        Each orbit of the box is a copy of G/H, whose equivariant bijections
-        form N(H)/H; the box's End and Aut are wreath products over it.
-        """
-        return self.lattice.weyl_order(self.lattice.class_reps[self.box_classes[i]])
-
     @cached_property
     def canonical_reps(self) -> np.ndarray:
         """Per orbit (in `gset.orbits` order), its smallest point whose
@@ -257,11 +344,6 @@ class BoxDecomposition:
         reps = np.full(len(X.orbit_reps), X.size, dtype=np.intp)
         np.minimum.at(reps, X.orbit_of_point[pts], pts)
         return reps
-
-    @cached_property
-    def kappa(self) -> tuple[int, ...]:
-        """Boxes that hold a single orbit (0-based positions)."""
-        return tuple(i for i, a in enumerate(self.alpha) if a == 1)
 
     def orbit_table(self, i: int) -> np.ndarray:
         """Box i's orbits as columns, each ascending, ordered by smallest point

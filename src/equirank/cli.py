@@ -26,6 +26,7 @@ import numpy as np
 
 from .actions import (
     GSet,
+    RankCount,
     alpha_by_moebius,
     aut_orbits_in_box,
     burnside_orbit_count,
@@ -44,7 +45,6 @@ from .groups import (
 )
 from .lattice import Subgroup, build_lattice, element_lists, generated_subgroup
 from .rank import (
-    RankCount,
     aut_generators,
     aut_group_order,
     collapse_type_census,
@@ -387,7 +387,7 @@ def _enumerate_report(X: GSet, config: RunConfig) -> dict:
 
 def _rank_report(X: GSet) -> dict:
     report = relative_rank(X)
-    out = _rank_fields(X.group, X.name, X.size, report.count)
+    out = _rank_fields(X.group, X.name, X.size, report.decomposition)
     if X.size <= _IMAGE_LIMIT:
         out["generators"] = [g.image.tolist() for g in report.generating_set]
     return out

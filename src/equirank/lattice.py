@@ -230,16 +230,6 @@ def element_lists(masks: np.ndarray) -> list[list[int]]:
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def all_subgroups(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> list[Subgroup]:
-    """Every subgroup of G, sorted by (order, element list).
-
-    Enumerated by conjugacy class, joining class representatives with
-    cyclic subgroups on element masks (see `_subgroup_masks`).
-    """
-    _check_order(G, budget)
-    return [Subgroup(G, tuple(elements)) for elements in element_lists(_subgroup_masks(G))]
-
-
 class _LazySubgroups(Sequence):
     """The rows of a subgroup mask array as `Subgroup` objects, each built
     (and checked) on first access; the length costs nothing."""

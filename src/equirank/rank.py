@@ -10,15 +10,14 @@ endomorphisms, together with an explicit generating set of point-pushes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import factorial, prod
+from functools import reduce
 
 import numpy as np
 
 from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
 from .errors import BudgetExceeded, DomainError, PropertyFailure
 from .groups import _sorted_unique
-from .lattice import Subgroup, SubgroupLattice
+from .lattice import Subgroup
 from .transform import (
     DEFAULT_ENUM_BUDGET,
     EquivariantMap,
@@ -46,118 +45,29 @@ class CollapseType:
 
 
 @dataclass(frozen=True, eq=False)
-class RankCount:
-    """The rank numbers of a G-set, read off its subgroup lattice alone.
-
-    A G-set enters only through the stabilizer classes that occur in it,
-    `box_classes` (lattice class positions, ascending: one per box), and
-    the number of orbits in each box, `alpha`.  Points are never needed,
-    so the same numbers come from a point table (`relative_rank`) or from
-    orbit counts found without one (`shift.shift_rank`).
-    """
-
-    lattice: SubgroupLattice
-    box_classes: tuple[int, ...]
-    alpha: tuple[int, ...]
-
-    @cached_property
-    def kappa(self) -> tuple[int, ...]:
-        """Boxes that hold a single orbit (0-based positions)."""
-        return tuple(i for i, a in enumerate(self.alpha) if a == 1)
-
-    @cached_property
-    def u_sets(self) -> tuple:
-        """Per box i, the N_i-classes of occurring subgroups that contain H_i.
-
-        H_i is the box's canonical subgroup and N_i its normalizer.  Each
-        class is an ascending tuple of subgroup indices: the subgroups above
-        H_i that share their smallest N_i-conjugate.  The classes are
-        disjoint, so sorting them as tuples sorts them by first member, and
-        H_i's own class (H_i,) sorts first.
-        """
-        lat = self.lattice
-        occurring = np.isin(lat.subgroup_class, self.box_classes)
-        out = []
-        for c in self.box_classes:
-            h = lat.class_reps[c]
-            above = np.flatnonzero(lat.leq[h] & occurring)
-            normalizer = np.flatnonzero(lat.masks[lat.normalizer_idx[h]])
-            first = lat.conj[np.ix_(normalizer, above)].min(axis=0)
-            out.append(tuple(tuple(above[first == m].tolist())
-                             for m in _sorted_unique(first).tolist()))
-        return tuple(out)
-
-    @property
-    def relative_rank(self) -> int:
-        """Sum over boxes of |U(H_i)|, less one for every single-orbit box."""
-        return sum(len(u) for u in self.u_sets) - len(self.kappa)
-
-    @cached_property
-    def pushes(self) -> tuple[tuple[int, int | None], ...]:
-        """The witness pushes, one per collapse type, as (box, target).
-
-        Box i pushes its first orbit onto a second one (target None) when
-        it has one, then onto each further class of U(H_i) (target the
-        class's first member, a subgroup index).
-        """
-        return tuple((i, target) for i, u in enumerate(self.u_sets)
-                     for target in [None] * (self.alpha[i] > 1) + [cls[0] for cls in u[1:]])
-
-    @cached_property
-    def tags(self) -> tuple[str, ...]:
-        """Per push, 1-based: "push i->i'" onto box i's second orbit and
-        "push i->(i,j)" onto the j-th further class of U(H_i)."""
-        return tuple(tag for i, u in enumerate(self.u_sets)
-                     for tag in [f"push {i + 1}->{i + 1}'"] * (self.alpha[i] > 1)
-                     + [f"push {i + 1}->({i + 1},{j})" for j in range(1, len(u))])
-
-    @cached_property
-    def wreath(self) -> tuple[tuple[int, int], ...]:
-        """Per box, (w, alpha) with w = |N(H):H|: its Aut is (N/H) wr S_alpha."""
-        lat = self.lattice
-        return tuple((lat.weyl_order(lat.class_reps[c]), a)
-                     for c, a in zip(self.box_classes, self.alpha))
-
-    def box_aut_order(self, i: int) -> int:
-        """|Aut| of box i on its own, w^alpha * alpha!."""
-        w, a = self.wreath[i]
-        return w ** a * factorial(a)
-
-    @property
-    def aut_order(self) -> int:
-        """|Aut|, the product of the boxes' orders."""
-        return prod(self.box_aut_order(i) for i in range(len(self.alpha)))
-
-
-def _rank_count(decomp: BoxDecomposition) -> RankCount:
-    return RankCount(decomp.lattice, decomp.box_classes, decomp.alpha)
-
-
-@dataclass(frozen=True, eq=False)
 class RankReport:
     """Everything the rank computation produces, in one bundle.
 
-    The G-set, its lattice and kappa are `decomposition.gset`, `.lattice`
-    and `.kappa`.  The numbers are `count`'s, and `generating_set` holds
-    `count.pushes` as maps.
+    The G-set, its lattice, kappa and the rank numbers are
+    `decomposition.gset`, `.lattice`, `.kappa` and so on, and
+    `generating_set` holds `decomposition.pushes` as maps.
     """
 
     decomposition: BoxDecomposition
-    count: RankCount
     generating_set: tuple[EquivariantMap, ...]
 
     @property
     def u_sets(self) -> tuple:
         """Per box: tuple of N-classes (subgroup-index tuples)."""
-        return self.count.u_sets
+        return self.decomposition.u_sets
 
     @property
     def relative_rank(self) -> int:
-        return self.count.relative_rank
+        return self.decomposition.relative_rank
 
     @property
     def tags(self) -> tuple[str, ...]:
-        return self.count.tags
+        return self.decomposition.tags
 
 
 def u_set(X: GSet, i: int) -> tuple:
@@ -166,10 +76,10 @@ def u_set(X: GSet, i: int) -> tuple:
     decomp = decompose(X)
     if not 0 <= i < decomp.n_boxes:
         raise DomainError(f"box {i} does not exist; X has {decomp.n_boxes} boxes")
-    return _rank_count(decomp).u_sets[i]
+    return decomp.u_sets[i]
 
 
-def _push_maps(decomp: BoxDecomposition, pushes) -> tuple[EquivariantMap, ...]:
+def _push_maps(decomp: BoxDecomposition) -> tuple[EquivariantMap, ...]:
     """`RankCount.pushes` as maps on the points.
 
     Box i's push moves x_i, its smallest point with stabilizer H_i (also
@@ -178,7 +88,7 @@ def _push_maps(decomp: BoxDecomposition, pushes) -> tuple[EquivariantMap, ...]:
     target subgroup.
     """
     maps = []
-    for i, target in pushes:
+    for i, target in decomp.pushes:
         reps = np.sort(_box_orbit_reps(decomp, i))
         y = reps[1] if target is None else _first_point_with(decomp, target)
         maps.append(point_push(decomp.gset, int(reps[0]), int(y)))
@@ -206,12 +116,11 @@ def relative_rank(X: GSet) -> RankReport:
     match the formula.
     """
     decomp = decompose(X)
-    count = _rank_count(decomp)
-    maps = _push_maps(decomp, count.pushes)
-    if len(maps) != count.relative_rank:
+    maps = _push_maps(decomp)
+    if len(maps) != decomp.relative_rank:
         raise PropertyFailure(
-            f"generating set has {len(maps)} pushes but the formula gives {count.relative_rank}")
-    return RankReport(decomposition=decomp, count=count, generating_set=maps)
+            f"generating set has {len(maps)} pushes but the formula gives {decomp.relative_rank}")
+    return RankReport(decomposition=decomp, generating_set=maps)
 
 
 def decompose_by_boxes(tau: EquivariantMap) -> list[EquivariantMap]:
@@ -379,7 +288,7 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
     when the generators would hold more than DEFAULT_CELL_BUDGET cells.
     """
     decomp = decompose(X)
-    count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
+    count = sum(a - 1 + a * (w - 1) for w, a in decomp.wreath)
     if count * X.size > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
             f"aut_generators would build {count} maps of {X.size} points, "
@@ -401,14 +310,12 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
 
 def aut_group_order(X: GSet) -> int:
     """Predicted |Aut| from the per-box wreath structure."""
-    return _rank_count(decompose(X)).aut_order
+    return decompose(X).aut_order
 
 
 def box_end_order(X: GSet, i: int) -> int:
     """Predicted |End| of box i on its own."""
-    decomp = decompose(X)
-    a = decomp.alpha[i]
-    return decomp.wreath_base(i) ** a * a ** a
+    return decompose(X).box_end_order(i)
 
 
 def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
@@ -418,11 +325,10 @@ def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     order means the structural bookkeeping is broken, not the input.
     """
     decomp = decompose(X)
-    count = _rank_count(decomp)
     boxes = []
     for i in range(decomp.n_boxes):
-        end_pred = box_end_order(X, i)
-        aut_pred = count.box_aut_order(i)
+        end_pred = decomp.box_end_order(i)
+        aut_pred = decomp.box_aut_order(i)
         sub = restrict_to_invariant(X, np.flatnonzero(decomp.box_of_point == i), name=f"box{i}")
         try:
             end_enum = enumerate_end(sub, budget=budget).size
@@ -441,7 +347,7 @@ def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
         boxes.append({
             "box": i,
             "alpha": decomp.alpha[i],
-            "wreath_base_order": decomp.wreath_base(i),
+            "wreath_base_order": decomp.wreath[i][0],
             "end_order_predicted": end_pred,
             "end_order_enumerated": end_enum,
             "aut_order_predicted": aut_pred,

@@ -21,11 +21,10 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .actions import DEFAULT_CELL_BUDGET, GSet, _orbits_by_moebius
+from .actions import DEFAULT_CELL_BUDGET, GSet, RankCount, _orbits_by_moebius
 from .errors import BudgetExceeded, DomainError, PropertyFailure
 from .groups import FiniteGroup, _count_text
 from .lattice import build_lattice
-from .rank import RankCount
 from .transform import EquivariantMap
 
 # The classic presentation of S3 lists e, then the transpositions a, b,

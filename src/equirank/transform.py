@@ -14,7 +14,6 @@ closure find only those, and rows are unranked when a caller reads them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -375,6 +374,9 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     maps = []
     for f in generators:
         if isinstance(f, EquivariantMap):
+            if f.gset is X:             # checked when it was built
+                maps.append(f)
+                continue
             if not _same_gset(f.gset, X):
                 raise DomainError("generator lives on a different action")
             f = f.image
@@ -479,11 +481,6 @@ def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:
     order = np.argsort(f.image, kind="stable")
     cuts = np.flatnonzero(np.diff(f.image[order])) + 1
     return [cls for cls in np.split(order, cuts) if len(cls) >= 2]
-
-
-def kernel_pairs(f: EquivariantMap) -> set:
-    """All ordered pairs (a, b), a != b, with f(a) = f(b)."""
-    return {pair for cls in _kernel_classes(f) for pair in itertools.permutations(cls.tolist(), 2)}
 
 
 def map_rank(f: EquivariantMap) -> int:

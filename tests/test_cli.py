@@ -572,13 +572,22 @@ def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys, group, q, m
     assert report["aut_order"] == aut_group_order(build_shift(make(), q).gset)
 
 
-# sha256 of the stdout of rank commands on shift spaces of more than 512
-# points, which `rank` reads off the lattice; recorded from the point route
+# sha256 of the stdout of rank commands.  D4 and Z2xZ4 at q=3 are shift
+# spaces of more than 512 points, which `rank` reads off the lattice; their
+# digests were recorded from the point route.  The rest have at most 512
+# points, so `rank` builds them and prints the generators: S3 at q=2 is the
+# paper's headline (relative rank 8).
 RANK_SHA256 = {
     ("rank", "D4", "shift:q=3"):
         "18956a8cd4eee660eff8e98edd94d605a9e7a17205e83e61af734b8bf0424a3b",
     ("rank", "Z2xZ4", "shift:q=3"):
         "0016b42497346eec0e3d335c9ca44d9f2ad0faba97064f43fe43d6fbbe50afc2",
+    ("rank", "S3", "shift:q=2"):
+        "ee9ecbb4976fce2d02fd03b495a7fe2920ab94aba06793bce033d72d0ddc2c25",
+    ("rank", "Z4", "shift:q=2"):
+        "a053db860c4d93013918e0def790c3413a48d9999a98d19983bca0141315d5cf",
+    ("rank", "D4", "union:cosets:0+cosets:1+cosets:1"):
+        "d71ba50e77b52fe0a6c6cc2e997c0a90896149780d76fd2e62aa6b88118b5e62",
 }
 
 

@@ -9,7 +9,6 @@ from equirank import (
     BudgetExceeded,
     DomainError,
     Subgroup,
-    all_subgroups,
     build_lattice,
     conj_order_graph,
     direct_product,
@@ -27,7 +26,7 @@ A6_GENS = [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)]
 
 def test_all_subgroups_against_subset_scan(zoo):
     for G in zoo.values():
-        ours = {s.element_set for s in all_subgroups(G)}
+        ours = {s.element_set for s in build_lattice(G).subgroups}
         brute = oracles.all_subgroup_element_sets(G.mul)
         assert ours == brute
 
@@ -41,7 +40,7 @@ def test_all_subgroups_against_pairwise_join():
         "Z2xS4": direct_product(make_cyclic(2), make_symmetric(4)),
     }
     for name, G in groups.items():
-        ours = [s.elements for s in all_subgroups(G)]
+        ours = [s.elements for s in build_lattice(G).subgroups]
         assert ours == oracles.subgroups_by_pairwise_join(G.mul), name
 
 
@@ -80,11 +79,11 @@ def test_subgroup_objects_are_built_on_first_use(capsys, monkeypatch):
     assert H.elements == tuple(np.flatnonzero(L.masks[7]).tolist())
     assert [S.elements for S in L.subgroups[28:]] == [
         tuple(np.flatnonzero(m).tolist()) for m in L.masks[28:]]
-    assert [S.elements for S in L.subgroups] == [S.elements for S in all_subgroups(L.group)]
+    assert [S.elements for S in L.subgroups] == oracles.subgroups_by_pairwise_join(L.group.mul)
 
 
 def test_subgroup_counts(zoo):
-    counts = {name: len(all_subgroups(G)) for name, G in zoo.items()}
+    counts = {name: len(build_lattice(G).subgroups) for name, G in zoo.items()}
     assert counts == {"Z1": 1, "Z2": 2, "Z3": 2, "Z4": 3, "Z5": 2, "Z6": 4,
                       "Z7": 2, "Z8": 4, "V4": 5, "S3": 6, "D4": 10,
                       "Z4xZ2": 8, "Z2x2x2": 16, "Q8": 6}
@@ -238,13 +237,13 @@ def test_conj_order_graph_s3():
 
 def test_lattice_budget():
     with pytest.raises(BudgetExceeded):
-        all_subgroups(make_cyclic(720), budget=360)
+        build_lattice(make_cyclic(720), budget=360)
 
 
 def test_subgroup_membership_order_and_equality(zoo):
     # containment and equality against element sets, for every pair of subgroups
     for G in zoo.values():
-        subgroups = all_subgroups(G)
+        subgroups = list(build_lattice(G).subgroups)
         for H in subgroups:
             assert all((g in H) == (g in set(H.elements)) for g in range(G.order))
         for H, K in itertools.product(subgroups, repeat=2):

@@ -245,7 +245,7 @@ def test_aut_generators_close_to_full_group(z2_shift):
 def test_aut_generators_budget_before_any_map():
     X = build_shift(make_cyclic(3), 2).gset
     decomp = decompose(X)
-    count = sum(a - 1 + a * (decomp.wreath_base(i) - 1) for i, a in enumerate(decomp.alpha))
+    count = sum(a - 1 + a * (w - 1) for w, a in decomp.wreath)
     assert len(aut_generators(X)) == count
     # about 19,400 maps of 117,649 points (9 GB) if it were built
     big = build_shift(make_symmetric(3), 7).gset
@@ -337,8 +337,9 @@ def test_shift_rank_equals_the_point_route(zoo, name, q):
     assert count.u_sets == report.u_sets
     assert count.tags == report.tags
     assert count.relative_rank == report.relative_rank == len(report.generating_set)
-    assert count.wreath == tuple(zip(map(decomp.wreath_base, range(decomp.n_boxes)),
-                                     decomp.alpha))
+    assert count.wreath == decomp.wreath == tuple(
+        (decomp.box_normalizer(i).order // decomp.box_subgroup(i).order, a)
+        for i, a in enumerate(decomp.alpha))
     assert count.aut_order == aut_group_order(X)
     if X.size <= 4096:
         lat = count.lattice

@@ -14,6 +14,7 @@ from equirank import (
     ClosureCapExceeded,
     DomainError,
     EquivariantMap,
+    GSet,
     MonoidClosure,
     StabilizerError,
     aut_generators,
@@ -30,7 +31,6 @@ from equirank import (
     enumerate_end,
     identity_map,
     is_equivariant,
-    kernel_pairs,
     make_cyclic,
     make_symmetric,
     map_rank,
@@ -401,6 +401,34 @@ def test_closure_cap_counts_the_seed():
         closure(X, gens, cap=size - 1)
 
 
+def test_closure_keeps_the_maps_built_on_its_gset(monkeypatch):
+    X = build_shift(direct_product(make_cyclic(2), make_cyclic(2)), 2).gset
+    gens = aut_generators(X) + list(relative_rank(X).generating_set)
+    built = []
+    check = EquivariantMap.__post_init__
+
+    def counted(f):
+        built.append(f.image)
+        check(f)
+
+    monkeypatch.setattr(EquivariantMap, "__post_init__", counted)
+    found = closure(X, gens)
+    assert built == [] and found.size == end_monoid_order(X)
+    assert all(a is b for a, b in zip(found.generators, gens, strict=True))
+    # a raw row, and a map on an equal G-set built apart, are wrapped and checked
+    push = gens[-1]
+    twin = EquivariantMap(GSet(X.group, X.action.copy(), name=X.name), push.image)
+    built.clear()
+    assert closure(X, [push.image, twin]).size == closure(X, [push]).size
+    assert len(built) == 2
+    bad = np.arange(X.size)
+    bad[0] = 1                      # the constant configuration 0 is fixed by all of G, 1 is not
+    with pytest.raises(DomainError, match="not equivariant"):
+        closure(X, [bad])
+    with pytest.raises(DomainError, match="different action"):
+        closure(X, [identity_map(build_shift(make_cyclic(4), 2).gset)])
+
+
 # shift spaces whose End `verify` can enumerate and close
 _VERIFY_INSTANCES = [
     (direct_product(make_cyclic(2), make_cyclic(2)), 2),
@@ -677,13 +705,20 @@ def test_sym_and_trans_generator_checks():
         sym_generators_check(0)
 
 
+def _same_image(f: EquivariantMap) -> np.ndarray:
+    """[a, b] says f(a) = f(b): the kernel of f as a relation."""
+    return f.image[:, None] == f.image[None, :]
+
+
 def test_kernel_pairs_and_rank(z2_shift):
     X = z2_shift
     p = point_push(X, 1, 0)
-    assert set(kernel_pairs(p)) == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}
+    off_diagonal = ~np.eye(X.size, dtype=bool)
+    pairs = np.argwhere(_same_image(p) & off_diagonal).tolist()
+    assert pairs == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
     assert map_rank(p) == 2
     e = identity_map(X)
-    assert kernel_pairs(e) == set() and map_rank(e) == 4
+    assert not (_same_image(e) & off_diagonal).any() and map_rank(e) == 4
 
 
 def test_singular_maps_form_an_ideal(z2_shift):
@@ -693,5 +728,6 @@ def test_singular_maps_form_an_ideal(z2_shift):
             st = compose(s, t)
             if not (s.is_bijective() and t.is_bijective()):
                 assert not st.is_bijective()
-            # kernel of the right factor survives composition
-            assert set(kernel_pairs(t)) <= set(kernel_pairs(st))
+            # kernel of the right factor survives composition: points
+            # with equal t images have equal s o t images
+            assert not (_same_image(t) & ~_same_image(st)).any()

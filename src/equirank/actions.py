@@ -86,7 +86,7 @@ class GSet:
     def _is_orbit_minimum(self) -> np.ndarray:
         """Column x of the table is the orbit of x, so x is its orbit's
         smallest point exactly when it is its column's minimum."""
-        return self._orbit_minima == np.arange(self.size)
+        return self._orbit_minima == np.arange(self.size, dtype=np.int32)
 
     @cached_property
     def stabilizer_table(self) -> StabilizerTable:
@@ -130,7 +130,7 @@ def _check_action(G: FiniteGroup, act: np.ndarray) -> None:
         raise BudgetExceeded(f"action table of {n * m} cells exceeds budget {DEFAULT_CELL_BUDGET}")
     if m and (act.min() < 0 or act.max() >= m):
         raise DomainError("action table entries out of range")
-    if (act[G.identity] != np.arange(m)).any():
+    if (act[G.identity] != np.arange(m, dtype=np.int32)).any():   # m is within the cell budget
         raise DomainError("identity does not act trivially")
     # act[g] act[s] = act[gs] for every g and generator s extends to every
     # product by induction on word length; with the identity acting

@@ -336,29 +336,33 @@ def _boxes_report(X: GSet) -> dict:
 
 def _paper_table(X: GSet) -> str:
     """Boxes as printed tables: largest stabilizer first, one column per
-    orbit, each box's `orbit_table` written as one block (`_table_rows`)."""
+    orbit, each box's `orbit_table` written by `_table_rows`, the whole
+    report joined once."""
     decomp = decompose(X)
-    lines = [f"{X.name}: {X.size} points, {decomp.n_boxes} boxes"]
+    parts = [f"{X.name}: {X.size} points, {decomp.n_boxes} boxes"]
     for i in reversed(range(decomp.n_boxes)):
         H = decomp.box_subgroup(i)
         label = "{" + ",".join(X.group.label(e) for e in H.elements) + "}"
-        lines.append(f"stabilizer class {label}  alpha = {decomp.alpha[i]}"
-                     + _table_rows(decomp.orbit_table(i)))
-    return "\n".join(lines)
+        parts.append(f"\nstabilizer class {label}  alpha = {decomp.alpha[i]}")
+        parts += _table_rows(decomp.orbit_table(i))
+    return "".join(parts)
 
 
-def _table_rows(table: np.ndarray) -> str:
-    """A non-empty table of non-negative integers as text, written as one
-    fixed-width block of ASCII codes: each row on a new line, each cell
-    two spaces and its value right-aligned to the width of the largest
-    (the rows of `"  %*d" * columns`)."""
-    digits = _decimal_places(table)
-    cells = np.full((2 + len(digits), table.size), ord(" "), dtype=np.uint8)
-    cells[2:] = digits
-    block = np.empty((len(table), 1 + cells.size // len(table)), dtype=np.uint8)
-    block[:, 0] = ord("\n")
-    block[:, 1:] = cells.T.reshape(len(table), -1)
-    return block.tobytes().decode("ascii")
+def _table_rows(table: np.ndarray) -> list[str]:
+    """A non-empty table of non-negative integers as text, in parts of
+    about `_CHUNK_ITEMS` cells: fixed-width blocks of ASCII codes, each row
+    on a new line, each cell two spaces and its value right-aligned to the
+    width of the table's largest (the rows of `"  %*d" * columns`)."""
+    top = table.max()
+    parts = []
+    for rows in _chunks(table):
+        cells = np.full((2 + len(str(top)), rows.size), ord(" "), dtype=np.uint8)
+        cells[2:] = _decimal_places(rows, top)
+        block = np.empty((len(rows), 1 + cells.size // len(rows)), dtype=np.uint8)
+        block[:, 0] = ord("\n")
+        block[:, 1:] = cells.T.reshape(len(rows), -1)
+        parts.append(block.tobytes().decode("ascii"))
+    return parts
 
 
 def _enumerate_report(X: GSet, config: RunConfig) -> dict:
@@ -559,32 +563,55 @@ def run(config: RunConfig) -> tuple[int, dict | str]:
     return code, report
 
 
-def _as_table(report, indent: str = "") -> str:
+def _as_table(report) -> str:
+    """A report as indented `key: value` lines, appended to one flat list
+    and joined once; a str report as it is."""
     if isinstance(report, str):
         return report
-    lines = []
-    for key, value in report.items():
-        if isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.append(_as_table(value, indent + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for k, item in enumerate(value):
-                lines.append(f"{indent}{key}[{k}]:")
-                lines.append(_as_table(item, indent + "  "))
-        else:
-            if isinstance(value, np.ndarray):   # as str(value.tolist())
-                value = (f"[{_int_join(value, ', ')}]" if _is_int_vector(value)
-                         else value.tolist())
-            lines.append(f"{indent}{key}: {value}")
-    return "\n".join(lines)
+    parts = []
+
+    def lines(d, indent):
+        if not d:                                       # an empty block is an empty line
+            parts.append("\n")
+        for key, value in d.items():
+            if isinstance(value, dict):
+                parts.append(f"\n{indent}{key}:")
+                lines(value, indent + "  ")
+            elif isinstance(value, list) and value and isinstance(value[0], dict):
+                for k, item in enumerate(value):
+                    parts.append(f"\n{indent}{key}[{k}]:")
+                    lines(item, indent + "  ")
+            elif isinstance(value, np.ndarray) and _is_int_vector(value):
+                parts.append(f"\n{indent}{key}: [")
+                parts.extend(_int_join(value, ", "))
+                parts.append("]")
+            else:                                       # an array as str(value.tolist())
+                value = value.tolist() if isinstance(value, np.ndarray) else value
+                parts.append(f"\n{indent}{key}: {value}")
+
+    lines(report, "")
+    parts[0] = parts[0][1:]                             # no new line before the first
+    return "".join(parts)
 
 
-def _decimal_places(values: np.ndarray) -> np.ndarray:
+# Items the digit writers convert in one numpy pass.  A chunk's temporaries,
+# about 100 bytes an item, stay cache-sized, and none grows with the report;
+# 2^13 and 2^16 items encoded the 116,592 points of S3 shift:q=7 more slowly
+# on a 2-vCPU Xeon.
+_CHUNK_ITEMS = 1 << 14
+
+
+def _chunks(values: np.ndarray):
+    """Slices of `values` along its first axis of about `_CHUNK_ITEMS` items."""
+    step = max(1, _CHUNK_ITEMS // values[0].size)
+    return (values[start:start + step] for start in range(0, len(values), step))
+
+
+def _decimal_places(values: np.ndarray, top) -> np.ndarray:
     """Non-negative integers as ASCII codes, one row per decimal place:
-    column k holds `"%*d" % (width, values.flat[k])`, width that of the
-    largest value, so leading zeros are spaces."""
+    column k holds `"%*d" % (width, values.flat[k])`, width that of `top`,
+    which is at least the largest value, so leading zeros are spaces."""
     rest = values.ravel()
-    top = rest.max()
     if top < 1 << 32:                   # uint32 divides about 3 times as fast as uint64
         rest = rest.astype(np.uint32)
     out = np.empty((len(str(top)), rest.size), dtype=np.uint8)
@@ -605,26 +632,31 @@ def _is_int_vector(values: np.ndarray) -> bool:
     return values.ndim == 1 and values.size > 0 and values.dtype.kind in "iu"
 
 
-def _int_join(values: np.ndarray, sep: str) -> str:
-    """`sep.join(map(str, values.tolist()))` for a non-empty 1-D integer array.
+def _int_join(values: np.ndarray, sep: str) -> list[str]:
+    """The parts of `sep.join(map(str, values.tolist()))` for a non-empty
+    1-D integer array, one per `_CHUNK_ITEMS` items.
 
     Each item is one column of ASCII codes: a sign, its decimal places and
-    the separator.  One boolean compress drops the signs of non-negative
-    items, leading spaces and the last separator.
+    a comma.  One boolean compress a chunk drops the signs of non-negative
+    items and leading spaces, and one `str.replace` widens each comma to
+    `sep`; the last separator is cut off the last part.
     """
-    negative = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)   # modulo 2^64: |int64 min| too
-    digits = _decimal_places(magnitude)
-    block = np.empty((1 + len(digits) + len(sep), len(values)), dtype=np.uint8)
-    block[0] = ord("-")
-    block[1:1 + len(digits)] = digits
-    block[1 + len(digits):] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)[:, None]
-    keep = np.ones(block.shape, dtype=bool)
-    keep[0] = negative
-    keep[1:1 + len(digits)] = digits != ord(" ")
-    keep[1 + len(digits):, -1] = False
-    return block.T[keep.T].tobytes().decode("ascii")
+    parts = []
+    for chunk in _chunks(values):
+        negative = chunk < 0
+        magnitude = chunk.astype(np.uint64)
+        np.negative(magnitude, out=magnitude, where=negative)   # modulo 2^64: |int64 min| too
+        digits = _decimal_places(magnitude, magnitude.max())
+        block = np.empty((2 + len(digits), len(chunk)), dtype=np.uint8)
+        block[0] = ord("-")
+        block[1:-1] = digits
+        block[-1] = ord(",")
+        keep = np.ones(block.shape, dtype=bool)
+        keep[0] = negative
+        keep[1:-1] = digits != ord(" ")
+        parts.append(block.T[keep.T].tobytes().decode("ascii").replace(",", sep))
+    parts[-1] = parts[-1][:-len(sep)]
+    return parts
 
 
 class _ReportEncoder(JSONEncoder):
@@ -634,42 +666,56 @@ class _ReportEncoder(JSONEncoder):
     Reports are trees of str-keyed dicts, lists, tuples, numpy arrays and
     JSON scalars.  Whatever options it is given, it writes sorted keys
     indented by two, and a non-str key raises TypeError.  A 1-D integer
-    array is written from its digits in one pass (`_int_join`), any other
-    array as its `tolist()`.  A list of plain ints is written in one join,
-    and a list of int lists (element lists, Moebius triples) in one join
-    per row, where the stock encoder steps a generator per item.  Each
-    level is built by one f-string, which copies its parts once.
+    array is written from its digits, a chunk at a time (`_int_join`), any
+    other array as its `tolist()`.  A list of plain ints is written in one
+    join, and a list of int lists (element lists, Moebius triples) in one
+    join per row, where the stock encoder steps a generator per item.
+    Every piece is appended to one flat list, which `json.dumps` joins
+    once: the encode peaks at about twice the text it writes.
     """
 
     def iterencode(self, o, _one_shot=False):
+        parts = []
+        put = parts.append
+
         def value(v, pad):
             inner = pad + "  "
-            if isinstance(v, dict):
-                if not v:
-                    return "{}"
-                body = ("," + inner).join([f"{encode_basestring_ascii(k)}: {value(x, inner)}"
-                                           for k, x in sorted(v.items())])
-                return f"{{{inner}{body}{pad}}}"
-            if isinstance(v, np.ndarray):
-                if _is_int_vector(v):
-                    return f"[{inner}{_int_join(v, ',' + inner)}{pad}]"
-                return value(v.tolist(), pad)
-            if not isinstance(v, (list, tuple)):
-                return _encode_scalar(v)
-            if not v:
-                return "[]"
-            join, kinds = ("," + inner).join, {*map(type, v)}
-            if kinds == {int}:
-                return f"[{inner}{join(map(int.__repr__, v))}{pad}]"
-            if kinds <= {list, tuple} and {*map(type, chain.from_iterable(v))} <= {int}:
+            if isinstance(v, np.ndarray) and not _is_int_vector(v):
+                v = v.tolist()
+            if isinstance(v, dict) and v:
+                sep = "{" + inner
+                for k, x in sorted(v.items()):
+                    put(f"{sep}{encode_basestring_ascii(k)}: ")
+                    value(x, inner)
+                    sep = "," + inner
+                put(pad + "}")
+            elif isinstance(v, np.ndarray):
+                put("[" + inner)
+                parts.extend(_int_join(v, "," + inner))
+                put(pad + "]")
+            elif not isinstance(v, (list, tuple)):         # a scalar or an empty dict
+                put(_encode_scalar(v))
+            elif not v:
+                put("[]")
+            elif (kinds := {*map(type, v)}) == {int}:
+                put(f"[{inner}{(',' + inner).join(map(int.__repr__, v))}{pad}]")
+            elif kinds <= {list, tuple} and {*map(type, chain.from_iterable(v))} <= {int}:
                 row = inner + "  "
                 row_join = ("," + row).join
-                body = join([f"[{row}{row_join(map(int.__repr__, x))}{inner}]" if x else "[]"
-                             for x in v])
-                return f"[{inner}{body}{pad}]"
-            return f"[{inner}{join([value(x, inner) for x in v])}{pad}]"
+                put("[" + inner)
+                put(("," + inner).join([f"[{row}{row_join(map(int.__repr__, x))}{inner}]"
+                                        if x else "[]" for x in v]))
+                put(pad + "]")
+            else:
+                sep = "[" + inner
+                for x in v:
+                    put(sep)
+                    value(x, inner)
+                    sep = "," + inner
+                put(pad + "]")
 
-        return [value(o, "\n")]
+        value(o, "\n")
+        return parts
 
 
 def main(argv=None) -> int:
@@ -684,9 +730,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal error: {e!r}\n")
         return 5
     if isinstance(report, str) or config.output == "table":
-        sys.stdout.write(_as_table(report) + "\n")
+        text = _as_table(report)
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, cls=_ReportEncoder) + "\n")
+        text = json.dumps(report, sort_keys=True, indent=2, cls=_ReportEncoder)
+    sys.stdout.write(text)              # encoded in full first: a failed encode writes nothing
+    sys.stdout.write("\n")
     return code
 
 

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,9 +478,37 @@ _JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+_CHUNK = equirank.cli._CHUNK_ITEMS
+
+
+def _across_chunks(size, dtype=np.int64):
+    """`size` integers of every digit count, with the dtype's extremes, 0
+    and -1 (1 if unsigned) at both ends and on both sides of each chunk
+    edge the digit writers cut at."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(size)
+    values = rng.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+    values >>= rng.integers(0, 64, size=size).astype(dtype)     # 1 to 20 digits
+    edges = {at for edge in range(_CHUNK, size + 1, _CHUNK) for at in (edge - 1, edge)}
+    extremes = [info.min, info.max, 0, -1 if info.min else 1]
+    for k, at in enumerate(sorted({0, 1, size - 2, size - 1} | edges - {size})):
+        values[at] = extremes[k % len(extremes)]
+    return values
+
+
+# 1-D integer arrays one short of, at and one past a chunk, and over three chunks
+_CHUNK_EDGE_ARRAYS = [_across_chunks(_CHUNK - 1), _across_chunks(_CHUNK),
+                      _across_chunks(_CHUNK + 1), _across_chunks(3 * _CHUNK + 5),
+                      _across_chunks(3 * _CHUNK + 5, np.uint64)]
+
+
 @given(_JSON_VALUES)
 @example({code: np.array([np.iinfo(code).min, 0, np.iinfo(code).max], dtype=code)
           for code in np.typecodes["AllInteger"]})
+@example(_CHUNK_EDGE_ARRAYS[0])
+@example(_CHUNK_EDGE_ARRAYS[1])
+@example(_CHUNK_EDGE_ARRAYS[2])
+@example({"a": [_CHUNK_EDGE_ARRAYS[3]], "b": {"c": _CHUNK_EDGE_ARRAYS[4]}})
 @settings(max_examples=200, deadline=None)
 def test_report_encoder_writes_the_stock_bytes(value):
     assert (json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
@@ -491,6 +520,11 @@ def test_report_encoder_writes_the_stock_bytes(value):
 @example(np.array([0, 1, np.iinfo(np.uint64).max], dtype=np.uint64))
 @example(np.array([], dtype=np.int64))
 @example(np.array([], dtype=np.uint8))
+@example(_CHUNK_EDGE_ARRAYS[0])
+@example(_CHUNK_EDGE_ARRAYS[1])
+@example(_CHUNK_EDGE_ARRAYS[2])
+@example(_CHUNK_EDGE_ARRAYS[3])
+@example(_CHUNK_EDGE_ARRAYS[4])
 @settings(max_examples=200, deadline=None)
 def test_table_output_writes_an_array_as_its_list(value):
     # 1-D integer arrays are written from their digits, all others
@@ -498,7 +532,10 @@ def test_table_output_writes_an_array_as_its_list(value):
     assert _as_table({"key": value}) == f"key: {value.tolist()}"
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 4)])
+# the last two span more than one chunk of rows: two chunks, the second of
+# one row, and three chunks of one column
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 4), (_CHUNK // 3 + 1, 3),
+                                   (2 * _CHUNK + 1, 1)])
 def test_table_rows_are_the_printf_rows(shape):
     # every width from 1 to 7 digits; the table is a strided view, as
     # orbit_table's rows are
@@ -507,7 +544,8 @@ def test_table_rows_are_the_printf_rows(shape):
         table = rng.integers(0, top + 1, size=(2 * shape[0], shape[1]), dtype=np.int32)[::2]
         table[rng.integers(shape[0]), rng.integers(shape[1])] = top
         row = "  " + "  ".join([f"%{len(str(top))}d"] * shape[1])
-        assert _table_rows(table) == "".join("\n" + row % tuple(r) for r in table.tolist())
+        text = "".join("\n" + row % tuple(r) for r in table.tolist())
+        assert "".join(_table_rows(table)) == text
 
 
 def test_report_encoder_keeps_the_stock_errors():
@@ -522,6 +560,38 @@ def test_report_encoder_keeps_the_stock_errors():
     for value in ({huge: 1}, {1: 2}, [{(1,): 2}], {"a": {None: 3}}):
         with pytest.raises(TypeError):
             json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
+
+
+def _encode_peak(report) -> tuple[int, int]:
+    """(length, tracemalloc peak in bytes) of the report's encode."""
+    tracemalloc.start()
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, cls=_ReportEncoder)
+        return len(text), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_encode_peaks_near_twice_its_text():
+    # the parts and the text they are joined into, plus a chunk's working
+    # blocks: no copy of the whole text per nesting level
+    _, boxes = run(parse_specs(["boxes", "S3", "shift:q=7"]))          # 2.0 MB of JSON
+    synthetic = {"a": {"b": [np.arange(-10 ** 6 // 2, 10 ** 6 // 2, dtype=np.int64)]}}
+    for report in (boxes, synthetic):
+        length, peak = _encode_peak(report)
+        assert peak <= 2.5 * length, (length, peak)
+
+
+def test_a_failed_encode_writes_nothing(capsys, monkeypatch):
+    huge = 10 ** 4300                                  # 4301 digits
+    report = {"a": np.arange(10 ** 6), "b": [huge]}    # the array is encoded first
+    monkeypatch.setattr(equirank.cli, "run", lambda config: (0, report))
+    with pytest.raises(ValueError) as stock:
+        json.dumps(huge)
+    with pytest.raises(ValueError) as ours:
+        main(["lattice", "Z2"])
+    assert str(ours.value) == str(stock.value)
+    assert capsys.readouterr().out == ""
 
 
 REPORT_COMMANDS = [

@@ -67,29 +67,14 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily in element order.
 
-        Each element not yet reached from the identity by right
-        multiplication with the generators so far becomes a generator, and
-        the reached set is closed again.  Every element is then a product
-        of generators, so a property that holds on the generators and
-        survives products holds everywhere; the validation checks rely on
-        this.  A group of order n gets at most log2(n) generators.
+        Every element is a product of generators, so a property that holds
+        on the generators and survives products holds everywhere; the
+        validation checks rely on this.  A group of order n gets at most
+        log2(n) generators.
         """
-        reached = np.zeros(self.order, dtype=bool)
-        reached[self.identity] = True
-        gens = []
-        for g in range(self.order):
-            if reached[g]:
-                continue
-            gens.append(g)
-            frontier = np.flatnonzero(reached)
-            while len(frontier):
-                products = self.mul[frontier[:, None], gens].ravel()
-                fresh = np.zeros(self.order, dtype=bool)
-                fresh[products] = True
-                fresh &= ~reached
-                reached |= fresh
-                frontier = np.flatnonzero(fresh)
-        return tuple(gens)
+        seed = np.zeros(self.order, dtype=bool)
+        seed[self.identity] = True
+        return _greedy_generators(self, seed, range(self.order))
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -103,6 +88,34 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
+
+
+def _greedy_generators(G: FiniteGroup, seed: np.ndarray, candidates) -> tuple[int, ...]:
+    """Generators modulo H of the subgroup <H, candidates>, taken from the
+    candidates greedily in the given order; `seed` marks H.
+
+    Each candidate not yet reached from H by right multiplication with the
+    generators so far becomes a generator, and the reached set is closed
+    again.  The candidates must normalize H, so the reached set H<C> is the
+    subgroup <H, C>; each generator at least doubles it, so a quotient of
+    order n gets at most log2(n) generators.  With H = {e} they generate
+    the subgroup itself.
+    """
+    reached = seed.copy()
+    gens = []
+    for g in candidates:
+        if reached[g]:
+            continue
+        gens.append(int(g))
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            products = G.mul[frontier[:, None], gens].ravel()
+            fresh = np.zeros(G.order, dtype=bool)
+            fresh[products] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+    return tuple(gens)
 
 
 def _exact_int32(values, what: str) -> np.ndarray:

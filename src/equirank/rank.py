@@ -16,7 +16,7 @@ import numpy as np
 
 from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import _sorted_unique
+from .groups import _greedy_generators
 from .lattice import Subgroup
 from .transform import (
     DEFAULT_ENUM_BUDGET,
@@ -279,32 +279,40 @@ def wreath_multiply(pi: WreathFactor, tau: WreathFactor, H: Subgroup) -> WreathF
 
 
 def aut_generators(X: GSet) -> list[EquivariantMap]:
-    """A generating set for the equivariant bijections.
+    """A generating set for the equivariant bijections, from the wreath
+    structure: at most d(N_i/H_i) + 2 maps per box.
 
-    Per box: swaps between the canonical representatives of its orbits
-    (these permute the orbits), and for each representative a translation
-    to every other point of its orbit sharing its exact stabilizer (these
-    realize the per-orbit coset group).  Refuses, before building any map,
-    when the generators would hold more than DEFAULT_CELL_BUDGET cells.
+    Box i's Aut is (N_i/H_i) wr S_alpha, acting on its orbits' canonical
+    representatives r_0, ..., r_{alpha-1}.  It is generated by the swap of
+    the first two orbits, the cycle g.r_k -> g.r_{k+1 mod alpha}, and the
+    translations r_0 -> t.r_0 of the first orbit for greedy generators t of
+    N_i/H_i; the swap and the cycle conjugate those translations onto every
+    orbit.  Refuses, before building any map, when the generators would
+    hold more than DEFAULT_CELL_BUDGET cells.
     """
     decomp = decompose(X)
-    count = sum(a - 1 + a * (w - 1) for w, a in decomp.wreath)
+    lat = decomp.lattice
+    translations = []
+    for c in decomp.box_classes:
+        h = lat.class_reps[c]
+        normalizer = np.flatnonzero(lat.masks[lat.normalizer_idx[h]])
+        translations.append(_greedy_generators(lat.group, lat.masks[h], normalizer))
+    count = sum((a >= 2) + (a >= 3) + len(t) for a, t in zip(decomp.alpha, translations))
     if count * X.size > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(
             f"aut_generators would build {count} maps of {X.size} points, "
             f"over the budget of {DEFAULT_CELL_BUDGET} cells")
     gens = []
-    for i in range(decomp.n_boxes):
-        H = decomp.box_subgroup(i)
-        N = decomp.box_normalizer(i)
-        reps = _box_orbit_reps(decomp, i).tolist()
-        for k in range(1, len(reps)):
-            gens.append(point_swap(X, reps[0], reps[k]))
-        coset_reps = _sorted_unique(H.coset_min[list(N.elements)]).tolist()
-        for r in reps:
-            for t in coset_reps:
-                if t not in H.element_set:
-                    gens.append(point_swap(X, r, int(X.action[t, r])))
+    for i, ts in enumerate(translations):
+        reps = _box_orbit_reps(decomp, i)
+        r = int(reps[0])
+        if len(reps) >= 2:
+            gens.append(point_swap(X, r, int(reps[1])))
+        if len(reps) >= 3:
+            img = np.arange(X.size, dtype=np.int32)
+            img[X.action[:, reps]] = X.action[:, np.roll(reps, -1)]
+            gens.append(EquivariantMap(X, img))
+        gens += [point_swap(X, r, int(X.action[t, r])) for t in ts]
     return gens
 
 

@@ -33,6 +33,7 @@ from equirank import (
     identity_map,
     is_elementary_collapse,
     make_cyclic,
+    make_dihedral,
     make_symmetric,
     point_push,
     recompose,
@@ -244,15 +245,95 @@ def test_aut_generators_close_to_full_group(z2_shift):
 
 def test_aut_generators_budget_before_any_map():
     X = build_shift(make_cyclic(3), 2).gset
-    decomp = decompose(X)
-    count = sum(a - 1 + a * (w - 1) for w, a in decomp.wreath)
-    assert len(aut_generators(X)) == count
-    # about 19,400 maps of 117,649 points (9 GB) if it were built
+    assert len(aut_generators(X)) == _wreath_generator_count(X)
+    # 11 maps of 117,649 points (1.29M cells) if it were built
     big = build_shift(make_symmetric(3), 7).gset
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"aut_generators would build \d+ maps of 117649 "):
+    with pytest.raises(BudgetExceeded, match=r"aut_generators would build 11 maps of 117649 "):
         aut_generators(big)
     assert time.perf_counter() - start < 30
+
+
+def _wreath_generator_count(X):
+    """Sum over boxes of [alpha >= 2] + [alpha >= 3] + d, the maps of a swap,
+    an alpha-cycle and d translations, where d counts the elements of N
+    taken in ascending order whenever the group generated by H and the
+    ones taken so far misses them (d <= log2 |N:H| is asserted)."""
+    decomp = decompose(X)
+    table = X.group.mul.tolist()
+    total = 0
+    for i, a in enumerate(decomp.alpha):
+        H, N = decomp.box_subgroup(i), decomp.box_normalizer(i)
+        taken, reached = [], H.element_set
+        for t in N.elements:
+            if t not in reached:
+                taken.append(t)
+                reached = oracles.generated_elements(table, X.group.identity,
+                                                     [*H.elements, *taken])
+        assert reached == N.element_set
+        assert 2 ** len(taken) <= N.order // H.order
+        total += (a >= 2) + (a >= 3) + len(taken)
+    return total
+
+
+def _aut_sweep(G, lattice):
+    """(X, Aut) for the shift spaces with q^|G| |G| <= 2 10^5 and the disjoint
+    unions of up to three coset actions (one per subgroup class, repeats
+    allowed) on at most 24 points, wherever Aut fits the enumeration
+    budget.  The choices that budget counts grow with q, so the shift
+    spaces stop at the first one refused."""
+    q = 2
+    while q ** G.order * G.order <= 200_000:
+        X = build_shift(G, q).gset
+        try:
+            aut = enumerate_aut(X)
+        except BudgetExceeded:
+            break
+        yield X, aut
+        q += 1
+    actions = [coset_action(G, lattice.subgroups[i]) for i in lattice.class_reps]
+    for k in range(1, 4):
+        for combo in itertools.combinations_with_replacement(actions, k):
+            if sum(a.size for a in combo) > 24:
+                continue
+            X = functools.reduce(disjoint_union, combo)
+            try:
+                aut = enumerate_aut(X)
+            except BudgetExceeded:
+                continue
+            yield X, aut
+
+
+@pytest.mark.parametrize("name", sorted(small_groups()))
+def test_aut_generators_generate_aut(zoo, name):
+    # wherever Aut can be enumerated, the wreath generators close to it,
+    # each is a bijection, and there are a swap, an alpha-cycle and d(N/H)
+    # translations per box
+    G = zoo[name]
+    lattice = build_lattice(G)              # held: one lattice for every instance
+    checked = 0
+    for X, aut in _aut_sweep(G, lattice):
+        decomp = decompose(X)               # held across the calls below
+        gens = aut_generators(X)
+        assert all(oracles.is_bijection(f.image) for f in gens), X.name
+        assert np.array_equal(closure(X, gens, cap=aut.size).indices, aut.indices), X.name
+        assert len(gens) == _wreath_generator_count(X), X.name
+        checked += 1
+        del decomp
+    assert checked
+
+
+@pytest.mark.parametrize("group, q, count", [
+    (make_symmetric(3), 2, 8), (make_dihedral(4), 2, 17), (make_symmetric(3), 3, 11),
+    (make_dihedral(4), 3, 25), (make_symmetric(3), 5, 11),
+], ids=["S3-q2", "D4-q2", "S3-q3", "D4-q3", "S3-q5"])
+def test_aut_generator_counts(group, q, count):
+    # the old construction built 48, 224, 677, 6,409 and 15,381 swaps; the
+    # last two were refused (D4 q=3: 42M cells of 6,561 points)
+    X = build_shift(group, q).gset
+    gens = aut_generators(X)
+    assert len(gens) == _wreath_generator_count(X) == count
+    assert all(f.is_bijective() for f in gens)
 
 
 def test_aut_order_prediction(s3_shift):

@@ -569,21 +569,23 @@ def _last_target_map(X):
     return EquivariantMap(X, img)
 
 
-@pytest.mark.parametrize("group, q, width", [
-    (make_cyclic(3), 2, "uint32"),
-    (make_symmetric(3), 2, "one uint64 word"),
-    (make_cyclic(3), 4, "several words"),
+@pytest.mark.parametrize("group, q, swaps, width", [
+    (make_cyclic(3), 2, [(1, 3), (1, 4)], "uint32"),
+    (make_symmetric(3), 2, [(1, 3), (1, 7)], "one uint64 word"),
+    (make_cyclic(3), 4, [(1, 2), (1, 3)], "several words"),
 ], ids=["Z3-q2", "S3-q2", "Z3-q4"])
-def test_closure_at_every_key_width(group, q, width):
+def test_closure_at_every_key_width(group, q, swaps, width):
     # End indices need 32 bits, exactly 64 (|End| = 2^64 for S3 q=2, so
     # the last-target map has key 2^64 - 1), or more than one 64-bit word;
-    # three pushes and two Aut generators close to 113, 126 and 190 maps
+    # three pushes and two point swaps in the free box (two orbit swaps, or
+    # on Z3 q=2 an orbit swap and a translation) close to 113, 126 and 190
+    # maps
     X = build_shift(group, q).gset
     order = end_monoid_order(X)
     assert {"uint32": order <= 2 ** 32, "one uint64 word": order == 2 ** 64,
             "several words": order > 2 ** 64}[width]
     last = _last_target_map(X)
-    gens = [last, *relative_rank(X).generating_set[:3], *aut_generators(X)[:2]]
+    gens = [last, *relative_rank(X).generating_set[:3], *(point_swap(X, x, y) for x, y in swaps)]
     got = closure(X, gens, cap=4096)
     expected = oracles.monoid_by_bfs(X.size, [f.image for f in gens])
     assert got.images.tobytes() == expected.tobytes()

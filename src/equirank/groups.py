@@ -26,10 +26,20 @@ DEFAULT_GROUP_BUDGET = 10_080
 
 # Cells a blocked step builds at once: the (elements, generators, points)
 # products `_group_from_permutations` looks up, the (elements, columns)
-# table rows that `_fill_by_generators` fills and `_rule_break` compares,
-# the lattice's word and chain temporaries, and the candidate End keys
-# that `transform.closure` forms per block.  2^18 int32 cells (1 MB, 2 MB
-# at 64 bits) keep each temporary within a core's cache.
+# table rows that `_fill_by_generators` fills, the lattice's word and chain
+# temporaries, and the candidate End keys that `transform.closure` forms
+# per block.  2^18 int32 cells are 1 MB (2 MB at 64 bits).
+#
+# The generator-rule checks (`_rule_break` here, the equivariance check in
+# `transform`) compare two gathers of a table per block, and numpy widens
+# an int32 index to intp on every call, so their blocks (`_check_blocks`)
+# hold a quarter of that, 256 KB of int32 a side, and take their shape from
+# the table.  A wide table (q^|G| shift columns on |G| rows) is cut into
+# column ranges across all rows, so each gather is indexed by a short slice
+# of the generator's row rather than by the whole row once per row block.
+# A tall table (a group's own |G| x |G| product table) is cut into row
+# ranges: column blocks would split every row's gather into many short
+# ones, which made Light's test on S7 six times slower.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -188,22 +198,44 @@ def _fill_by_generators(right: np.ndarray, identity: int, gen_rows: np.ndarray) 
     return out
 
 
+def _check_blocks(shape: tuple[int, int]) -> list[tuple[slice, slice]]:
+    """The (rows, columns) blocks that a generator-rule check of an (n, m)
+    table compares, in order; a quarter of `_BLOCK_CELLS` cells each.
+
+    A wide table (m > n) is cut into column ranges across all rows, a tall
+    one into row ranges of whole rows; either way a row's last block comes
+    after every block of the rows before it.
+    """
+    n, m = shape
+    cells = max(1, _BLOCK_CELLS >> 2)
+    if m > n:
+        width = max(1, cells // max(1, n))
+        return [(slice(0, n), slice(c, c + width)) for c in range(0, m, width)]
+    height = max(1, cells // max(1, m))
+    return [(slice(r, r + height), slice(0, m)) for r in range(0, n, height)]
+
+
 def _rule_break(G: FiniteGroup, table: np.ndarray) -> tuple[int, int] | None:
     """The first (g, s), s in `G.generators`, with table[g s] != table[g][table[s]].
 
-    On `G.mul` this is Light's test, on a G-set's table the action law.  g
-    runs ascending within each generator, in blocks of rows of at most
-    `_BLOCK_CELLS` cells, so both sides of a compare stay cache-sized; the
-    first block that differs is searched for its first row.  None when the
-    rule holds (then for all products).
+    On `G.mul` this is Light's test, on a G-set's table the action law.
+    Generators are taken in order.  For each, both sides are compared block
+    by block (`_check_blocks`); after a block that ends at the last column,
+    every row up to its last one has been checked in full, so the first of
+    them that failed is the g.  None when the rule holds (then for all
+    products).
     """
-    step = max(1, _BLOCK_CELLS // max(1, table.shape[1]))
+    m, blocks = table.shape[1], _check_blocks(table.shape)
     for s in G.generators:
-        for start in range(0, len(table), step):
-            lhs = np.take(table, G.mul[start:start + step, s], axis=0)
-            rhs = np.take(table[start:start + step], table[s], axis=1)
-            if not np.array_equal(lhs, rhs):
-                return start + int((lhs != rhs).any(axis=1).argmax()), s
+        bad = None
+        for rows, cols in blocks:
+            differs = table[G.mul[rows, s], cols] != np.take(table[rows], table[s, cols], axis=1)
+            if differs.any():
+                if bad is None:
+                    bad = np.zeros(len(table), dtype=bool)
+                bad[rows] |= differs.any(axis=1)
+            if bad is not None and cols.stop >= m:
+                return int(bad.argmax()), s
     return None
 
 

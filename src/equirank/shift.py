@@ -216,30 +216,40 @@ class LocalRule:
 
 
 def ca_from_rule(space: ShiftSpace, rule: LocalRule) -> EquivariantMap:
-    """The global map tau(x)(g) = mu((x o R_g)|_S), R_g(h) = g h."""
+    """The global map tau(x)(g) = mu((x o R_g)|_S), R_g(h) = g h.
+
+    That is tau(x)(g) = mu(x(g s_1), .., x(g s_k)), the memory s_1..s_k in
+    display order.  The image is summed on the (q,)*|G| configuration
+    tensor, whose axis i is the digit of display[i].  Cell g = display[i]
+    adds q^(|G|-1-i) mu: the rule table reshaped to (q,)*k and laid, as a
+    view, on the axes of the cells g s_1, .., g s_k, broadcast over the
+    other axes.  The action table is not read, and the int32 sums are exact
+    as codes lie below q^|G| < 2^31.
+    """
     if rule.space is not space and (
             rule.space.q != space.q or rule.space.display != space.display
             or rule.space.group.order != space.group.order
             or (rule.space.group.mul != space.group.mul).any()):
         raise DomainError("rule belongs to a different shift space")
-    G = space.group
-    n, q = G.order, space.q
-    # The identity cell first: mu applied to the memory digits, one axis of
-    # the (q,)*n configuration tensor per memory element.
-    pattern = np.zeros((1,) * n, dtype=np.int64)
-    for j, s in enumerate(rule.memory):
-        axis = [1] * n
-        axis[space.position_of[s]] = q
-        pattern = pattern + q ** (len(rule.memory) - 1 - j) * np.arange(q).reshape(axis)
-    out_e = np.broadcast_to(rule.table[pattern].astype(np.int32), (q,) * n).reshape(-1)
-    # tau(x)(g) = tau(g^-1.x)(e), so the digit at display[i] is out_e read
-    # through the action of display[i]^-1.
-    act = space.gset.action
-    image = np.zeros(space.size, dtype=np.int32)
-    for g in space.display:             # Horner's rule, most significant digit first
-        image *= q
-        image += np.take(out_e, act[G.inv[g]])
-    return EquivariantMap(space.gset, image)
+    n, q, k = space.group.order, space.q, len(rule.memory)
+    local = rule.table.astype(np.int32).reshape((q,) * k)
+    memory_axes = space.position_of[space.group.mul[np.ix_(space.display, rule.memory)]]
+    image = np.zeros((q,) * n, dtype=np.int32)
+    for weight, axes in zip(space.weights.tolist(), memory_axes.tolist()):
+        shape = [1] * n
+        for a in axes:
+            shape[a] = q
+        order = sorted(range(k), key=axes.__getitem__)
+        image += (local * weight).transpose(order).reshape(shape)
+    return EquivariantMap(space.gset, image.reshape(-1))
+
+
+def _identity_digits(space: ShiftSpace, tau: EquivariantMap) -> np.ndarray:
+    """tau(x)(e) for every configuration x, in int32: the identity's digit
+    of each image code (exact, as codes lie below q^|G| < 2^31)."""
+    out = tau.image // int(space.weights[space.position_of[space.group.identity]])
+    out %= space.q
+    return out
 
 
 def rule_from_map(space: ShiftSpace, tau) -> LocalRule:
@@ -249,9 +259,7 @@ def rule_from_map(space: ShiftSpace, tau) -> LocalRule:
     if not equivariant).  `ca_from_rule` round-trips the result exactly.
     """
     tau = _as_shift_map(space, tau)
-    pos_e = int(space.position_of[space.group.identity])
-    table = (tau.image.astype(np.int64) // space.weights[pos_e]) % space.q
-    return LocalRule(space=space, memory=space.display, table=table)
+    return LocalRule(space=space, memory=space.display, table=_identity_digits(space, tau))
 
 
 def _as_shift_map(space: ShiftSpace, tau) -> EquivariantMap:
@@ -273,10 +281,8 @@ def minimal_memory_set(space: ShiftSpace, tau) -> tuple[int, ...]:
     memory set by rebuilding the map from the restricted rule.
     """
     tau = _as_shift_map(space, tau)
-    G = space.group
-    n, q = G.order, space.q
-    pos_e = int(space.position_of[G.identity])
-    out_e = (tau.image.astype(np.int64) // space.weights[pos_e]) % q
+    n, q = space.group.order, space.q
+    out_e = _identity_digits(space, tau)
     tensor = out_e.reshape((q,) * n)
     axes = [ax for ax in range(n)
             if (tensor != tensor.take([0], axis=ax)).any()]

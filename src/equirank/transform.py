@@ -22,8 +22,8 @@ import numpy as np
 
 from .actions import GSet, trivial_gset
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import (_BLOCK_CELLS, _exact_int32, _RowKeys, _count_text, _runs, _sorted_unique,
-                     make_cyclic)
+from .groups import (_BLOCK_CELLS, _check_blocks, _exact_int32, _RowKeys, _count_text, _runs,
+                     _sorted_unique, make_cyclic)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -108,14 +108,19 @@ def _first_non_commuting_generators(X: GSet, rows: np.ndarray) -> np.ndarray:
 
     A map commuting with the generators commutes with their products, so
     -1 marks exactly the equivariant self-maps (X is already an action).
+    Both sides are compared in the blocks `_check_blocks` shapes to the
+    (k, m) block: column ranges of every row for the usual few rows.
     """
     m = X.size
     if rows.shape[1:] != (m,):
         return np.full(len(rows), -2)
     out = np.full(len(rows), -1)
+    blocks = _check_blocks(rows.shape)
     for s in reversed(X.group.generators):     # a row's first failure is written last
         row = X.action[s]       # clipped entries lie in rows marked -2 below
-        out[(np.take(rows, row, axis=1) != np.take(row, rows, mode="clip")).any(axis=1)] = s
+        for r, c in blocks:
+            lhs = np.take(rows[r], row[c], axis=1)
+            out[r][(lhs != np.take(row, rows[r, c], mode="clip")).any(axis=1)] = s  # a view
     if m:
         out[(rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)] = -2
     return out
@@ -485,4 +490,6 @@ def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:
 
 def map_rank(f: EquivariantMap) -> int:
     """Number of distinct image points."""
-    return int(np.count_nonzero(np.bincount(f.image, minlength=f.gset.size)))
+    hit = np.zeros(f.gset.size, dtype=bool)
+    hit[f.image] = True
+    return int(np.count_nonzero(hit))

@@ -86,6 +86,18 @@ def first_generator_violation(mul: np.ndarray, act: np.ndarray, generators) -> t
     return None
 
 
+def first_non_commuting_generator(act: np.ndarray, img: np.ndarray, generators) -> int | None:
+    """The first generator s with img[act[s]] != act[s][img], or None.
+
+    Scans the generators in the given order, comparing the whole of both
+    rows for each: the generator an exact equivariance check names.
+    """
+    for s in generators:
+        if (img[act[s]] != act[s][img]).any():
+            return s
+    return None
+
+
 def associativity_failures(mul: np.ndarray) -> int:
     """Number of triples (a, b, c) with (ab)c != a(bc), one triple at a time."""
     n = mul.shape[0]

@@ -25,7 +25,7 @@ from equirank import (
     restrict_to_invariant,
     trivial_gset,
 )
-from equirank.groups import _BLOCK_CELLS
+from equirank.groups import _check_blocks
 from equirank.rank import _first_point_with
 
 import oracles
@@ -117,20 +117,46 @@ def test_action_check_names_the_first_bad_generator_pair(X, data):
     assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
 
 
+def _named_pair(G, act):
+    """The (g, s) that `GSet` names for a broken table, checked against
+    the oracle's first failing pair."""
+    bad_g, bad_s = oracles.first_generator_violation(G.mul, act, G.generators)
+    with pytest.raises(DomainError) as info:
+        GSet(G, act)
+    assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
+    return bad_g, bad_s
+
+
 def test_action_check_names_the_first_bad_pair_past_the_first_block():
+    # tall: the regular action of D300, 600 x 600, checked in blocks of rows
+    G = make_dihedral(300)
+    blocks = _check_blocks(G.mul.shape)
+    assert len(blocks) > 1 and all(c == slice(0, G.order) for _, c in blocks)
+    for x in (0, 345, G.order - 1):
+        act = G.mul.copy()
+        act[-1, x] = (act[-1, x] + 1) % G.order
+        assert _named_pair(G, act)[0] >= blocks[0][0].stop
+
+    # wide: D4 shift:q=4, 8 rows of 65,536 points, checked in column ranges
+    # across all rows
     G = make_dihedral(4)
-    X = build_shift(G, 4).gset                  # 8 rows of 65,536 points, 4 rows a block
-    rows_per_block = _BLOCK_CELLS // X.size
-    assert rows_per_block < G.order
+    X = build_shift(G, 4).gset
+    blocks = _check_blocks(X.action.shape)
+    assert len(blocks) > 2 and all(r == slice(0, G.order) for r, _ in blocks)
     for x in (0, 12345, X.size - 1):
         act = X.action.copy()
         act[-1, x] = (act[-1, x] + 1) % X.size
         assert oracles.action_violation(G.mul, act, G.identity) is not None
-        bad_g, bad_s = oracles.first_generator_violation(G.mul, act, G.generators)
-        assert bad_g >= rows_per_block
-        with pytest.raises(DomainError) as info:
-            GSet(G, act)
-        assert str(info.value) == f"action is not compatible with the product at ({bad_g},{bad_s})"
+        _named_pair(G, act)
+    # one cell broken in the first column block, one in the last: the first
+    # bad pair's row fails only in the last block, a later row in the first
+    act = X.action.copy()
+    for g, x in ((7, 100), (2, X.size - 100)):
+        act[g, x] = (act[g, x] + 1) % X.size
+    bad_g, bad_s = _named_pair(G, act)
+    failing = act[G.mul[:, bad_s]] != act[:, act[bad_s]]
+    assert failing[bad_g, :blocks[-1][1].start].sum() == 0
+    assert failing[bad_g + 1:, :blocks[0][1].stop].any()
 
 
 def _box_instances():

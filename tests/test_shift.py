@@ -201,26 +201,35 @@ def test_ca_matches_pointwise_oracle(s3):
         assert s3.decode(int(tau.image[c])) == tuple(out[h] for h in s3.display)
 
 
-_CA_SPACES = {name: build_shift(G, 2) for name, G in
-              (("Z4", make_cyclic(4)), ("S3", make_symmetric(3)), ("D4", make_dihedral(4)))}
+# q = 2 and 3, and non-default displays: a cell's memory axes come from
+# the display and from g s (not s g)
+_CA_SPACES = {
+    "Z4 q=2": build_shift(make_cyclic(4), 2),
+    "S3 q=2": build_shift(make_symmetric(3), 2),
+    "D4 q=2": build_shift(make_dihedral(4), 2),
+    "Z3 q=3": build_shift(make_cyclic(3), 3),
+    "S3 q=3": build_shift(make_symmetric(3), 3),
+    "S3 q=2 shuffled": build_shift(make_symmetric(3), 2, display=(5, 3, 1, 0, 2, 4)),
+    "D4 q=2 shuffled": build_shift(make_dihedral(4), 2, display=(6, 1, 7, 0, 3, 5, 2, 4)),
+}
 
 
 @given(st.sampled_from(sorted(_CA_SPACES)), st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_ca_from_rule_matches_pointwise_oracle(name, data):
     space = _CA_SPACES[name]
-    n = space.group.order
+    n, q = space.group.order, space.q
     memory = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
-    table = data.draw(st.lists(st.integers(0, 1), min_size=2 ** len(memory),
-                               max_size=2 ** len(memory)))
+    table = data.draw(st.lists(st.integers(0, q - 1), min_size=q ** len(memory),
+                               max_size=q ** len(memory)))
     rule = LocalRule(space=space, memory=tuple(memory), table=table)
-    patterns = itertools.product((0, 1), repeat=len(rule.memory))
+    patterns = itertools.product(range(q), repeat=len(rule.memory))
     lookup = dict(zip(patterns, rule.table.tolist()))
     tau = ca_from_rule(space, rule)
     for c in range(space.size):
         digits = space.decode(c)
         config = {space.display[i]: digits[i] for i in range(n)}
-        out = oracles.cellular_step(space.group.mul, 2, list(space.display),
+        out = oracles.cellular_step(space.group.mul, q, list(space.display),
                                     memory, lookup, config)
         assert space.decode(int(tau.image[c])) == tuple(out[h] for h in space.display)
 

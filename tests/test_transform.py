@@ -32,6 +32,7 @@ from equirank import (
     identity_map,
     is_equivariant,
     make_cyclic,
+    make_dihedral,
     make_symmetric,
     map_rank,
     point_push,
@@ -43,8 +44,8 @@ from equirank import (
 )
 
 from equirank.actions import DEFAULT_CELL_BUDGET
-from equirank.groups import _sorted_unique
-from equirank.transform import _EndIndex
+from equirank.groups import _check_blocks, _sorted_unique
+from equirank.transform import _EndIndex, _first_non_commuting_generators
 
 import oracles
 from catalog import make_quaternion, small_groups
@@ -110,6 +111,38 @@ def test_equivariance_check_names_the_first_generator_that_fails():
     assert not oracles.is_equivariant(X.action, img)
     with pytest.raises(DomainError, match=f"not equivariant at group element {second}$"):
         EquivariantMap(X, img)
+
+
+def test_equivariance_check_names_each_rows_first_generator_across_column_blocks():
+    G = make_dihedral(4)
+    X = build_shift(G, 4).gset                  # 65,536 points
+    first, second = G.generators
+    center = next(g for g in range(G.order) if g != G.identity
+                  and (G.mul[g] == G.mul[:, g]).all())
+    fixed, moved = X.size - 1, 1                # the all-3 configuration; 0..01
+    assert (X.action[:, fixed] == fixed).all() and X.action[first, moved] != moved
+    rows = np.array([
+        np.arange(X.size),                      # the identity, broken at the last point
+        X.action[first],                        # commutes with `first`, not with `second`
+        X.action[center],                       # equivariant
+        X.action[first],                        # as above, and broken at the last point
+        np.arange(X.size),                      # an entry out of range
+    ], dtype=np.int32)
+    rows[[0, 3], fixed] = moved
+    rows[4, 7] = X.size
+    blocks = _check_blocks(rows.shape)          # column ranges across all five rows
+    assert len(blocks) > 2 and all(r == slice(0, len(rows)) for r, _ in blocks)
+
+    def failing_columns(row, s):
+        return np.flatnonzero(row[X.action[s]] != X.action[s][row])
+
+    # row 3 fails `second` in the first column block, `first` only in the last
+    assert failing_columns(rows[3], second)[0] < blocks[0][1].stop
+    assert failing_columns(rows[3], first).tolist() == [fixed]
+    expected = [oracles.first_non_commuting_generator(X.action, row, G.generators)
+                for row in rows[:4]]
+    assert expected == [first, second, None, first]
+    assert _first_non_commuting_generators(X, rows).tolist() == [first, second, -1, first, -2]
 
 
 def _map_instances():

@@ -7,8 +7,6 @@ Run with:  python3 demos/03_enumeration.py
 """
 
 from equirank import (
-    aut_group_order,
-    box_end_order,
     burnside_orbit_count,
     build_shift,
     decompose,
@@ -28,12 +26,12 @@ print(f"binary shift on {G.name}: {X.size} points, "
 end = enumerate_end(X)
 aut = enumerate_aut(X)
 print(f"|End| enumerated = {end.size}, formula = {end_monoid_order(X)}")
-print(f"|Aut| enumerated = {aut.size}, formula = {aut_group_order(X)}\n")
+print(f"|Aut| enumerated = {aut.size}, formula = {decomp.aut_order}\n")
 
 print("per-box monoid orders (w^alpha * alpha^alpha):")
 for i in range(decomp.n_boxes):
     print(f"  box {i}: alpha = {decomp.alpha[i]}, w = {decomp.wreath[i][0]}, "
-          f"|End(B_{i})| = {box_end_order(X, i)}")
+          f"|End(B_{i})| = {decomp.box_end_order(i)}")
 
 print("\nfirst few endomorphisms (as image rows):")
 for row in end.images[:5]:

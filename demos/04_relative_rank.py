@@ -26,17 +26,17 @@ decomp = report.decomposition
 
 print(f"binary shift on {G.name}: {X.size} configurations")
 print(f"alpha profile {decomp.alpha}, kappa = {decomp.kappa}")
-print(f"relative rank = {report.relative_rank}\n")
+print(f"relative rank = {decomp.relative_rank}\n")
 
 print("U-set sizes per box and the generating maps:")
-for i, u in enumerate(report.u_sets):
+for i, u in enumerate(decomp.u_sets):
     print(f"  box {i}: |U| = {len(u)}")
-for tag, gen in zip(report.tags, report.generating_set):
+for tag, gen in zip(decomp.tags, report.generating_set):
     print(f"  {tag:<16} type {collapse_type(gen)}")
 
 census = collapse_type_census(X)
 print(f"\ncollapse-type census has {len(census)} entries "
-      f"(= relative rank: {len(census) == report.relative_rank})")
+      f"(= relative rank: {len(census) == decomp.relative_rank})")
 
 print("\nfrom the lattice alone, without building a configuration:")
 for n, q in ((3, 2), (4, 2), (5, 2), (5, 1000)):

@@ -46,7 +46,6 @@ from .groups import (
 from .lattice import Subgroup, build_lattice, element_lists, generated_subgroup
 from .rank import (
     aut_generators,
-    aut_group_order,
     collapse_type_census,
     relative_rank,
     wreath_order_checks,
@@ -219,6 +218,9 @@ def parse_specs(args) -> RunConfig:
             raise SpecStringError("the ca command needs a shift:q=<n> G-set")
         if ns.rule is None:
             raise SpecStringError("the ca command needs --rule <memory>:<table>")
+    if ns.command == "boxes" and ns.paper_layout and ns.verify:
+        # a paper-layout table is text, with no place for the verification checks
+        raise SpecStringError("boxes takes --paper-layout or --verify, not both")
     return RunConfig(
         command=ns.command,
         group_spec=ns.group,
@@ -369,7 +371,7 @@ def _enumerate_report(X: GSet, config: RunConfig) -> dict:
     kwargs = {"budget": config.budget} if config.budget else {}
     if config.aut_only:
         found = enumerate_aut(X, **kwargs)
-        predicted = aut_group_order(X)
+        predicted = decompose(X).aut_order
     else:
         found = enumerate_end(X, **kwargs)
         predicted = end_monoid_order(X)
@@ -465,7 +467,7 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
     decomp = decompose(X)
 
     def check_burnside():
-        if burnside_orbit_count(X) != len(X.orbits):
+        if burnside_orbit_count(X) != len(X.orbit_reps):
             raise PropertyFailure("orbit count disagrees with the fixed-point average")
 
     def check_moebius():
@@ -480,11 +482,11 @@ def _verify_checks(X: GSet, space: ShiftSpace | None, budget: int | None) -> lis
     rank_report = functools.cache(lambda: relative_rank(X))
 
     def check_rank():
-        report = rank_report()
+        count = rank_report().decomposition
         census = collapse_type_census(X)
-        if len(census) != report.relative_rank:
+        if len(census) != count.relative_rank:
             raise PropertyFailure(
-                f"census has {len(census)} types, rank is {report.relative_rank}")
+                f"census has {len(census)} types, rank is {count.relative_rank}")
 
     def check_wreath():
         wreath_order_checks(X, **({"budget": budget} if budget else {}))

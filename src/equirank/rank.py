@@ -21,7 +21,6 @@ from .lattice import Subgroup
 from .transform import (
     DEFAULT_ENUM_BUDGET,
     EquivariantMap,
-    _kernel_classes,
     compose,
     enumerate_aut,
     enumerate_end,
@@ -55,28 +54,6 @@ class RankReport:
 
     decomposition: BoxDecomposition
     generating_set: tuple[EquivariantMap, ...]
-
-    @property
-    def u_sets(self) -> tuple:
-        """Per box: tuple of N-classes (subgroup-index tuples)."""
-        return self.decomposition.u_sets
-
-    @property
-    def relative_rank(self) -> int:
-        return self.decomposition.relative_rank
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return self.decomposition.tags
-
-
-def u_set(X: GSet, i: int) -> tuple:
-    """The N_i-classes of occurring stabilizers that contain box i's subgroup,
-    in the order of `RankCount.u_sets`."""
-    decomp = decompose(X)
-    if not 0 <= i < decomp.n_boxes:
-        raise DomainError(f"box {i} does not exist; X has {decomp.n_boxes} boxes")
-    return decomp.u_sets[i]
 
 
 def _push_maps(decomp: BoxDecomposition) -> tuple[EquivariantMap, ...]:
@@ -145,30 +122,22 @@ def recompose(factors) -> EquivariantMap:
 def _collapse_shape(tau: EquivariantMap):
     """The (source orbit, target orbit) of an elementary collapse, else None.
 
-    Elementary means: the non-singleton kernel classes tie together
-    exactly two orbits, covering both completely, with exactly one point
-    of the target orbit in each class.  When every class is a pair either
-    orbit can serve as the target; the choice does not affect the type.
+    Elementary means: the points that share their image with another
+    point make up exactly two orbits, and each image they share is the
+    image of exactly one point of the target orbit.  Those points are
+    whole orbits, as g carries a pair with one image to another such
+    pair.  When every shared image has two preimages either orbit can
+    serve as the target; the choice does not affect the type.
     """
-    classes = _kernel_classes(tau)
-    if not classes:
+    orbit_of_point = tau.gset.orbit_of_point
+    shared = np.bincount(tau.image, minlength=tau.gset.size)[tau.image] >= 2
+    pair = np.unique(orbit_of_point[shared])
+    if len(pair) != 2:
         return None
-    orbit_ids = tau.gset.orbit_of_point
-    involved = sorted({int(orbit_ids[x]) for cls in classes for x in cls})
-    if len(involved) != 2:
-        return None
-    a_id, b_id = involved
-    covered = {x for cls in classes for x in cls}
-    a_pts = set(tau.gset.orbits[a_id])
-    b_pts = set(tau.gset.orbits[b_id])
-    if covered != a_pts | b_pts:
-        return None
-    def one_per_class(target_pts):
-        return all(len(target_pts.intersection(cls)) == 1 for cls in classes)
-    if one_per_class(b_pts):
-        return (a_id, b_id)
-    if one_per_class(a_pts):
-        return (b_id, a_id)
+    for source, target in (pair, pair[::-1]):
+        hits = np.bincount(tau.image[orbit_of_point == target], minlength=tau.gset.size)
+        if (hits[tau.image[shared]] == 1).all():
+            return int(source), int(target)
     return None
 
 
@@ -316,16 +285,6 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
     return gens
 
 
-def aut_group_order(X: GSet) -> int:
-    """Predicted |Aut| from the per-box wreath structure."""
-    return decompose(X).aut_order
-
-
-def box_end_order(X: GSet, i: int) -> int:
-    """Predicted |End| of box i on its own."""
-    return decompose(X).box_end_order(i)
-
-
 def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Compare predicted wreath-product orders with enumeration where feasible.
 
@@ -361,7 +320,7 @@ def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
             "aut_order_predicted": aut_pred,
             "aut_order_enumerated": aut_enum,
         })
-    aut_pred_total = aut_group_order(X)
+    aut_pred_total = decomp.aut_order
     try:
         aut_enum_total = enumerate_aut(X, budget=budget).size
     except BudgetExceeded:

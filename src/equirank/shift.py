@@ -288,11 +288,9 @@ def minimal_memory_set(space: ShiftSpace, tau) -> tuple[int, ...]:
             if (tensor != tensor.take([0], axis=ax)).any()]
     memory = tuple(space.display[ax] for ax in axes)
 
-    # validity: the rule restricted to `memory` reproduces tau
-    k = len(axes)
-    pat_weights = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    pat_digits = (np.arange(q ** k, dtype=np.int64)[:, None] // pat_weights[None, :]) % q
-    table = out_e[pat_digits @ space.weights[axes]] if k else out_e[:1]
+    # validity: the rule restricted to `memory` reproduces tau; its table
+    # is the tensor with every axis outside `memory` at digit 0
+    table = tensor[tuple(slice(None) if ax in axes else 0 for ax in range(n))].reshape(-1)
     rebuilt = ca_from_rule(space, LocalRule(space=space, memory=memory, table=table))
     if (rebuilt.image != tau.image).any():
         raise PropertyFailure("dependence scan did not produce a valid memory set")

@@ -481,13 +481,6 @@ def _sym_seed(X: GSet, n: int) -> list[EquivariantMap]:
     return [EquivariantMap(X, swap), EquivariantMap(X, cycle)]
 
 
-def _kernel_classes(f: EquivariantMap) -> list[np.ndarray]:
-    """The points f sends to one value, for every value hit at least twice."""
-    order = np.argsort(f.image, kind="stable")
-    cuts = np.flatnonzero(np.diff(f.image[order])) + 1
-    return [cls for cls in np.split(order, cuts) if len(cls) >= 2]
-
-
 def map_rank(f: EquivariantMap) -> int:
     """Number of distinct image points."""
     hit = np.zeros(f.gset.size, dtype=bool)

@@ -535,3 +535,29 @@ def u_classes(mul: np.ndarray, inv: np.ndarray, act: np.ndarray, subgroup_elemen
     stabilizers = {frozenset(np.flatnonzero(row).tolist()) for row in distinct}
     return {frozenset(conjugate_set(mul, inv, n, s) for n in normalizer)
             for s in stabilizers if h <= s}
+
+
+def collapse_shape(act: np.ndarray, img) -> tuple | None:
+    """The (source orbit, target orbit) of an elementary collapse, else None,
+    with sets: the kernel classes (points sharing an image, two or more)
+    must cover exactly two whole orbits, each class holding exactly one
+    point of the target.  Orbits are numbered by smallest member; the
+    larger-numbered orbit is tried as the target first."""
+    by_image = {}
+    for x, y in enumerate(int(v) for v in img):
+        by_image.setdefault(y, set()).add(x)
+    classes = [cls for cls in by_image.values() if len(cls) >= 2]
+    if not classes:
+        return None
+    orbits = orbit_partition(act)
+    covered = set().union(*classes)
+    involved = sorted(k for k, o in enumerate(orbits) if o & covered)
+    if len(involved) != 2:
+        return None
+    a_id, b_id = involved
+    if covered != orbits[a_id] | orbits[b_id]:
+        return None
+    for source, target in ((a_id, b_id), (b_id, a_id)):
+        if all(len(orbits[target] & cls) == 1 for cls in classes):
+            return source, target
+    return None

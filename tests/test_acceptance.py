@@ -17,9 +17,7 @@ from equirank import (
     GSet,
     alpha_by_moebius,
     aut_generators,
-    aut_group_order,
     aut_orbits_in_box,
-    box_end_order,
     build_lattice,
     build_shift,
     burnside_orbit_count,
@@ -170,7 +168,7 @@ def _three_way_check(X):
     """
     decomp = decompose(X)
     end_formula = end_monoid_order(X)
-    aut_formula = aut_group_order(X)
+    aut_formula = decomp.aut_order
     if X.group.order == 1:
         # for the trivial group the all-maps count is the closed form m^m
         assert end_formula == X.size ** X.size
@@ -196,7 +194,7 @@ def _three_way_check(X):
     for i in range(decomp.n_boxes):
         w = decomp.box_normalizer(i).order // decomp.box_subgroup(i).order
         a = decomp.alpha[i]
-        box_formula = box_end_order(X, i)
+        box_formula = decomp.box_end_order(i)
         assert box_formula == (w ** a) * (a ** a)
         sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
         try:
@@ -223,7 +221,7 @@ def test_criterion_04_oracle_equivalence(zoo, small_pool):
         assert enumerate_end(X).size == 16
         assert enumerate_aut(X).size == 4
         report = relative_rank(X)
-        assert report.relative_rank == 2
+        assert report.decomposition.relative_rank == 2
         aut = list(enumerate_aut(X).maps())
         V = list(report.generating_set)
         assert closure(X, aut + V).size == 16
@@ -329,7 +327,7 @@ def test_criterion_08_decomposition_and_functoriality(zoo, small_pool):
                 tau = EquivariantMap(X, img)
                 assert recompose(decompose_by_boxes(tau)) == tau
         for i in range(decomp.n_boxes):
-            if box_end_order(X, i) <= 2_000:
+            if decomp.box_end_order(i) <= 2_000:
                 _check_box_functoriality(X, i)
 
 
@@ -337,7 +335,7 @@ def test_criterion_09_collapse_census(small_pool):
     for X in small_pool:
         report = relative_rank(X)
         census = collapse_type_census(X)
-        assert len(census) == report.relative_rank
+        assert len(census) == report.decomposition.relative_rank
         if end_monoid_order(X) <= 10_000:
             realized = set()
             for img in enumerate_end(X).images:

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import equirank.cli
 import equirank.transform
-from equirank import (EquirankError, SpecStringError, aut_group_order, build_shift, make_cyclic,
+from equirank import (EquirankError, SpecStringError, build_shift, decompose, make_cyclic,
                       make_dihedral, make_symmetric)
 from equirank.cli import (COMMANDS, _as_table, _ReportEncoder, _table_rows, main, parse_specs,
                           run)
@@ -60,6 +60,18 @@ def test_parse_specs_happy_path():
 
     config = parse_specs(["enumerate", "Z2", "shift:q=2", "--aut-only", "--budget", "99"])
     assert config.aut_only and config.budget == 99
+
+
+def test_boxes_refuses_paper_layout_with_verify(capsys):
+    # the paper-layout table is text and has no place for the checks
+    with pytest.raises(SpecStringError, match="--paper-layout or --verify"):
+        parse_specs(["boxes", "S3", "shift:q=2", "--paper-layout", "--verify"])
+    assert main(["boxes", "S3", "shift:q=2", "--paper-layout", "--verify"]) == 2
+    assert capsys.readouterr().out == ""
+    for argv in (["verify", "S3", "shift:q=2", "--paper-layout"],
+                 ["rank", "S3", "shift:q=2", "--paper-layout", "--verify"]):
+        config = parse_specs(argv)
+        assert config.paper_layout and config.verify_after == (argv[0] == "rank")
 
 
 def test_parse_specs_rejects_bad_tokens():
@@ -362,10 +374,10 @@ def test_verify_fails_without_one_push(capsys, monkeypatch):
 
 
 def test_verify_fails_on_a_wrong_aut_order(capsys, monkeypatch):
-    import equirank.rank
+    from equirank.actions import RankCount
 
-    real = equirank.rank.aut_group_order
-    monkeypatch.setattr(equirank.rank, "aut_group_order", lambda X: real(X) + 1)
+    real = RankCount.aut_order
+    monkeypatch.setattr(RankCount, "aut_order", property(lambda count: real.fget(count) + 1))
     code, report = _json_out(capsys, ["verify", "Z2", "shift:q=2"])
     assert code == 4 and report["failures"] == 1
     status = {c["name"]: c["status"] for c in report["checks"]}
@@ -639,7 +651,7 @@ def test_rank_prints_an_exact_aut_order_past_the_digit_limit(capsys, group, q, m
         report = json.loads(out)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert report["aut_order"] == aut_group_order(build_shift(make(), q).gset)
+    assert report["aut_order"] == decompose(build_shift(make(), q).gset).aut_order
 
 
 # sha256 of the stdout of rank commands.  D4 and Z2xZ4 at q=3 are shift

@@ -13,8 +13,6 @@ from equirank import (
     DomainError,
     EquivariantMap,
     aut_generators,
-    aut_group_order,
-    box_end_order,
     build_lattice,
     build_shift,
     closure,
@@ -40,12 +38,13 @@ from equirank import (
     relative_rank,
     restrict_to_invariant,
     shift_rank,
-    u_set,
     wreath_factorize,
     wreath_multiply,
     wreath_order_checks,
 )
 from equirank.actions import DEFAULT_CELL_BUDGET
+from equirank.lattice import Subgroup, generated_subgroup
+from equirank.rank import _collapse_shape
 
 import oracles
 from catalog import small_groups
@@ -68,21 +67,23 @@ def s3_shift():
 
 def test_z2_shift_rank(z2_shift):
     report = relative_rank(z2_shift)
-    assert report.relative_rank == 2
-    assert report.decomposition.kappa == (0,)
-    assert tuple(len(u) for u in report.u_sets) == (2, 1)
+    count = report.decomposition
+    assert count.relative_rank == 2
+    assert count.kappa == (0,)
+    assert tuple(len(u) for u in count.u_sets) == (2, 1)
     assert [v.as_tuple() for v in report.generating_set] == [(0, 0, 0, 3), (3, 1, 2, 3)]
-    assert report.tags == ("push 1->(1,1)", "push 2->2'")
+    assert count.tags == ("push 1->(1,1)", "push 2->2'")
 
 
 def test_s3_shift_rank(s3_shift):
     report = relative_rank(s3_shift)
-    assert report.relative_rank == 8
-    assert report.decomposition.kappa == (2,)
-    assert tuple(len(u) for u in report.u_sets) == (4, 2, 2, 1)
+    count = report.decomposition
+    assert count.relative_rank == 8
+    assert count.kappa == (2,)
+    assert tuple(len(u) for u in count.u_sets) == (4, 2, 2, 1)
     # the free box sees every stabilizer class, in canonical order
-    assert report.u_sets[0] == ((0,), (1, 2, 3), (4,), (5,))
-    assert report.tags == (
+    assert count.u_sets[0] == ((0,), (1, 2, 3), (4,), (5,))
+    assert count.tags == (
         "push 1->1'", "push 1->(1,1)", "push 1->(1,2)", "push 1->(1,3)",
         "push 2->2'", "push 2->(2,1)", "push 3->(3,1)", "push 4->4'",
     )
@@ -91,11 +92,11 @@ def test_s3_shift_rank(s3_shift):
 
 
 def test_z6_shift_rank(z6_shift):
-    report = relative_rank(z6_shift)
-    assert report.relative_rank == 8
-    assert report.decomposition.kappa == (2,)
-    assert tuple(len(u) for u in report.u_sets) == (4, 2, 2, 1)
-    assert report.tags == (
+    count = relative_rank(z6_shift).decomposition
+    assert count.relative_rank == 8
+    assert count.kappa == (2,)
+    assert tuple(len(u) for u in count.u_sets) == (4, 2, 2, 1)
+    assert count.tags == (
         "push 1->1'", "push 1->(1,1)", "push 1->(1,2)", "push 1->(1,3)",
         "push 2->2'", "push 2->(2,1)", "push 3->(3,1)", "push 4->4'",
     )
@@ -107,14 +108,9 @@ def test_transitive_action_has_rank_zero(zoo):
     H = lat.subgroups[lat.subgroup_index(frozenset({0, 2}))]
     X = coset_action(S3, H)
     report = relative_rank(X)
-    assert report.relative_rank == 0
-    assert report.generating_set == () and report.tags == ()
+    assert report.decomposition.relative_rank == 0
+    assert report.generating_set == () and report.decomposition.tags == ()
     assert report.decomposition.kappa == (0,)
-
-
-def test_u_set_bad_box(z2_shift):
-    with pytest.raises(DomainError):
-        u_set(z2_shift, 99)
 
 
 def test_elementary_collapse_detection(z2_shift):
@@ -137,6 +133,36 @@ def test_double_push_is_not_elementary():
     free_merge = point_push(X, 1, 3)
     assert is_elementary_collapse(free_merge)
     assert collapse_type(free_merge) == CollapseType(box_index=0, target_class=(0,))
+
+
+def _collapse_sweep_gsets():
+    """Z2 shift q=2 and 3, Z3 shift q=2, Z1 shift q=4, D4 on the cosets of
+    {e} and twice of the rotations, and every pair (repeats allowed) of S3
+    coset actions on class representatives: 20,610 maps of End."""
+    yield from (build_shift(G, q).gset for G, q in [
+        (make_cyclic(2), 2), (make_cyclic(2), 3), (make_cyclic(3), 2), (make_cyclic(1), 4)])
+    D4 = make_dihedral(4)
+    cosets = [coset_action(D4, Subgroup(D4, tuple(sorted(generated_subgroup(D4, [e])))))
+              for e in (0, 1, 1)]
+    yield functools.reduce(disjoint_union, cosets)
+    S3 = make_symmetric(3)
+    lattice = build_lattice(S3)
+    actions = [coset_action(S3, lattice.subgroups[i]) for i in lattice.class_reps]
+    for a, b in itertools.combinations_with_replacement(actions, 2):
+        yield disjoint_union(a, b)
+
+
+def test_collapse_shape_matches_the_set_route():
+    # the array classification agrees with the kernel-class sets on every
+    # End element, source and target alike
+    maps = elementary = 0
+    for X in _collapse_sweep_gsets():
+        for img in enumerate_end(X).images:
+            shape = _collapse_shape(EquivariantMap(X, img))
+            assert shape == oracles.collapse_shape(X.action, img), (X.name, img.tolist())
+            maps += 1
+            elementary += shape is not None
+    assert (maps, elementary) == (20_610, 3_486)
 
 
 def test_collapse_type_golden(z6_shift):
@@ -166,7 +192,7 @@ def test_census_matches_generating_set(z2_shift, z6_shift, s3_shift):
     for X in (z2_shift, z3, z4, z6_shift, s3_shift):
         report = relative_rank(X)
         census = collapse_type_census(X)
-        assert len(census) == report.relative_rank
+        assert len(census) == report.decomposition.relative_rank
         realized = {collapse_type(v) for v in report.generating_set}
         assert realized == census
 
@@ -206,7 +232,7 @@ def test_decompose_by_boxes_roundtrip():
 
 def test_wreath_factorize_free_box():
     X = build_shift(make_cyclic(4), 2).gset
-    assert box_end_order(X, 0) == 1728
+    assert decompose(X).box_end_order(0) == 1728
     free = restrict_to_invariant(X, decompose(X).boxes[0], name="free")
     sub_decomp = decompose(free)
     assert sub_decomp.n_boxes == 1 and sub_decomp.alpha == (3,)
@@ -236,11 +262,11 @@ def test_aut_generators_close_to_full_group(z2_shift):
     X = build_shift(make_cyclic(3), 2).gset
     gens = aut_generators(X)
     assert all(g.is_bijective() for g in gens)
-    assert closure(X, gens).size == aut_group_order(X) == 36
+    assert closure(X, gens).size == decompose(X).aut_order == 36
     assert enumerate_aut(X).size == 36
 
     assert closure(z2_shift, aut_generators(z2_shift)).size == 4
-    assert aut_group_order(z2_shift) == 4
+    assert decompose(z2_shift).aut_order == 4
 
 
 def test_aut_generators_budget_before_any_map():
@@ -337,7 +363,7 @@ def test_aut_generator_counts(group, q, count):
 
 
 def test_aut_order_prediction(s3_shift):
-    assert aut_group_order(s3_shift) == 4063327027200
+    assert decompose(s3_shift).aut_order == 4063327027200
 
 
 def test_wreath_order_checks(z2_shift, z6_shift):
@@ -390,7 +416,7 @@ def test_relative_rank_is_minimal(zoo, name, parts):
         classes = oracles.double_orbit_classes(end.images, [f.image for f in aut])
         reps = [end.images[min(c)] for c in classes]
         reps = [f for f in reps if not oracles.is_bijection(f)]
-        rank = relative_rank(X).relative_rank
+        rank = relative_rank(X).decomposition.relative_rank
         assert closure(X, aut + reps, cap=end.size).size == end.size, X.name
         assert len(reps) >= rank, X.name
         for subset in itertools.combinations(reps, max(rank - 1, 0)) if rank else ():
@@ -415,13 +441,13 @@ def test_shift_rank_equals_the_point_route(zoo, name, q):
     assert count.box_classes == decomp.box_classes
     assert count.alpha == decomp.alpha
     assert count.kappa == decomp.kappa
-    assert count.u_sets == report.u_sets
-    assert count.tags == report.tags
-    assert count.relative_rank == report.relative_rank == len(report.generating_set)
+    assert count.u_sets == decomp.u_sets
+    assert count.tags == decomp.tags
+    assert count.relative_rank == decomp.relative_rank == len(report.generating_set)
     assert count.wreath == decomp.wreath == tuple(
         (decomp.box_normalizer(i).order // decomp.box_subgroup(i).order, a)
         for i, a in enumerate(decomp.alpha))
-    assert count.aut_order == aut_group_order(X)
+    assert count.aut_order == decomp.aut_order
     if X.size <= 4096:
         lat = count.lattice
         for c, u in zip(count.box_classes, count.u_sets):

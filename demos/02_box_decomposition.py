@@ -12,16 +12,15 @@ space = build_shift(G, 2)
 X = space.gset
 
 decomp = decompose(X)
-print(f"{X.size} configurations, {len(X.orbits)} orbits, {decomp.n_boxes} boxes\n")
+print(f"{X.size} configurations, {len(X.orbit_reps)} orbits, {decomp.n_boxes} boxes\n")
 
 for i in range(decomp.n_boxes):
     H = decomp.box_subgroup(i)
-    orbits = decomp.orbits_in_box(i)
     print(f"box {i}: stabilizer class of {H.elements} (order {H.order}), "
           f"alpha = {decomp.alpha[i]}")
-    for o in orbits:
+    for o in decomp.orbit_table(i).T.tolist():
         words = [space.decode(x) for x in o]
-        print(f"    orbit {o}  as words {[''.join(map(str, w)) for w in words]}")
+        print(f"    orbit {tuple(o)}  as words {[''.join(map(str, w)) for w in words]}")
     print()
 
 print(f"kappa (single-orbit boxes): {decomp.kappa}")

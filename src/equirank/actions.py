@@ -18,7 +18,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _exact_int32, _group_by, _RowKeys, _rule_break, _sorted_unique
+from .groups import FiniteGroup, _exact_int32, _RowKeys, _rule_break, _sorted_unique
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -57,23 +57,16 @@ class GSet:
     def apply(self, g: int, x: int) -> int:
         return int(self.action[g, x])
 
-    def orbit(self, x: int) -> tuple[int, ...]:
-        return self.orbits[self.orbit_of_point[x]]
-
-    @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """All orbits, ascending by smallest point."""
-        return tuple(_group_by(self.orbit_of_point, len(self.orbit_reps)))
-
     @cached_property
     def orbit_reps(self) -> np.ndarray:
-        """The smallest point of each orbit, ascending (the order of `orbits`)."""
+        """The smallest point of each orbit, ascending: orbits are numbered
+        in this order."""
         return np.flatnonzero(self._is_orbit_minimum)
 
     @cached_property
     def orbit_of_point(self) -> np.ndarray:
-        """Per point, the position of its orbit in `orbits`: how many orbit
-        minima lie at or below its orbit's minimum, less one."""
+        """Per point, the number of its orbit (its position in `orbit_reps`):
+        how many orbit minima lie at or below its orbit's minimum, less one."""
         ranks = np.cumsum(self._is_orbit_minimum, dtype=np.int32)
         ranks -= 1
         return np.take(ranks, self._orbit_minima)
@@ -110,12 +103,14 @@ class GSet:
         members = np.flatnonzero(table.masks[table.point_class[x]])
         return Subgroup(self.group, tuple(members.tolist()))
 
-    def fix(self, elements) -> tuple[int, ...]:
-        """Points fixed by every element in `elements` (a Subgroup or iterable)."""
+    def fix(self, elements) -> np.ndarray:
+        """The points fixed by every element in `elements`, ascending: a
+        Subgroup, element indices or a boolean mask over the group."""
         if isinstance(elements, Subgroup):
             elements = elements.elements
-        rows = self.action[np.fromiter(elements, dtype=np.intp)]
-        return tuple(np.flatnonzero((rows == np.arange(self.size)).all(axis=0)).tolist())
+        picked = np.asarray(elements)
+        rows = self.action[picked if picked.dtype == bool else picked.astype(np.intp)]
+        return np.flatnonzero((rows == np.arange(self.size)).all(axis=0))
 
     def __repr__(self):
         return f"GSet({self.name or self.group.name}, {self.size} points)"
@@ -296,8 +291,9 @@ class BoxDecomposition(RankCount):
     subgroup size, then elements), restricted to the classes that occur.
     Distinct stabilizer a (row a of `gset.stabilizer_table`) is subgroup
     `stabilizers[a]`, in box `box_of_stabilizer[a]`; `alpha[i]` counts the
-    G-orbits inside box i.  The point tuples `boxes` and the point arrays
-    of `sub_boxes` are derived from these arrays on first use.
+    G-orbits inside box i.  Box i's points are where `box_of_point` is i;
+    the point arrays of `sub_boxes` are derived from these arrays on first
+    use.
     """
 
     gset: GSet
@@ -305,11 +301,6 @@ class BoxDecomposition(RankCount):
     box_of_point: np.ndarray
     stabilizers: np.ndarray
     box_of_stabilizer: np.ndarray
-
-    @cached_property
-    def boxes(self) -> tuple[tuple[int, ...], ...]:
-        """Per box, its points ascending."""
-        return tuple(_group_by(self.box_of_point, self.n_boxes))
 
     @cached_property
     def sub_boxes(self) -> tuple[dict, ...]:
@@ -334,7 +325,7 @@ class BoxDecomposition(RankCount):
 
     @cached_property
     def canonical_reps(self) -> np.ndarray:
-        """Per orbit (in `gset.orbits` order), its smallest point whose
+        """Per orbit (in `gset.orbit_reps` order), its smallest point whose
         stabilizer is its box's canonical subgroup: one minimum per orbit
         over the points with a canonical stabilizer."""
         X = self.gset
@@ -351,9 +342,6 @@ class BoxDecomposition(RankCount):
         reps = self.gset.orbit_reps
         reps = reps[self.box_of_point[reps] == i]
         return np.sort(self.gset.action[:, reps], axis=0)[::self.box_subgroup(i).order]
-
-    def orbits_in_box(self, i: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.orbit_table(i).T.tolist()))
 
     def expected_aut_orbits(self, i: int) -> int:
         """Index of the box stabilizer's normalizer; equals the sub-box count."""
@@ -407,7 +395,7 @@ def alpha_by_moebius(X: GSet, i: int) -> int:
     decomp = decompose(X)
     lat = decomp.lattice
     return _orbits_by_moebius(lat, lat.class_reps[decomp.box_classes[i]],
-                             lambda k: len(X.fix(lat.subgroups[k])))
+                             lambda k: len(X.fix(lat.masks[k])))
 
 
 def _orbits_by_moebius(lattice: SubgroupLattice, h: int, fixed) -> int:

@@ -189,15 +189,26 @@ _PARSER.add_argument("command", choices=COMMANDS)
 _PARSER.add_argument("group", help="Z6 | S3 | D4 | Z2xZ4 | perm:<degree>:<gens>")
 _PARSER.add_argument("gset", nargs="?",
                      help="shift:q=<n> | cosets:<elements> | union:<a>+<b>")
-_PARSER.add_argument("--rule", help="local rule as <memory>:<table>, e.g. 0,1:0110")
+_PARSER.add_argument("--rule", help="ca: local rule as <memory>:<table>, e.g. 0,1:0110")
 _PARSER.add_argument("--paper-layout", action="store_true",
-                     help="render boxes as a compact printed-style table")
+                     help="boxes: render boxes as a compact printed-style table")
 _PARSER.add_argument("--aut-only", action="store_true",
-                     help="enumerate only the bijections")
+                     help="enumerate: enumerate only the bijections")
 _PARSER.add_argument("--verify", action="store_true",
-                     help="run the property suite after the command")
-_PARSER.add_argument("--budget", type=int)
+                     help="boxes, enumerate, rank, ca: run the property suite after the command")
+_PARSER.add_argument("--budget", type=int,
+                     help="enumerate, verify and --verify: enumeration budget")
 _PARSER.add_argument("--output", choices=["json", "table"], default="json")
+
+# The commands that read each option; the others refuse it.  --budget is
+# also read by every command run with --verify.
+_READERS = {
+    "--rule": ("ca",),
+    "--paper-layout": ("boxes",),
+    "--aut-only": ("enumerate",),
+    "--verify": ("boxes", "enumerate", "rank", "ca"),
+    "--budget": ("enumerate", "verify"),
+}
 
 
 def parse_specs(args) -> RunConfig:
@@ -207,11 +218,18 @@ def parse_specs(args) -> RunConfig:
     except SystemExit:
         raise SpecStringError(f"could not parse arguments: {' '.join(args)}") from None
 
+    given = {"--rule": ns.rule is not None, "--paper-layout": ns.paper_layout,
+             "--aut-only": ns.aut_only, "--verify": ns.verify,
+             "--budget": ns.budget is not None and not ns.verify}
+    for option, readers in _READERS.items():
+        if given[option] and ns.command not in readers:
+            raise SpecStringError(f"command {ns.command!r} does not read {option}")
     if ns.budget is not None and ns.budget <= 0:
         raise SpecStringError(f"budget must be positive, got {ns.budget}")
     group = _parse_group(ns.group, 2)
-    if ns.gset is None and ns.command != "lattice":
-        raise SpecStringError(f"command {ns.command!r} needs a G-set spec")
+    if (ns.gset is None) != (ns.command == "lattice"):
+        raise SpecStringError(f"command {ns.command!r} " + (
+            "takes no G-set spec" if ns.command == "lattice" else "needs a G-set spec"))
     gset = None if ns.gset is None else _parse_gset(ns.gset, 3)
     if ns.command == "ca":
         if gset[0] != "shift":
@@ -228,7 +246,7 @@ def parse_specs(args) -> RunConfig:
         group=group,
         gset=gset,
         rule_spec=ns.rule,
-        rule=_parse_rule(ns.rule) if ns.command == "ca" else None,
+        rule=None if ns.rule is None else _parse_rule(ns.rule),
         paper_layout=ns.paper_layout,
         aut_only=ns.aut_only,
         verify_after=ns.verify,
@@ -321,7 +339,7 @@ def _boxes_report(X: GSet) -> dict:
             "sub_boxes": {str(k): pts for k, pts in decomp.sub_boxes[i].items()},
         }
         if X.size <= _IMAGE_LIMIT:
-            entry["points"] = list(decomp.boxes[i])
+            entry["points"] = np.flatnonzero(decomp.box_of_point == i)
             entry["orbits"] = decomp.orbit_table(i).T.tolist()
         boxes.append(entry)
     return {

@@ -62,26 +62,15 @@ def _push_maps(decomp: BoxDecomposition) -> tuple[EquivariantMap, ...]:
     Box i's push moves x_i, its smallest point with stabilizer H_i (also
     its smallest orbit representative), onto the smallest such point in
     another orbit, or onto the smallest point whose stabilizer is the
-    target subgroup.
+    target subgroup: the first of its sub-box, found without sorting the
+    points into `sub_boxes`.
     """
     maps = []
     for i, target in decomp.pushes:
         reps = np.sort(_box_orbit_reps(decomp, i))
-        y = reps[1] if target is None else _first_point_with(decomp, target)
+        y = reps[1] if target is None else np.flatnonzero(decomp.stab_index == target)[0]
         maps.append(point_push(decomp.gset, int(reps[0]), int(y)))
     return tuple(maps)
-
-
-def _first_point_with(decomp: BoxDecomposition, k: int) -> int:
-    """The smallest point whose stabilizer is subgroup k, an occurring one.
-
-    With H the canonical subgroup of k's box, those points are g.c for the
-    box's canonical representatives c and the g with g H g^-1 = subgroup k.
-    """
-    lat = decomp.lattice
-    i = decomp.box_classes.index(int(lat.subgroup_class[k]))
-    g = np.flatnonzero(lat.conj[:, lat.class_reps[decomp.box_classes[i]]] == k)
-    return int(decomp.gset.action[np.ix_(g, _box_orbit_reps(decomp, i))].min())
 
 
 def relative_rank(X: GSet) -> RankReport:
@@ -159,11 +148,12 @@ def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseTy
     if shape is None:
         raise DomainError("map is not an elementary collapse")
     src_id, _ = shape
-    src_orbit = decomp.gset.orbits[src_id]
+    X = decomp.gset
     if witness is None:
-        witness = src_orbit[0]
-    elif witness not in src_orbit:
-        raise DomainError(f"witness {witness} is not in the source orbit")
+        witness = X.orbit_reps[src_id]
+    elif (not isinstance(witness, (int, np.integer)) or isinstance(witness, bool)
+          or not 0 <= witness < X.size or X.orbit_of_point[witness] != src_id):
+        raise DomainError(f"witness {witness!r} is not in the source orbit")
     return _push_type(decomp, int(decomp.stab_index[witness]),
                       int(decomp.stab_index[tau.image[witness]]))
 

@@ -274,21 +274,22 @@ class _EndIndex:
         """The (k, m) int32 image rows of k End indices.
 
         Digit c picks the target y of orbit c's representative r, and a
-        point g.r of that orbit goes to g.y; only the chosen targets'
-        columns of the action are read.  Ascending indices give rows in
+        point g.r of that orbit goes to g.y: one gather of the chosen
+        targets per representative stabilizer class, then one read of the
+        action for every row.  Ascending indices give rows in
         lexicographic order: orbits are ordered by their minimal point r,
         every point before r lies in an earlier orbit, and the image of r
         itself is the chosen target.
         """
         X = self.gset
         picks = self.keys.unpack(indices, self.keys.row_dtype)
+        chosen = np.empty(picks.shape, dtype=np.intp)
+        for a, targets in self.targets.items():
+            at = self.rep_class == a
+            chosen[:, at] = targets[picks[:, at]]
         # per point p, the first g with g.r = p, r the minimal point of p's orbit
         via = np.argmax(X.action[:, X.orbit_reps[X.orbit_of_point]] == np.arange(X.size), axis=0)
-        out = np.empty((X.size, len(indices)), dtype=np.int32)
-        for o, a, col in zip(X.orbits, self.rep_class.tolist(), picks.T):
-            pts = np.array(o, dtype=np.intp)
-            out[pts] = X.action[via[pts][:, None], self.targets[a][col][None, :]]
-        return np.ascontiguousarray(out.T)
+        return X.action[via, np.take(chosen, X.orbit_of_point, axis=1)]   # take keeps it C-ordered
 
 
 def _check_budget(total: int, budget: int, what: str) -> None:
@@ -302,7 +303,7 @@ def end_monoid_order(X: GSet) -> int:
     rather than from the target counts the enumerators use."""
     table = X.stabilizer_table
     cls = table.point_class[X.orbit_reps].tolist()
-    fixed = {a: len(X.fix(np.flatnonzero(table.masks[a]))) for a in set(cls)}
+    fixed = {a: len(X.fix(table.masks[a])) for a in set(cls)}
     return math.prod(fixed[a] for a in cls)
 
 

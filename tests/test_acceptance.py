@@ -69,6 +69,10 @@ class _Budget:
         return False
 
 
+def _box_points(decomp, i):
+    return np.flatnonzero(decomp.box_of_point == i)
+
+
 def _aut_point_classes(X):
     """Actual Aut-orbits, via the group generated by the constructed bijections."""
     gens = aut_generators(X)
@@ -108,30 +112,30 @@ def test_criterion_02_box_tables_z6_and_s3(zoo):
     with _Budget(5):
         z6 = build_shift(zoo["Z6"], 2).gset
         dz6 = decompose(z6)
-        assert [set(b) for b in dz6.boxes] == [
+        assert [set(_box_points(dz6, i).tolist()) for i in range(dz6.n_boxes)] == [
             set(range(64)) - {0, 63, 21, 42, 9, 18, 36, 27, 45, 54},
             {9, 18, 36, 27, 45, 54},
             {21, 42},
             {0, 63},
         ]
-        free = dz6.orbits_in_box(0)
-        assert len(dz6.boxes[0]) == 54 and len(free) == 9
+        free = dz6.orbit_table(0).T
+        assert len(_box_points(dz6, 0)) == 54 and len(free) == 9
         assert all(len(o) == 6 for o in free)
 
         s3 = build_shift(zoo["S3"], 2).gset
         ds3 = decompose(s3)
-        assert set(ds3.boxes[3]) == {0, 63}
-        assert set(ds3.boxes[2]) == {28, 35}
-        assert len(ds3.boxes[1]) == 18
-        mid = ds3.orbits_in_box(1)
+        assert set(_box_points(ds3, 3).tolist()) == {0, 63}
+        assert set(_box_points(ds3, 2).tolist()) == {28, 35}
+        assert len(_box_points(ds3, 1)) == 18
+        mid = ds3.orbit_table(1).T
         assert len(mid) == 6 and all(len(o) == 3 for o in mid)
-        assert len(ds3.boxes[0]) == 42
-        free3 = ds3.orbits_in_box(0)
+        assert len(_box_points(ds3, 0)) == 42
+        free3 = ds3.orbit_table(0).T
         assert len(free3) == 7 and all(len(o) == 6 for o in free3)
 
         # the 18 transposition-stabilized configs split into 3 Aut-orbits
         classes = _aut_point_classes(s3)
-        in_mid = [c for c in classes if c <= set(ds3.boxes[1])]
+        in_mid = [c for c in classes if c <= set(_box_points(ds3, 1).tolist())]
         assert len(in_mid) == 3 and all(len(c) == 6 for c in in_mid)
         assert set(in_mid) == {frozenset(p) for p in ds3.sub_boxes[1].values()}
         assert ds3.expected_aut_orbits(1) == 3
@@ -196,7 +200,7 @@ def _three_way_check(X):
         a = decomp.alpha[i]
         box_formula = decomp.box_end_order(i)
         assert box_formula == (w ** a) * (a ** a)
-        sub = restrict_to_invariant(X, decomp.boxes[i], name=f"box{i}")
+        sub = restrict_to_invariant(X, _box_points(decomp, i), name=f"box{i}")
         try:
             sub_rows = enumerate_end(sub).images
             assert _strictly_ascending(sub_rows) and len(sub_rows) == box_formula
@@ -257,7 +261,7 @@ def test_criterion_06_burnside_on_random_unions(zoo, lattices):
             X = parts[0]
             for nxt in parts[1:]:
                 X = disjoint_union(X, nxt)
-            assert burnside_orbit_count(X) == len(X.orbits)
+            assert burnside_orbit_count(X) == len(X.orbit_reps)
 
 
 def test_criterion_07_aut_orbit_counts(zoo, lattices):
@@ -270,14 +274,14 @@ def test_criterion_07_aut_orbit_counts(zoo, lattices):
             classes = _aut_point_classes(X)
             for i in range(decomp.n_boxes):
                 expected = aut_orbits_in_box(X, i)
-                actual = sum(1 for c in classes if c <= set(decomp.boxes[i]))
+                actual = sum(1 for c in classes if c <= set(_box_points(decomp, i).tolist()))
                 assert actual == expected == len(decomp.sub_boxes[i])
 
 
 def _check_box_functoriality(X, i):
     """wreath_multiply matches map composition, over every pair in the box monoid."""
     G = X.group
-    sub = restrict_to_invariant(X, decompose(X).boxes[i], name=f"box{i}")
+    sub = restrict_to_invariant(X, _box_points(decompose(X), i), name=f"box{i}")
     sub_decomp = decompose(sub)       # held: every factorization below reads it
     end = enumerate_end(sub)
     factors = [wreath_factorize(EquivariantMap(sub, img), 0) for img in end.images]

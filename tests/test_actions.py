@@ -26,7 +26,6 @@ from equirank import (
     trivial_gset,
 )
 from equirank.groups import _check_blocks
-from equirank.rank import _first_point_with
 
 import oracles
 from catalog import small_groups
@@ -193,14 +192,12 @@ def test_boxes_and_orbit_tables_match_oracle_groupings():
         orbits = [tuple(sorted(o)) for o in oracles.orbit_partition(X.action)]
         D = decompose(X)
         assert D.box_classes == tuple(classes)
-        assert D.boxes == tuple(tuple(x for x in range(m) if box[x] == i)
-                                for i in range(len(classes)))
+        assert D.box_of_point.tolist() == box
         for i in range(len(classes)):
             keys = sorted({k for x, k in enumerate(stab) if box[x] == i})
             assert [(k, pts.tolist()) for k, pts in D.sub_boxes[i].items()] == [
                 (k, [x for x in range(m) if stab[x] == k]) for k in keys]
             in_box = tuple(o for o in orbits if box[o[0]] == i)
-            assert D.orbits_in_box(i) == in_box
             assert np.array_equal(D.orbit_table(i), np.array(in_box).T)
             assert D.alpha[i] == len(in_box)
 
@@ -208,7 +205,7 @@ def test_boxes_and_orbit_tables_match_oracle_groupings():
 def test_rank_leaves_point_tuples_unbuilt():
     X = build_shift(make_cyclic(6), 7).gset
     D = relative_rank(X).decomposition
-    assert "boxes" not in vars(D) and "sub_boxes" not in vars(D)
+    assert "sub_boxes" not in vars(D)
     assert len(D.sub_boxes[0]) == 1            # still available on first use
 
 
@@ -218,14 +215,14 @@ def test_orbits_and_stabilizers_against_oracle(zoo):
         L = build_lattice(G)
         instances = [_union_of_cosets(G)] + ([build_shift(G, 2).gset] if name == "D4" else [])
         for X in instances:
-            assert [set(o) for o in X.orbits] == \
-                [set(o) for o in oracles.orbit_partition(X.action)]
-            assert X.orbits == tuple(tuple(sorted(o)) for o in oracles.orbit_partition(X.action))
+            orbits = oracles.orbit_partition(X.action)
+            assert X.orbit_of_point.tolist() == [
+                next(k for k, o in enumerate(orbits) if x in o) for x in range(X.size)]
             D = decompose(X)
             for x in range(X.size):
                 assert X.stabilizer(x).elements == oracles.stabilizer_of(X.action, x)
                 assert D.stab_index[x] == L.subgroup_index(oracles.stabilizer_of(X.action, x))
-            assert burnside_orbit_count(X) == oracles.burnside_count(X.action) == len(X.orbits)
+            assert burnside_orbit_count(X) == oracles.burnside_count(X.action) == len(X.orbit_reps)
             assert X.orbit_reps.tolist() == [min(o) for o in oracles.orbit_partition(X.action)]
 
 
@@ -267,16 +264,19 @@ def test_labels_and_representatives_match_the_sort_and_search_routes(zoo):
             D.stab_index, X.orbit_of_point, [D.lattice.class_reps[c] for c in D.box_classes])
         for i, reps in enumerate(expected):
             assert np.array_equal(D.canonical_reps[box_of_orbit == i], reps)
-        for k in D.stabilizers.tolist():
-            assert _first_point_with(D, k) == np.flatnonzero(D.stab_index == k)[0]
+        for a, k in enumerate(D.stabilizers.tolist()):
+            assert np.array_equal(D.sub_boxes[D.box_of_stabilizer[a]][k],
+                                  np.flatnonzero(D.stab_index == k))
 
 
 def test_fix_against_oracle(zoo):
     G = zoo["D4"]
     X = shift_gset(G, 2)
     L = build_lattice(G)
-    for s in L.subgroups:
-        assert X.fix(s.elements) == oracles.fixed_points(X.action, s.elements)
+    for s, mask in zip(L.subgroups, L.masks):
+        expected = list(oracles.fixed_points(X.action, s.elements))
+        assert X.fix(s.elements).tolist() == expected
+        assert X.fix(s).tolist() == X.fix(mask).tolist() == expected
 
 
 def test_coset_action_basics(zoo):
@@ -285,7 +285,7 @@ def test_coset_action_basics(zoo):
     for s in L.subgroups:
         ca = coset_action(G, s)
         assert ca.size == G.order // s.order
-        assert len(ca.orbits) == 1
+        assert len(ca.orbit_reps) == 1
         # the point holding the subgroup itself is index 0 and has stabilizer H
         assert ca.stabilizer(0).elements == s.elements
 
@@ -329,13 +329,13 @@ def test_lattice_once_per_group_while_held():
 def test_z6_shift_boxes():
     X = shift_gset(make_cyclic(6), 2)
     D = decompose(X)
-    assert [len(b) for b in D.boxes] == [54, 6, 2, 2]
+    assert np.bincount(D.box_of_point).tolist() == [54, 6, 2, 2]
     assert D.alpha == (9, 2, 1, 2)
     assert D.kappa == (2,)
-    assert D.boxes[1] == (9, 18, 27, 36, 45, 54)
-    assert D.boxes[2] == (21, 42)
-    assert D.boxes[3] == (0, 63)
-    free_minima = [o[0] for o in D.orbits_in_box(0)]
+    assert np.flatnonzero(D.box_of_point == 1).tolist() == [9, 18, 27, 36, 45, 54]
+    assert np.flatnonzero(D.box_of_point == 2).tolist() == [21, 42]
+    assert np.flatnonzero(D.box_of_point == 3).tolist() == [0, 63]
+    free_minima = D.orbit_table(0)[0].tolist()
     assert free_minima == [1, 3, 5, 7, 11, 13, 15, 23, 31]
     assert [D.box_subgroup(i).elements for i in range(4)] == [
         (0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
@@ -344,11 +344,11 @@ def test_z6_shift_boxes():
 def test_s3_shift_boxes():
     X = shift_gset(make_symmetric(3), 2, display=S3_DISPLAY)
     D = decompose(X)
-    assert [len(b) for b in D.boxes] == [42, 18, 2, 2]
+    assert np.bincount(D.box_of_point).tolist() == [42, 18, 2, 2]
     assert D.alpha == (7, 6, 1, 2)
     assert D.kappa == (2,)
-    assert D.boxes[2] == (28, 35)
-    assert D.boxes[3] == (0, 63)
+    assert np.flatnonzero(D.box_of_point == 2).tolist() == [28, 35]
+    assert np.flatnonzero(D.box_of_point == 3).tolist() == [0, 63]
     assert X.stabilizer(28).elements == (0, 3, 4)
     assert X.stabilizer(5).elements == (0, 2)
     assert {k: pts.tolist() for k, pts in D.sub_boxes[1].items()} == {
@@ -356,7 +356,7 @@ def test_s3_shift_boxes():
         2: [5, 10, 15, 48, 53, 58],     # by (0 1)
         3: [6, 17, 23, 40, 46, 57],     # by (0 2)
     }
-    assert [o[0] for o in D.orbits_in_box(0)] == [1, 3, 7, 11, 19, 29, 31]
+    assert D.orbit_table(0)[0].tolist() == [1, 3, 7, 11, 19, 29, 31]
     assert [D.expected_aut_orbits(i) for i in range(4)] == [1, 3, 1, 1]
     assert [len(D.sub_boxes[i]) for i in range(4)] == [1, 3, 1, 1]
 
@@ -392,13 +392,13 @@ def test_burnside_on_random_unions(zoo):
             X = coset_action(G, L.subgroups[picks[0]])
             for k in picks[1:]:
                 X = disjoint_union(X, coset_action(G, L.subgroups[k]))
-            assert burnside_orbit_count(X) == len(X.orbits) == len(picks)
+            assert burnside_orbit_count(X) == len(X.orbit_reps) == len(picks)
 
 
 def test_restrict_to_invariant():
     X = shift_gset(make_cyclic(6), 2)
     R = restrict_to_invariant(X, [0, 63, 21, 42])
-    assert R.orbits == ((0,), (1, 2), (3,))
+    assert R.orbit_of_point.tolist() == [0, 1, 1, 2]
     new = {x: i for i, x in enumerate([0, 21, 42, 63])}
     assert R.action.tolist() == [[new[int(X.action[g, x])] for x in new] for g in range(6)]
     for outside in ([0, 64], [-1, 0]):

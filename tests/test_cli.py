@@ -70,8 +70,31 @@ def test_boxes_refuses_paper_layout_with_verify(capsys):
     assert capsys.readouterr().out == ""
     for argv in (["verify", "S3", "shift:q=2", "--paper-layout"],
                  ["rank", "S3", "shift:q=2", "--paper-layout", "--verify"]):
-        config = parse_specs(argv)
-        assert config.paper_layout and config.verify_after == (argv[0] == "rank")
+        with pytest.raises(SpecStringError, match="does not read --paper-layout"):
+            parse_specs(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "Z2", "shift:q=2", "--rule", "0:01"],
+    ["lattice", "Z2", "--aut-only"],
+    ["lattice", "Z2", "--verify"],
+    ["lattice", "Z2", "shift:q=2"],
+    ["verify", "Z2", "shift:q=2", "--verify"],
+    ["enumerate", "Z2", "shift:q=2", "--paper-layout"],
+    ["rank", "Z2", "shift:q=2", "--paper-layout"],
+    ["rank", "Z2", "shift:q=2", "--budget", "3"],
+    ["ca", "Z2", "shift:q=2", "--rule", "0:01", "--aut-only"],
+], ids=" ".join)
+def test_commands_refuse_what_they_do_not_read(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_budget_is_read_by_enumerate_verify_and_every_verify_run():
+    for argv in (["enumerate", "Z2", "shift:q=2"], ["verify", "Z2", "shift:q=2"],
+                 ["rank", "Z2", "shift:q=2", "--verify"], ["boxes", "Z2", "shift:q=2", "--verify"],
+                 ["ca", "Z2", "shift:q=2", "--rule", "0:01", "--verify"]):
+        assert parse_specs(argv + ["--budget", "3"]).budget == 3
 
 
 def test_parse_specs_rejects_bad_tokens():
@@ -214,7 +237,7 @@ _RULE_SPECS = (st.builds(lambda mem, table: ",".join(mem) + ":" + table,
 @settings(max_examples=300, deadline=None)
 def test_parse_specs_returns_a_config_or_exits_2_or_3(command, group, gset, rule):
     try:
-        config = parse_specs([command, group, gset, "--rule", rule])
+        config = parse_specs([command, group, gset] + ["--rule", rule] * (command == "ca"))
     except EquirankError as e:
         assert e.exit_code in (2, 3), e
     else:

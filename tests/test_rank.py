@@ -183,7 +183,17 @@ def test_collapse_type_witness_invariance(s3_shift):
             except DomainError:
                 pass
         assert len(types) == 1
-        assert valid in {len(o) for o in s3_shift.orbits}
+        assert valid in set(np.bincount(s3_shift.orbit_of_point).tolist())
+
+
+def test_collapse_type_refuses_a_witness_outside_the_source_orbit(z2_shift):
+    tau = relative_rank(z2_shift).generating_set[0]     # pushes the orbit (1, 2) onto 0
+    assert tau.as_tuple() == (0, 0, 0, 3)
+    expected = collapse_type(tau)
+    assert collapse_type(tau, 1) == collapse_type(tau, np.int64(2)) == expected
+    for witness in (1.0, np.float64(1.0), True, np.bool_(True), -1, 99, 0, 3):
+        with pytest.raises(DomainError):
+            collapse_type(tau, witness)
 
 
 def test_census_matches_generating_set(z2_shift, z6_shift, s3_shift):
@@ -226,14 +236,14 @@ def test_decompose_by_boxes_roundtrip():
         assert len(factors) == decomp.n_boxes
         assert recompose(factors) == tau
         for k, f in enumerate(factors):
-            off_box = [x for x in range(X.size) if x not in decomp.boxes[k]]
+            off_box = np.flatnonzero(decomp.box_of_point != k)
             assert (f.image[off_box] == np.array(off_box)).all()
 
 
 def test_wreath_factorize_free_box():
     X = build_shift(make_cyclic(4), 2).gset
     assert decompose(X).box_end_order(0) == 1728
-    free = restrict_to_invariant(X, decompose(X).boxes[0], name="free")
+    free = restrict_to_invariant(X, np.flatnonzero(decompose(X).box_of_point == 0), name="free")
     sub_decomp = decompose(free)
     assert sub_decomp.n_boxes == 1 and sub_decomp.alpha == (3,)
     end = enumerate_end(free)

@@ -198,7 +198,8 @@ _PARSER.add_argument("--verify", action="store_true",
                      help="boxes, enumerate, rank, ca: run the property suite after the command")
 _PARSER.add_argument("--budget", type=int,
                      help="enumerate, verify and --verify: enumeration budget")
-_PARSER.add_argument("--output", choices=["json", "table"], default="json")
+# None when not given, so that boxes --paper-layout can refuse an explicit one
+_PARSER.add_argument("--output", choices=["json", "table"])
 
 # The commands that read each option; the others refuse it.  --budget is
 # also read by every command run with --verify.
@@ -239,6 +240,8 @@ def parse_specs(args) -> RunConfig:
     if ns.command == "boxes" and ns.paper_layout and ns.verify:
         # a paper-layout table is text, with no place for the verification checks
         raise SpecStringError("boxes takes --paper-layout or --verify, not both")
+    if ns.paper_layout and ns.output is not None:
+        raise SpecStringError("boxes --paper-layout prints text and takes no --output")
     return RunConfig(
         command=ns.command,
         group_spec=ns.group,
@@ -251,7 +254,7 @@ def parse_specs(args) -> RunConfig:
         aut_only=ns.aut_only,
         verify_after=ns.verify,
         budget=ns.budget,
-        output=ns.output,
+        output=ns.output or "json",
     )
 
 

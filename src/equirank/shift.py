@@ -81,8 +81,9 @@ def _check_alphabet(q: int) -> None:
         raise DomainError(f"alphabet size must be at least 2, got {q}")
 
 
-def _shift_size(G: FiniteGroup, q: int, budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """|A^G| = q^|G|, refused when its action table would pass `budget` cells.
+def _shift_size(G: FiniteGroup, q: int) -> int:
+    """|A^G| = q^|G|, refused when its action table would pass the cell
+    budget (`GSet`'s own), before anything is allocated.
 
     q^|G| >= 2^bits >= 10^digits, bits = |G| (bit length of q, less one).
     A power past 4,300 digits (Python's default limit on int-to-str
@@ -94,13 +95,14 @@ def _shift_size(G: FiniteGroup, q: int, budget: int = DEFAULT_CELL_BUDGET) -> in
     digits = math.floor(bits * math.log10(2))
     m = q ** G.order if digits < 4300 else None
     if m is not None and m < 10 ** 4300:
-        if m * G.order > budget:
+        if m * G.order > DEFAULT_CELL_BUDGET:
             raise BudgetExceeded(f"shift space of {_count_text(m)} configurations "
-                                 f"({_count_text(m * G.order)} cells) exceeds budget {budget}")
+                                 f"({_count_text(m * G.order)} cells) exceeds budget "
+                                 f"{DEFAULT_CELL_BUDGET}")
         return m
     cells = math.floor((bits + G.order.bit_length() - 1) * math.log10(2))
     raise BudgetExceeded(f"shift space of at least 10^{digits} configurations "
-                         f"(at least 10^{cells} cells) exceeds budget {budget}")
+                         f"(at least 10^{cells} cells) exceeds budget {DEFAULT_CELL_BUDGET}")
 
 
 def _shift_name(G: FiniteGroup, q: int) -> str:
@@ -108,10 +110,12 @@ def _shift_name(G: FiniteGroup, q: int) -> str:
     return f"{G.name} shift q={q}"
 
 
-def build_shift(G: FiniteGroup, q: int, display=None,
-                budget: int = DEFAULT_CELL_BUDGET) -> ShiftSpace:
-    """Construct A^G with the shift action, |A| = q."""
-    m = _shift_size(G, q, budget)
+def build_shift(G: FiniteGroup, q: int, display=None) -> ShiftSpace:
+    """Construct A^G with the shift action, |A| = q.
+
+    `GSet` checks the table to be an action, as it checks every table.
+    """
+    m = _shift_size(G, q)
     if display is None:
         display = _S3_DISPLAY if (G.name == "S3" and G.order == 6) else tuple(range(G.order))
     else:
@@ -129,10 +133,7 @@ def build_shift(G: FiniteGroup, q: int, display=None,
     for g in range(n):
         perm = pos[G.mul[G.inv[g], list(display)]]
         act[g].reshape((q,) * n)[...] = codes.transpose(np.argsort(perm))
-    gset = GSet(G, act, name=_shift_name(G, q))
-    space = ShiftSpace(group=G, q=q, display=display, gset=gset)
-    _verify_shift_rows(space)
-    return space
+    return ShiftSpace(group=G, q=q, display=display, gset=GSet(G, act, name=_shift_name(G, q)))
 
 
 def shift_rank(G: FiniteGroup, q: int) -> RankCount:
@@ -152,33 +153,6 @@ def shift_rank(G: FiniteGroup, q: int) -> RankCount:
     alpha = [_orbits_by_moebius(lat, h, lambda k: power(index[k])) for h in lat.class_reps]
     boxes = [c for c, a in enumerate(alpha) if a]
     return RankCount(lat, tuple(boxes), tuple(alpha[c] for c in boxes))
-
-
-def _verify_shift_rows(space: ShiftSpace) -> None:
-    """Check the generator rows of the action table against the defining
-    formula, on every configuration.
-
-    Row g must hold, per configuration x, the code of g.x built from x's
-    digits: sum over positions i of q^(n-1-i) times x's digit at source[i].
-    Codes below q^n are equal exactly when their digits are, so the first
-    configuration where the codes differ is the first where g.x does.
-    The table passed `GSet`'s check that it is an action, so it agrees
-    with the formula (also an action) on every row once it does on the
-    generators.
-    """
-    G, act, n = space.group, space.gset.action, space.group.order
-    digits = np.indices((space.q,) * n, dtype=np.min_scalar_type(space.q - 1)).reshape(n, -1)
-    display = list(space.display)
-    for g in G.generators:
-        # the digit of g.x at display[i] is the digit of x at g^-1 display[i]
-        source = space.position_of[G.mul[G.inv[g], display]]
-        code = np.zeros(space.size, dtype=np.int32)
-        for i in source.tolist():       # Horner's rule, most significant digit first
-            code *= space.q
-            code += digits[i]
-        if not np.array_equal(act[g], code):
-            bad = int(np.argmax(act[g] != code))
-            raise PropertyFailure(f"shift row {g} disagrees with the formula at {bad}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,18 +193,26 @@ def ca_from_rule(space: ShiftSpace, rule: LocalRule) -> EquivariantMap:
     """The global map tau(x)(g) = mu((x o R_g)|_S), R_g(h) = g h.
 
     That is tau(x)(g) = mu(x(g s_1), .., x(g s_k)), the memory s_1..s_k in
-    display order.  The image is summed on the (q,)*|G| configuration
-    tensor, whose axis i is the digit of display[i].  Cell g = display[i]
-    adds q^(|G|-1-i) mu: the rule table reshaped to (q,)*k and laid, as a
-    view, on the axes of the cells g s_1, .., g s_k, broadcast over the
-    other axes.  The action table is not read, and the int32 sums are exact
-    as codes lie below q^|G| < 2^31.
+    display order.
     """
     if rule.space is not space and (
             rule.space.q != space.q or rule.space.display != space.display
             or rule.space.group.order != space.group.order
             or (rule.space.group.mul != space.group.mul).any()):
         raise DomainError("rule belongs to a different shift space")
+    return EquivariantMap(space.gset, _ca_image(space, rule))
+
+
+def _ca_image(space: ShiftSpace, rule: LocalRule) -> np.ndarray:
+    """The image codes of `ca_from_rule`, for a rule on `space`.
+
+    The image is summed on the (q,)*|G| configuration tensor, whose axis i
+    is the digit of display[i].  Cell g = display[i] adds q^(|G|-1-i) mu:
+    the rule table reshaped to (q,)*k and laid, as a view, on the axes of
+    the cells g s_1, .., g s_k, broadcast over the other axes.  The action
+    table is not read, and the int32 sums are exact as codes lie below
+    q^|G| < 2^31.
+    """
     n, q, k = space.group.order, space.q, len(rule.memory)
     local = rule.table.astype(np.int32).reshape((q,) * k)
     memory_axes = space.position_of[space.group.mul[np.ix_(space.display, rule.memory)]]
@@ -241,7 +223,7 @@ def ca_from_rule(space: ShiftSpace, rule: LocalRule) -> EquivariantMap:
             shape[a] = q
         order = sorted(range(k), key=axes.__getitem__)
         image += (local * weight).transpose(order).reshape(shape)
-    return EquivariantMap(space.gset, image.reshape(-1))
+    return image.reshape(-1)
 
 
 def _identity_digits(space: ShiftSpace, tau: EquivariantMap) -> np.ndarray:
@@ -278,7 +260,8 @@ def minimal_memory_set(space: ShiftSpace, tau) -> tuple[int, ...]:
     An element s belongs to the minimal set exactly when tau(x)(e)
     depends on x(s) for some configuration x; the scan toggles each
     coordinate over all of A^G.  The result is checked to be a valid
-    memory set by rebuilding the map from the restricted rule.
+    memory set: the restricted rule's image must equal tau's own.  Equal
+    to an equivariant map's, it needs no equivariance check of its own.
     """
     tau = _as_shift_map(space, tau)
     n, q = space.group.order, space.q
@@ -291,7 +274,7 @@ def minimal_memory_set(space: ShiftSpace, tau) -> tuple[int, ...]:
     # validity: the rule restricted to `memory` reproduces tau; its table
     # is the tensor with every axis outside `memory` at digit 0
     table = tensor[tuple(slice(None) if ax in axes else 0 for ax in range(n))].reshape(-1)
-    rebuilt = ca_from_rule(space, LocalRule(space=space, memory=memory, table=table))
-    if (rebuilt.image != tau.image).any():
+    rebuilt = _ca_image(space, LocalRule(space=space, memory=memory, table=table))
+    if (rebuilt != tau.image).any():
         raise PropertyFailure("dependence scan did not produce a valid memory set")
     return memory

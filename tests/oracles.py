@@ -271,6 +271,27 @@ def shift_action_table(mul: np.ndarray, inv: np.ndarray, q: int,
     return act
 
 
+def shift_action_by_horner(mul: np.ndarray, inv: np.ndarray, q: int,
+                           display: list[int]) -> np.ndarray:
+    """Every row of the shift action, each code built from x's digits by
+    Horner's rule, most significant digit first.
+
+    The digit of g.x at display[i] is the digit of x at g^-1 display[i], so
+    row g holds the sum over positions i of q^(n-1-i) times x's digit at
+    the position of g^-1 display[i].  A second route to the formula that
+    `build_shift` fills by transposing the code tensor.
+    """
+    n = mul.shape[0]
+    display = np.asarray(display)
+    source = np.argsort(display)[mul[np.ix_(inv, display)]]    # (g, i): x's digit position
+    digits = np.indices((q,) * n).reshape(n, -1)
+    act = np.zeros((n, q ** n), dtype=np.int64)
+    for i in range(n):
+        act *= q
+        act += digits[source[:, i]]
+    return act
+
+
 def cellular_step(mul: np.ndarray, q: int, display: list[int],
                   memory: list[int], rule: dict, config_digits: dict) -> dict:
     """One application of a local rule, computed pointwise.

@@ -84,6 +84,8 @@ def test_boxes_refuses_paper_layout_with_verify(capsys):
     ["rank", "Z2", "shift:q=2", "--paper-layout"],
     ["rank", "Z2", "shift:q=2", "--budget", "3"],
     ["ca", "Z2", "shift:q=2", "--rule", "0:01", "--aut-only"],
+    ["boxes", "Z6", "shift:q=2", "--paper-layout", "--output", "table"],
+    ["boxes", "Z6", "shift:q=2", "--paper-layout", "--output", "json"],
 ], ids=" ".join)
 def test_commands_refuse_what_they_do_not_read(capsys, argv):
     assert main(argv) == 2
@@ -339,6 +341,21 @@ def test_ca_command(capsys):
 
     assert main(["ca", "Z4", "shift:q=2", "--rule", "0,1:012"]) == 2
     capsys.readouterr()
+
+
+def test_ca_builds_one_map(capsys, monkeypatch):
+    built = []
+    check = equirank.transform.EquivariantMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(equirank.transform.EquivariantMap, "__post_init__", counted)
+    assert main(["ca", "S3", "shift:q=2", "--rule", "0,1:0110"]) == 0
+    capsys.readouterr()
+    # the rule's map; minimal_memory_set compares its rebuilt image with it
+    assert len(built) == 1
 
 
 def test_verify_command(capsys):

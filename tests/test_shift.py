@@ -1,6 +1,5 @@
 """Shift spaces, configuration encoding, and cellular automata."""
 
-import copy
 import itertools
 import math
 import time
@@ -11,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equirank.shift
 from equirank import (
     BudgetExceeded,
     DomainError,
     EquivariantMap,
+    GSet,
     LocalRule,
     PropertyFailure,
-    ShiftSpace,
     build_shift,
     ca_from_rule,
     compose,
+    direct_product,
     enumerate_aut,
     enumerate_end,
     identity_map,
@@ -32,7 +33,7 @@ from equirank import (
     rule_from_map,
 )
 from equirank.groups import _count_text
-from equirank.shift import _shift_size, _verify_shift_rows
+from equirank.shift import _shift_size
 
 import oracles
 
@@ -127,14 +128,31 @@ def test_shift_tables_match_oracle(zoo):
         assert (space.gset.action == expected).all()
 
 
-def test_shift_rows_checked_against_the_formula():
-    # a valid action of the same group, read with the wrong display order
-    G = make_cyclic(4)
-    shuffled = build_shift(G, 2, display=(0, 2, 1, 3))
-    _verify_shift_rows(shuffled)
-    wrong = ShiftSpace(group=G, q=2, display=(0, 1, 2, 3), gset=shuffled.gset)
-    with pytest.raises(PropertyFailure, match="shift row 1"):
-        _verify_shift_rows(wrong)
+# every shift space the benchmark and CI build, and the shuffled displays
+# of test_shift_tables_match_oracle
+_BUILT_SPACES = {
+    "Z1 q=6": (make_cyclic(1), 6, None),
+    "Z1 q=7": (make_cyclic(1), 7, None),
+    "Z3 q=2": (make_cyclic(3), 2, None),
+    "Z4 q=2": (make_cyclic(4), 2, None),
+    "Z2xZ2 q=2": (direct_product(make_cyclic(2), make_cyclic(2)), 2, None),
+    "S3 q=2": (make_symmetric(3), 2, None),
+    "S3 q=7": (make_symmetric(3), 7, None),
+    "D4 q=3": (make_dihedral(4), 3, None),
+    "D4 q=4": (make_dihedral(4), 4, None),
+    "Z6 q=7": (make_cyclic(6), 7, None),
+    "S3 q=2 shuffled": (make_symmetric(3), 2, (5, 3, 1, 0, 2, 4)),
+    "D4 q=2 shuffled": (make_dihedral(4), 2, (6, 1, 7, 0, 3, 5, 2, 4)),
+    "Z4 q=3 shuffled": (make_cyclic(4), 3, (2, 0, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_SPACES))
+def test_shift_tables_match_horner_oracle(name):
+    group, q, display = _BUILT_SPACES[name]
+    space = build_shift(group, q, display=display)
+    expected = oracles.shift_action_by_horner(group.mul, group.inv, q, list(space.display))
+    assert np.array_equal(space.gset.action, expected)
 
 
 @pytest.mark.parametrize("group, q", [(make_cyclic(4), 3), (make_symmetric(3), 2),
@@ -149,12 +167,12 @@ def test_shift_row_check_names_the_corrupted_configuration(group, q):
             act[g, x] = (act[g, x] + 1) % space.size
             assert oracles.action_violation(group.mul, act, group.identity) is not None
             assert np.flatnonzero(act[g] != expected[g]).tolist() == [x]
-            bad = copy.copy(space.gset)          # skips GSet's own check
-            object.__setattr__(bad, "action", act)
-            wrong = ShiftSpace(group=group, q=q, display=space.display, gset=bad)
-            with pytest.raises(PropertyFailure) as info:
-                _verify_shift_rows(wrong)
-            assert str(info.value) == f"shift row {g} disagrees with the formula at {x}"
+            # the action check every table passes refuses it
+            bad_g, bad_s = oracles.first_generator_violation(group.mul, act, group.generators)
+            with pytest.raises(DomainError) as info:
+                GSet(group, act)
+            assert str(info.value) == (f"action is not compatible with the product "
+                                       f"at ({bad_g},{bad_s})")
 
 
 def test_local_rule_validation(z4):
@@ -276,6 +294,21 @@ def test_minimal_memory_golden(z4):
     padded = LocalRule(space=z4, memory=(0, 1, 2),
                        table=[0, 0, 1, 1, 1, 1, 0, 0])   # xor of first two digits
     assert minimal_memory_set(z4, ca_from_rule(z4, padded)) == (0, 1)
+
+
+def test_minimal_memory_refuses_a_rebuild_that_differs(z4, monkeypatch):
+    tau = ca_from_rule(z4, LocalRule(space=z4, memory=(0, 1), table=[0, 1, 1, 0]))
+    image = equirank.shift._ca_image
+
+    def off_by_one(space, rule):
+        out = image(space, rule)
+        out[5] ^= 1
+        return out
+
+    monkeypatch.setattr(equirank.shift, "_ca_image", off_by_one)
+    with pytest.raises(PropertyFailure,
+                       match="^dependence scan did not produce a valid memory set$"):
+        minimal_memory_set(z4, tau)
 
 
 def test_minimal_memory_is_contained_in_declared_memory(s3):

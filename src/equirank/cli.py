@@ -325,7 +325,7 @@ def _lattice_report(G: FiniteGroup) -> dict:
         "classes": [list(c) for c in lat.classes],
         "class_reps": list(lat.class_reps),
         "normalizers": list(lat.normalizer_idx),
-        "moebius": moebius.tolist(),
+        "moebius": moebius,
     }
 
 
@@ -604,7 +604,7 @@ def _as_table(report) -> str:
                 for k, item in enumerate(value):
                     parts.append(f"\n{indent}{key}[{k}]:")
                     lines(item, indent + "  ")
-            elif isinstance(value, np.ndarray) and _is_int_vector(value):
+            elif isinstance(value, np.ndarray) and value.ndim == 1 and _is_int_array(value):
                 parts.append(f"\n{indent}{key}: [")
                 parts.extend(_int_join(value, ", "))
                 parts.append("]")
@@ -650,35 +650,42 @@ def _decimal_places(values: np.ndarray, top) -> np.ndarray:
     return out
 
 
-def _is_int_vector(values: np.ndarray) -> bool:
-    """Is `values` a non-empty 1-D integer array, as `_int_join` takes?"""
-    return values.ndim == 1 and values.size > 0 and values.dtype.kind in "iu"
+def _is_int_array(values: np.ndarray) -> bool:
+    """Is `values` a non-empty 1-D or 2-D integer array, as `_int_join` takes?"""
+    return values.ndim in (1, 2) and values.size > 0 and values.dtype.kind in "iu"
 
 
-def _int_join(values: np.ndarray, sep: str) -> list[str]:
+def _int_join(values: np.ndarray, sep: str, row_sep: str = "") -> list[str]:
     """The parts of `sep.join(map(str, values.tolist()))` for a non-empty
-    1-D integer array, one per `_CHUNK_ITEMS` items.
+    1-D integer array, one per `_CHUNK_ITEMS` items; for a 2-D one, its
+    items a row at a time, with `sep` inside a row and `row_sep` between
+    rows, cut at row boundaries.
 
     Each item is one column of ASCII codes: a sign, its decimal places and
-    a comma.  One boolean compress a chunk drops the signs of non-negative
-    items and leading spaces, and one `str.replace` widens each comma to
-    `sep`; the last separator is cut off the last part.
+    a comma, or a semicolon at the end of a row.  One boolean compress a
+    chunk drops the signs of non-negative items and leading spaces, and
+    `str.replace` widens each comma to `sep` and each semicolon to
+    `row_sep`; the last separator is cut off the last part.
     """
     parts = []
     for chunk in _chunks(values):
-        negative = chunk < 0
-        magnitude = chunk.astype(np.uint64)
+        flat = chunk.ravel()
+        negative = flat < 0
+        magnitude = flat.astype(np.uint64)
         np.negative(magnitude, out=magnitude, where=negative)   # modulo 2^64: |int64 min| too
         digits = _decimal_places(magnitude, magnitude.max())
-        block = np.empty((2 + len(digits), len(chunk)), dtype=np.uint8)
+        block = np.empty((2 + len(digits), len(flat)), dtype=np.uint8)
         block[0] = ord("-")
         block[1:-1] = digits
         block[-1] = ord(",")
+        if chunk.ndim == 2:
+            block[-1, chunk.shape[1] - 1::chunk.shape[1]] = ord(";")
         keep = np.ones(block.shape, dtype=bool)
         keep[0] = negative
         keep[1:-1] = digits != ord(" ")
-        parts.append(block.T[keep.T].tobytes().decode("ascii").replace(",", sep))
-    parts[-1] = parts[-1][:-len(sep)]
+        text = block.T[keep.T].tobytes().decode("ascii")
+        parts.append(text.replace(",", sep).replace(";", row_sep))
+    parts[-1] = parts[-1][:-len(row_sep if values.ndim == 2 else sep)]
     return parts
 
 
@@ -688,11 +695,12 @@ class _ReportEncoder(JSONEncoder):
 
     Reports are trees of str-keyed dicts, lists, tuples, numpy arrays and
     JSON scalars.  Whatever options it is given, it writes sorted keys
-    indented by two, and a non-str key raises TypeError.  A 1-D integer
-    array is written from its digits, a chunk at a time (`_int_join`), any
-    other array as its `tolist()`.  A list of plain ints is written in one
-    join, and a list of int lists (element lists, Moebius triples) in one
-    join per row, where the stock encoder steps a generator per item.
+    indented by two, and a non-str key raises TypeError.  A non-empty 1-D
+    or 2-D integer array (the lattice's Moebius triples) is written from
+    its digits, a chunk at a time and a 2-D one a row at a time within
+    it (`_int_join`); any other array as its `tolist()`.  A list of plain
+    ints is written in one join, and a list of int lists (element lists)
+    in one join per row, where the stock encoder steps a generator per item.
     Every piece is appended to one flat list, which `json.dumps` joins
     once: the encode peaks at about twice the text it writes.
     """
@@ -703,7 +711,7 @@ class _ReportEncoder(JSONEncoder):
 
         def value(v, pad):
             inner = pad + "  "
-            if isinstance(v, np.ndarray) and not _is_int_vector(v):
+            if isinstance(v, np.ndarray) and not _is_int_array(v):
                 v = v.tolist()
             if isinstance(v, dict) and v:
                 sep = "{" + inner
@@ -712,10 +720,15 @@ class _ReportEncoder(JSONEncoder):
                     value(x, inner)
                     sep = "," + inner
                 put(pad + "}")
-            elif isinstance(v, np.ndarray):
+            elif isinstance(v, np.ndarray) and v.ndim == 1:
                 put("[" + inner)
                 parts.extend(_int_join(v, "," + inner))
                 put(pad + "]")
+            elif isinstance(v, np.ndarray):
+                row = inner + "  "
+                put(f"[{inner}[{row}")
+                parts.extend(_int_join(v, "," + row, f"{inner}],{inner}[{row}"))
+                put(f"{inner}]{pad}]")
             elif not isinstance(v, (list, tuple)):         # a scalar or an empty dict
                 put(_encode_scalar(v))
             elif not v:

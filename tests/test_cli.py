@@ -552,6 +552,13 @@ def _across_chunks(size, dtype=np.int64):
 _CHUNK_EDGE_ARRAYS = [_across_chunks(_CHUNK - 1), _across_chunks(_CHUNK),
                       _across_chunks(_CHUNK + 1), _across_chunks(3 * _CHUNK + 5),
                       _across_chunks(3 * _CHUNK + 5, np.uint64)]
+# 2-D integer tables: int64 rows of three (the Moebius triples' shape) and
+# uint64 rows of two over three chunks, one row or one column past a chunk,
+# and tables with no columns or no rows
+_CHUNK_EDGE_TABLES = [_across_chunks(3 * _CHUNK + 6).reshape(-1, 3),
+                      _across_chunks(3 * _CHUNK + 6, np.uint64).reshape(-1, 2),
+                      _CHUNK_EDGE_ARRAYS[2].reshape(1, -1), _CHUNK_EDGE_ARRAYS[2].reshape(-1, 1),
+                      np.zeros((5, 0), dtype=np.int64), np.zeros((0, 5), dtype=np.int64)]
 
 
 @given(_JSON_VALUES)
@@ -561,6 +568,11 @@ _CHUNK_EDGE_ARRAYS = [_across_chunks(_CHUNK - 1), _across_chunks(_CHUNK),
 @example(_CHUNK_EDGE_ARRAYS[1])
 @example(_CHUNK_EDGE_ARRAYS[2])
 @example({"a": [_CHUNK_EDGE_ARRAYS[3]], "b": {"c": _CHUNK_EDGE_ARRAYS[4]}})
+@example(_CHUNK_EDGE_TABLES[0])
+@example({"a": [_CHUNK_EDGE_TABLES[1]], "b": {"c": _CHUNK_EDGE_TABLES[0]}})
+@example(_CHUNK_EDGE_TABLES[2])
+@example(_CHUNK_EDGE_TABLES[3])
+@example([_CHUNK_EDGE_TABLES[4], {"a": _CHUNK_EDGE_TABLES[5]}])
 @settings(max_examples=200, deadline=None)
 def test_report_encoder_writes_the_stock_bytes(value):
     assert (json.dumps(value, sort_keys=True, indent=2, cls=_ReportEncoder)
@@ -577,10 +589,11 @@ def test_report_encoder_writes_the_stock_bytes(value):
 @example(_CHUNK_EDGE_ARRAYS[2])
 @example(_CHUNK_EDGE_ARRAYS[3])
 @example(_CHUNK_EDGE_ARRAYS[4])
+@example(_CHUNK_EDGE_TABLES[0])
 @settings(max_examples=200, deadline=None)
 def test_table_output_writes_an_array_as_its_list(value):
-    # 1-D integer arrays are written from their digits, all others
-    # through tolist(); both must read as the list's str
+    # 1-D integer arrays are written from their digits, all others (2-D
+    # tables too) through tolist(); both must read as the list's str
     assert _as_table({"key": value}) == f"key: {value.tolist()}"
 
 
@@ -629,7 +642,11 @@ def test_report_encode_peaks_near_twice_its_text():
     # blocks: no copy of the whole text per nesting level
     _, boxes = run(parse_specs(["boxes", "S3", "shift:q=7"]))          # 2.0 MB of JSON
     synthetic = {"a": {"b": [np.arange(-10 ** 6 // 2, 10 ** 6 // 2, dtype=np.int64)]}}
-    for report in (boxes, synthetic):
+    # Moebius-shaped: rows (i, j, mu) of small indices and signed values,
+    # over three chunks of rows
+    k = np.arange(3 * _CHUNK + 1)
+    moebius = {"moebius": np.stack([k // 50, k % 2000, k % 121 - 60], axis=1)}
+    for report in (boxes, synthetic, moebius):
         length, peak = _encode_peak(report)
         assert peak <= 2.5 * length, (length, peak)
 
@@ -648,6 +665,7 @@ def test_a_failed_encode_writes_nothing(capsys, monkeypatch):
 
 REPORT_COMMANDS = [
     ["lattice", "S3"],
+    ["lattice", "perm:5:(0 1 2);(2 3 4)"],            # A5: mu(1, A5) = -60
     ["boxes", "Z4", "shift:q=2"],
     ["enumerate", "Z2", "shift:q=2"],
     ["enumerate", "Z2", "shift:q=2", "--aut-only"],

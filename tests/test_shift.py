@@ -1,5 +1,6 @@
 """Shift spaces, configuration encoding, and cellular automata."""
 
+import functools
 import itertools
 import math
 import time
@@ -129,27 +130,29 @@ def test_shift_tables_match_oracle(zoo):
 
 
 # every shift space the benchmark and CI build, and the shuffled displays
-# of test_shift_tables_match_oracle
+# of test_shift_tables_match_oracle, as (group maker, q, display): built in
+# the test, so that a fault fails the space it is in, not the collection
 _BUILT_SPACES = {
-    "Z1 q=6": (make_cyclic(1), 6, None),
-    "Z1 q=7": (make_cyclic(1), 7, None),
-    "Z3 q=2": (make_cyclic(3), 2, None),
-    "Z4 q=2": (make_cyclic(4), 2, None),
-    "Z2xZ2 q=2": (direct_product(make_cyclic(2), make_cyclic(2)), 2, None),
-    "S3 q=2": (make_symmetric(3), 2, None),
-    "S3 q=7": (make_symmetric(3), 7, None),
-    "D4 q=3": (make_dihedral(4), 3, None),
-    "D4 q=4": (make_dihedral(4), 4, None),
-    "Z6 q=7": (make_cyclic(6), 7, None),
-    "S3 q=2 shuffled": (make_symmetric(3), 2, (5, 3, 1, 0, 2, 4)),
-    "D4 q=2 shuffled": (make_dihedral(4), 2, (6, 1, 7, 0, 3, 5, 2, 4)),
-    "Z4 q=3 shuffled": (make_cyclic(4), 3, (2, 0, 3, 1)),
+    "Z1 q=6": (lambda: make_cyclic(1), 6, None),
+    "Z1 q=7": (lambda: make_cyclic(1), 7, None),
+    "Z3 q=2": (lambda: make_cyclic(3), 2, None),
+    "Z4 q=2": (lambda: make_cyclic(4), 2, None),
+    "Z2xZ2 q=2": (lambda: direct_product(make_cyclic(2), make_cyclic(2)), 2, None),
+    "S3 q=2": (lambda: make_symmetric(3), 2, None),
+    "S3 q=7": (lambda: make_symmetric(3), 7, None),
+    "D4 q=3": (lambda: make_dihedral(4), 3, None),
+    "D4 q=4": (lambda: make_dihedral(4), 4, None),
+    "Z6 q=7": (lambda: make_cyclic(6), 7, None),
+    "S3 q=2 shuffled": (lambda: make_symmetric(3), 2, (5, 3, 1, 0, 2, 4)),
+    "D4 q=2 shuffled": (lambda: make_dihedral(4), 2, (6, 1, 7, 0, 3, 5, 2, 4)),
+    "Z4 q=3 shuffled": (lambda: make_cyclic(4), 3, (2, 0, 3, 1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BUILT_SPACES))
 def test_shift_tables_match_horner_oracle(name):
-    group, q, display = _BUILT_SPACES[name]
+    make, q, display = _BUILT_SPACES[name]
+    group = make()
     space = build_shift(group, q, display=display)
     expected = oracles.shift_action_by_horner(group.mul, group.inv, q, list(space.display))
     assert np.array_equal(space.gset.action, expected)
@@ -221,22 +224,33 @@ def test_ca_matches_pointwise_oracle(s3):
 
 
 # q = 2 and 3, and non-default displays: a cell's memory axes come from
-# the display and from g s (not s g)
+# the display and from g s (not s g).  Built on first use by the `ca_space`
+# fixture, so that a fault fails the space it is in, not the collection.
 _CA_SPACES = {
-    "Z4 q=2": build_shift(make_cyclic(4), 2),
-    "S3 q=2": build_shift(make_symmetric(3), 2),
-    "D4 q=2": build_shift(make_dihedral(4), 2),
-    "Z3 q=3": build_shift(make_cyclic(3), 3),
-    "S3 q=3": build_shift(make_symmetric(3), 3),
-    "S3 q=2 shuffled": build_shift(make_symmetric(3), 2, display=(5, 3, 1, 0, 2, 4)),
-    "D4 q=2 shuffled": build_shift(make_dihedral(4), 2, display=(6, 1, 7, 0, 3, 5, 2, 4)),
+    "Z4 q=2": (lambda: make_cyclic(4), 2, None),
+    "S3 q=2": (lambda: make_symmetric(3), 2, None),
+    "D4 q=2": (lambda: make_dihedral(4), 2, None),
+    "Z3 q=3": (lambda: make_cyclic(3), 3, None),
+    "S3 q=3": (lambda: make_symmetric(3), 3, None),
+    "S3 q=2 shuffled": (lambda: make_symmetric(3), 2, (5, 3, 1, 0, 2, 4)),
+    "D4 q=2 shuffled": (lambda: make_dihedral(4), 2, (6, 1, 7, 0, 3, 5, 2, 4)),
 }
+
+
+@pytest.fixture(scope="module")
+def ca_space():
+    """The shift space of a `_CA_SPACES` name, built once per module."""
+    @functools.cache
+    def build(name):
+        make, q, display = _CA_SPACES[name]
+        return build_shift(make(), q, display=display)
+    return build
 
 
 @given(st.sampled_from(sorted(_CA_SPACES)), st.data())
 @settings(max_examples=60, deadline=None)
-def test_ca_from_rule_matches_pointwise_oracle(name, data):
-    space = _CA_SPACES[name]
+def test_ca_from_rule_matches_pointwise_oracle(ca_space, name, data):
+    space = ca_space(name)
     n, q = space.group.order, space.q
     memory = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4))
     table = data.draw(st.lists(st.integers(0, q - 1), min_size=q ** len(memory),

@@ -12,7 +12,7 @@ print(f"group {G.name}, order {G.order}")
 print(f"{len(lat.subgroups)} subgroups in {len(lat.classes)} conjugacy classes\n")
 
 for idx, H in enumerate(lat.subgroups):
-    N = lat.normalizer_of(H)
+    N = lat.subgroups[lat.normalizer_idx[idx]]
     print(f"  H{idx}: order {H.order:>2}  elements {H.elements}  |N_G(H)| = {N.order}")
 
 print("\nconjugacy classes (by subgroup index):")
@@ -22,4 +22,4 @@ for cls in lat.classes:
 print("\nMoebius values mu(H, G) down the top of the lattice:")
 top = len(lat.subgroups) - 1
 for idx in range(len(lat.subgroups)):
-    print(f"  mu(H{idx}, G) = {lat.moebius(idx, top)}")
+    print(f"  mu(H{idx}, G) = {lat.moebius_table[idx, top]}")

@@ -42,7 +42,6 @@ from .lattice import (
     Subgroup,
     SubgroupLattice,
     build_lattice,
-    conj_order_graph,
     generated_subgroup,
 )
 from .transform import (
@@ -58,8 +57,6 @@ from .transform import (
     map_rank,
     point_push,
     point_swap,
-    sym_generators_check,
-    trans_generators_check,
 )
 from .rank import (
     CollapseType,
@@ -114,7 +111,6 @@ __all__ = [
     "Subgroup",
     "SubgroupLattice",
     "build_lattice",
-    "conj_order_graph",
     "generated_subgroup",
     "EquivariantMap",
     "MonoidClosure",
@@ -128,8 +124,6 @@ __all__ = [
     "map_rank",
     "point_push",
     "point_swap",
-    "sym_generators_check",
-    "trans_generators_check",
     "CollapseType",
     "RankReport",
     "WreathFactor",

@@ -121,8 +121,7 @@ def _check_action(G: FiniteGroup, act: np.ndarray) -> None:
     if act.ndim != 2 or act.shape[0] != n:
         raise DomainError(f"action table has shape {act.shape}, expected ({n}, m)")
     m = act.shape[1]
-    if n * m > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"action table of {n * m} cells exceeds budget {DEFAULT_CELL_BUDGET}")
+    _check_cells(n, m)
     if m and (act.min() < 0 or act.max() >= m):
         raise DomainError("action table entries out of range")
     if (act[G.identity] != np.arange(m, dtype=np.int32)).any():   # m is within the cell budget
@@ -135,14 +134,32 @@ def _check_action(G: FiniteGroup, act: np.ndarray) -> None:
         raise DomainError("action is not compatible with the product at ({},{})".format(*broken))
 
 
+def _check_cells(n: int, m: int) -> None:
+    """Refuse an action table of n group elements by m points past the cell budget."""
+    if n * m > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"action table of {n * m} cells exceeds budget {DEFAULT_CELL_BUDGET}")
+
+
+def _check_index(i, size: int, what: str) -> int:
+    """`i` as an index into 0..size-1 (a point or a box); DomainError for a
+    negative index, one past the end, a bool or a non-integer."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+        raise DomainError(f"{what} {i!r} is not in 0..{size - 1}")
+    return int(i)
+
+
 def trivial_gset(G: FiniteGroup, m: int, name: str = "") -> GSet:
     return GSet(G, np.tile(np.arange(m), (G.order, 1)), name=name or f"trivial({m})")
 
 
 def coset_action(G: FiniteGroup, H: Subgroup, name: str = "") -> GSet:
-    """G acting on the left cosets of H, cosets ordered by smallest member."""
+    """G acting on the left cosets of H, cosets ordered by smallest member.
+
+    The table's size |G| [G:H] is checked before any of it is gathered.
+    """
     if H.group is not G:
         raise DomainError("subgroup belongs to a different group")
+    _check_cells(G.order, G.order // H.order)
     reps = _sorted_unique(H.coset_min)      # each coset's smallest member, ascending
     act = np.searchsorted(reps, H.coset_min[G.mul[:, reps]])
     label = name or f"{G.name}/{{{','.join(G.label(e) for e in H.elements)}}}"
@@ -394,6 +411,7 @@ def alpha_by_moebius(X: GSet, i: int) -> int:
     """
     decomp = decompose(X)
     lat = decomp.lattice
+    i = _check_index(i, decomp.n_boxes, "box")
     return _orbits_by_moebius(lat, lat.class_reps[decomp.box_classes[i]],
                              lambda k: len(X.fix(lat.masks[k])))
 
@@ -425,6 +443,7 @@ def aut_orbits_in_box(X: GSet, i: int) -> int:
     realized.
     """
     decomp = decompose(X)
+    i = _check_index(i, decomp.n_boxes, "box")
     expected = decomp.expected_aut_orbits(i)
     sub_boxes = np.count_nonzero(decomp.box_of_stabilizer == i)
     if expected != sub_boxes:

@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 
-# Constructors refuse to build groups larger than this unless the caller
-# raises the limit explicitly.  Large enough for S7 x Z2, small enough
-# that nothing accidentally allocates gigabytes.
+# Constructors refuse to build groups larger than this.  Large enough for
+# S7 x Z2, small enough that nothing accidentally allocates gigabytes.
 DEFAULT_GROUP_BUDGET = 10_080
 
 # Cells a blocked step builds at once: the (elements, generators, points)
@@ -247,16 +246,17 @@ def _count_text(n: int) -> str:
         return f"at least 10^{math.floor((n.bit_length() - 1) * math.log10(2))}"
 
 
-def _guard_order(n: int, budget: int) -> None:
+def _guard_order(n: int) -> None:
     if n < 1:
         raise DomainError(f"group order must be positive, got {n}")
-    if n > budget:
-        raise BudgetExceeded(f"group of order {_count_text(n)} exceeds budget {budget}")
+    if n > DEFAULT_GROUP_BUDGET:
+        raise BudgetExceeded(
+            f"group of order {_count_text(n)} exceeds budget {DEFAULT_GROUP_BUDGET}")
 
 
-def make_cyclic(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
+def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with addition mod n."""
-    _guard_order(n, budget)
+    _guard_order(n)
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     labels = tuple(str(i) for i in range(n))
@@ -426,7 +426,7 @@ def _group_from_permutations(perms: list[tuple[int, ...]], gens: list[tuple[int,
     return FiniteGroup(order, mul, identity, inv, labels, name=name)
 
 
-def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
+def make_symmetric(n: int) -> FiniteGroup:
     """Sym(n) acting on {0..n-1}.
 
     Elements are enumerated in lexicographic one-line order, so index 0 is
@@ -437,14 +437,15 @@ def make_symmetric(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     order = 1
     for k in range(2, n + 1):       # stops past the budget, long before n! for a large n
         order *= k
-        if order > budget:
-            raise BudgetExceeded(f"group of order {_count_text(n)}! exceeds budget {budget}")
+        if order > DEFAULT_GROUP_BUDGET:
+            raise BudgetExceeded(
+                f"group of order {_count_text(n)}! exceeds budget {DEFAULT_GROUP_BUDGET}")
     perms = [tuple(p) for p in itertools.permutations(range(n))]
     gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
     return _group_from_permutations(perms, gens, name=f"S{n}")
 
 
-def make_dihedral(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
+def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations and reflections of an n-gon.
 
     Realized as permutations of the n vertices; for n >= 3 this is the
@@ -452,7 +453,7 @@ def make_dihedral(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     """
     if n < 1:
         raise DomainError(f"polygon size must be positive, got {n}")
-    _guard_order(2 * n, budget)
+    _guard_order(2 * n)
     if n == 1:
         return make_cyclic(2)
     if n == 2:
@@ -463,11 +464,10 @@ def make_dihedral(n: int, budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
     return _group_from_permutations(perms, [perms[1], perms[n]], name=f"D{n}")
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup,
-                   budget: int = DEFAULT_GROUP_BUDGET) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element k encodes the pair (k // |b|, k % |b|)."""
     n = a.order * b.order
-    _guard_order(n, budget)
+    _guard_order(n)
     pair = np.arange(n)
     x, y = pair // b.order, pair % b.order
     # mul[(x1,y1),(x2,y2)] = (x1*x2, y1*y2) under the pair encoding
@@ -482,8 +482,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
     return FiniteGroup(n, mul, a.identity * b.order + b.identity, inv, labels, name=name)
 
 
-def from_permutation_generators(degree: int, perms, budget: int = DEFAULT_GROUP_BUDGET,
-                                name: str = "") -> FiniteGroup:
+def from_permutation_generators(degree: int, perms, name: str = "") -> FiniteGroup:
     """Close a list of permutations of {0..degree-1} under composition.
 
     Each generator must be a bijection in one-line notation.  The result's
@@ -508,8 +507,9 @@ def from_permutation_generators(degree: int, perms, budget: int = DEFAULT_GROUP_
             for p, q in itertools.product(frontier, steps):
                 r = tuple(p[q[k]] for k in range(degree))
                 if r not in elements:
-                    if len(elements) >= budget:
-                        raise BudgetExceeded(f"permutation closure exceeds budget {budget}")
+                    if len(elements) >= DEFAULT_GROUP_BUDGET:
+                        raise BudgetExceeded(
+                            f"permutation closure exceeds budget {DEFAULT_GROUP_BUDGET}")
                     elements.add(r)
                     nxt.append(r)
             frontier, steps = nxt, gens

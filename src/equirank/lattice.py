@@ -141,12 +141,6 @@ def _conjugation_table(G: FiniteGroup, masks: np.ndarray, index: _RowIndex) -> n
     return _fill_by_generators(G.mul[:, gens], G.identity, by_gen)
 
 
-def _check_order(G: FiniteGroup, budget: int) -> None:
-    if G.order > budget:
-        raise BudgetExceeded(
-            f"subgroup enumeration limited to order {budget}, group has {G.order}")
-
-
 def _subgroup_masks(G: FiniteGroup) -> np.ndarray:
     """Every subgroup of G as a row of a bool (subgroups, |G|) array, in the
     (order, element list) sort.
@@ -315,22 +309,6 @@ class SubgroupLattice:
         mask[0, members] = True
         return int(self.index_of_masks(mask)[0])
 
-    def class_of(self, H) -> int:
-        """Position (in the canonical class order) of the class containing H."""
-        i = H if isinstance(H, (int, np.integer)) else self.subgroup_index(H)
-        return int(self.subgroup_class[i])
-
-    def normalizer_of(self, H) -> Subgroup:
-        return self.subgroups[self.normalizer_idx[self.subgroup_index(H)]]
-
-    def moebius(self, H, K) -> int:
-        """Moebius value mu(H, K) of the containment order; requires H <= K."""
-        i = H if isinstance(H, (int, np.integer)) else self.subgroup_index(H)
-        j = K if isinstance(K, (int, np.integer)) else self.subgroup_index(K)
-        if not self.leq[i, j]:
-            raise DomainError("moebius is only defined on containment pairs")
-        return int(self.moebius_table[i, j])
-
     def n_class(self, N: Subgroup, i: int) -> tuple[int, ...]:
         """The subgroups n S n^-1 for S = subgroups[i] and n in N.
 
@@ -411,7 +389,7 @@ def _moebius_table(leq: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return table
 
 
-def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) -> SubgroupLattice:
+def build_lattice(G: FiniteGroup) -> SubgroupLattice:
     """Enumerate everything: subgroups, containment, classes, normalizers, Moebius.
 
     One lattice per group while it is held: every call returns the same
@@ -420,7 +398,9 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     the group.  The order budget is checked on every call, before the
     held lattice is looked up.
     """
-    _check_order(G, budget)
+    if G.order > DEFAULT_LATTICE_ORDER_BUDGET:
+        raise BudgetExceeded(f"subgroup enumeration limited to order "
+                             f"{DEFAULT_LATTICE_ORDER_BUDGET}, group has {G.order}")
     held = G.__dict__.get("_lattice")               # weak reference, set below
     lattice = held() if held is not None else None
     if lattice is not None:
@@ -448,14 +428,3 @@ def build_lattice(G: FiniteGroup, budget: int = DEFAULT_LATTICE_ORDER_BUDGET) ->
     )
     object.__setattr__(G, "_lattice", weakref.ref(lattice))
     return lattice
-
-
-def conj_order_graph(lattice: SubgroupLattice) -> set[tuple[int, int]]:
-    """Edges (i, j) between class positions: class i sits below class j.
-
-    Class [H] is below [K] when H is contained in some conjugate of K.
-    The relation is reflexive, and transitive because containment is.
-    """
-    member = np.eye(len(lattice.classes), dtype=np.int64)[lattice.subgroup_class]
-    below = lattice.leq[list(lattice.class_reps)].astype(np.int64) @ member
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(below))}

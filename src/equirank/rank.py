@@ -14,7 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .actions import DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, decompose, restrict_to_invariant
+from .actions import (DEFAULT_CELL_BUDGET, BoxDecomposition, GSet, _check_index, decompose,
+                      restrict_to_invariant)
 from .errors import BudgetExceeded, DomainError, PropertyFailure
 from .groups import _greedy_generators
 from .lattice import Subgroup
@@ -151,8 +152,7 @@ def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseTy
     X = decomp.gset
     if witness is None:
         witness = X.orbit_reps[src_id]
-    elif (not isinstance(witness, (int, np.integer)) or isinstance(witness, bool)
-          or not 0 <= witness < X.size or X.orbit_of_point[witness] != src_id):
+    elif X.orbit_of_point[_check_index(witness, X.size, "witness")] != src_id:
         raise DomainError(f"witness {witness!r} is not in the source orbit")
     return _push_type(decomp, int(decomp.stab_index[witness]),
                       int(decomp.stab_index[tau.image[witness]]))
@@ -214,6 +214,7 @@ def _box_orbit_reps(decomp: BoxDecomposition, i: int) -> np.ndarray:
 def wreath_factorize(tau: EquivariantMap, i: int) -> WreathFactor:
     """Split tau's action on box i into an orbit map and per-orbit cosets."""
     decomp = decompose(tau.gset)
+    i = _check_index(i, decomp.n_boxes, "box")
     if (decomp.box_of_point[tau.image[decomp.box_of_point == i]] != i).any():
         raise DomainError(f"map does not keep box {i} inside itself")
     X = decomp.gset
@@ -275,52 +276,27 @@ def aut_generators(X: GSet) -> list[EquivariantMap]:
     return gens
 
 
-def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+def wreath_order_checks(X: GSet, budget: int = DEFAULT_ENUM_BUDGET) -> None:
     """Compare predicted wreath-product orders with enumeration where feasible.
 
-    Returns a report dict; a mismatch raises immediately, because a wrong
-    order means the structural bookkeeping is broken, not the input.
+    Each box's |End| and |Aut|, then the whole |Aut|, is enumerated unless
+    that passes `budget`; a mismatch raises PropertyFailure, because a
+    wrong order means the structural bookkeeping is broken, not the input.
     """
     decomp = decompose(X)
-    boxes = []
     for i in range(decomp.n_boxes):
-        end_pred = decomp.box_end_order(i)
-        aut_pred = decomp.box_aut_order(i)
         sub = restrict_to_invariant(X, np.flatnonzero(decomp.box_of_point == i), name=f"box{i}")
-        try:
-            end_enum = enumerate_end(sub, budget=budget).size
-        except BudgetExceeded:
-            end_enum = None
-        try:
-            aut_enum = enumerate_aut(sub, budget=budget).size
-        except BudgetExceeded:
-            aut_enum = None
-        if end_enum is not None and end_enum != end_pred:
-            raise PropertyFailure(
-                f"box {i}: predicted |End| {end_pred}, enumerated {end_enum}")
-        if aut_enum is not None and aut_enum != aut_pred:
-            raise PropertyFailure(
-                f"box {i}: predicted |Aut| {aut_pred}, enumerated {aut_enum}")
-        boxes.append({
-            "box": i,
-            "alpha": decomp.alpha[i],
-            "wreath_base_order": decomp.wreath[i][0],
-            "end_order_predicted": end_pred,
-            "end_order_enumerated": end_enum,
-            "aut_order_predicted": aut_pred,
-            "aut_order_enumerated": aut_enum,
-        })
-    aut_pred_total = decomp.aut_order
+        _check_count(f"box {i}: predicted |End|", decomp.box_end_order(i), enumerate_end, sub,
+                     budget)
+        _check_count(f"box {i}: predicted |Aut|", decomp.box_aut_order(i), enumerate_aut, sub,
+                     budget)
+    _check_count("predicted |Aut|", decomp.aut_order, enumerate_aut, X, budget)
+
+
+def _check_count(what: str, predicted: int, enumerate_maps, X: GSet, budget: int) -> None:
     try:
-        aut_enum_total = enumerate_aut(X, budget=budget).size
+        found = enumerate_maps(X, budget=budget).size
     except BudgetExceeded:
-        aut_enum_total = None
-    if aut_enum_total is not None and aut_enum_total != aut_pred_total:
-        raise PropertyFailure(
-            f"predicted |Aut| {aut_pred_total}, enumerated {aut_enum_total}")
-    return {
-        "boxes": boxes,
-        "aut_order_predicted": aut_pred_total,
-        "aut_order_enumerated": aut_enum_total,
-        "verified": aut_enum_total is not None,
-    }
+        return
+    if found != predicted:
+        raise PropertyFailure(f"{what} {predicted}, enumerated {found}")

@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import GSet, trivial_gset
+from .actions import GSet, _check_index
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
 from .groups import (_BLOCK_CELLS, _check_blocks, _exact_int32, _RowKeys, _count_text, _runs,
-                     _sorted_unique, make_cyclic)
+                     _sorted_unique)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -132,6 +132,7 @@ def point_push(X: GSet, x: int, y: int) -> EquivariantMap:
     Well-defined exactly when the stabilizer of x is contained in the
     stabilizer of y; non-invertible exactly when the two stabilizers differ.
     """
+    x, y = _check_index(x, X.size, "point"), _check_index(y, X.size, "point")
     table = X.stabilizer_table
     if not table.within[table.point_class[x], table.point_class[y]]:
         raise StabilizerError(
@@ -148,6 +149,7 @@ def point_swap(X: GSet, x: int, y: int) -> EquivariantMap:
     translation moving x to y (a bijection of that single orbit); when the
     orbits differ it is an involution exchanging them.
     """
+    x, y = _check_index(x, X.size, "point"), _check_index(y, X.size, "point")
     cls = X.stabilizer_table.point_class
     if cls[x] != cls[y]:
         raise StabilizerError(f"stabilizers of {x} and {y} differ")
@@ -441,45 +443,6 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
     if seen is not None:
         known = np.flatnonzero(seen).astype(keys.dtype)
     return MonoidClosure(X, known, generators=tuple(maps), _codec=codec)
-
-
-def _letters_gset(n: int) -> GSet:
-    return trivial_gset(make_cyclic(1), n, name=f"letters({n})")
-
-
-def sym_generators_check(n: int) -> bool:
-    """Do a transposition and an n-cycle generate all n! permutations?"""
-    if n > 6:
-        raise BudgetExceeded(f"permutation closure limited to n <= 6, got {n}")
-    if n < 1:
-        raise DomainError("need at least one letter")
-    X = _letters_gset(n)
-    gens = _sym_seed(X, n)
-    return closure(X, gens, cap=math.factorial(n)).size == math.factorial(n)
-
-
-def trans_generators_check(n: int) -> bool:
-    """Do the permutation pair plus one rank-(n-1) map generate all n^n maps?"""
-    if n > 5:
-        raise BudgetExceeded(f"transformation closure limited to n <= 5, got {n}")
-    if n < 1:
-        raise DomainError("need at least one letter")
-    X = _letters_gset(n)
-    gens = _sym_seed(X, n)
-    if n >= 2:
-        collapse = np.arange(n)
-        collapse[0] = 1
-        gens.append(EquivariantMap(X, collapse))
-    return closure(X, gens, cap=n ** n).size == n ** n
-
-
-def _sym_seed(X: GSet, n: int) -> list[EquivariantMap]:
-    if n < 2:
-        return []
-    swap = np.arange(n)
-    swap[[0, 1]] = [1, 0]
-    cycle = np.roll(np.arange(n), -1)
-    return [EquivariantMap(X, swap), EquivariantMap(X, cycle)]
 
 
 def map_rank(f: EquivariantMap) -> int:

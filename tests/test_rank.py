@@ -12,7 +12,10 @@ from equirank import (
     CollapseType,
     DomainError,
     EquivariantMap,
+    PropertyFailure,
+    alpha_by_moebius,
     aut_generators,
+    aut_orbits_in_box,
     build_lattice,
     build_shift,
     closure,
@@ -34,6 +37,7 @@ from equirank import (
     make_dihedral,
     make_symmetric,
     point_push,
+    point_swap,
     recompose,
     relative_rank,
     restrict_to_invariant,
@@ -42,7 +46,7 @@ from equirank import (
     wreath_multiply,
     wreath_order_checks,
 )
-from equirank.actions import DEFAULT_CELL_BUDGET
+from equirank.actions import DEFAULT_CELL_BUDGET, RankCount
 from equirank.lattice import Subgroup, generated_subgroup
 from equirank.rank import _collapse_shape
 
@@ -191,9 +195,25 @@ def test_collapse_type_refuses_a_witness_outside_the_source_orbit(z2_shift):
     assert tau.as_tuple() == (0, 0, 0, 3)
     expected = collapse_type(tau)
     assert collapse_type(tau, 1) == collapse_type(tau, np.int64(2)) == expected
-    for witness in (1.0, np.float64(1.0), True, np.bool_(True), -1, 99, 0, 3):
+    for witness in (1.0, np.float64(1.0), True, np.bool_(True), -1, 4, 99, 0, 3):
         with pytest.raises(DomainError):
             collapse_type(tau, witness)
+
+
+def test_point_and_box_indices_are_checked_exactly(z2_shift):
+    # numpy would read -1 as the last point or box and 4 as an IndexError
+    X = z2_shift                                   # 4 points in 2 boxes
+    tau = point_push(X, 1, 0)
+    assert (X.size, decompose(X).n_boxes) == (4, 2)
+    for bad in (-1, -4, 4):
+        for call in (point_push, point_swap):
+            for args in ((bad, 0), (0, bad)):
+                with pytest.raises(DomainError, match=rf"^point {bad} is not in 0\.\.3$"):
+                    call(X, *args)
+    for bad in (-1, 2):
+        for call, arg in ((alpha_by_moebius, X), (aut_orbits_in_box, X), (wreath_factorize, tau)):
+            with pytest.raises(DomainError, match=rf"^box {bad} is not in 0\.\.1$"):
+                call(arg, bad)
 
 
 def test_census_matches_generating_set(z2_shift, z6_shift, s3_shift):
@@ -376,17 +396,22 @@ def test_aut_order_prediction(s3_shift):
     assert decompose(s3_shift).aut_order == 4063327027200
 
 
-def test_wreath_order_checks(z2_shift, z6_shift):
-    small = wreath_order_checks(build_shift(make_cyclic(3), 2).gset)
-    assert small["verified"] is True
-    assert small["aut_order_predicted"] == small["aut_order_enumerated"] == 36
-
-    big = wreath_order_checks(z6_shift)
-    assert big["verified"] is False          # full enumeration blows the budget
-    by_box = {b["box"]: b for b in big["boxes"]}
-    assert by_box[1]["end_order_predicted"] == by_box[1]["end_order_enumerated"] == 36
-    assert by_box[1]["aut_order_enumerated"] == 18
-    assert by_box[3]["aut_order_enumerated"] == 2
+def test_wreath_order_checks(z6_shift, monkeypatch):
+    z3 = build_shift(make_cyclic(3), 2).gset
+    assert wreath_order_checks(z3) is None
+    assert wreath_order_checks(z6_shift) is None    # its whole Aut passes the budget
+    # each predicted order the check can enumerate is compared
+    with monkeypatch.context() as m:
+        m.setattr(RankCount, "box_end_order", lambda self, i: 35 if i == 1 else 36)
+        with pytest.raises(PropertyFailure, match=r"^box 1: predicted \|End\| 35, enumerated 36$"):
+            wreath_order_checks(z6_shift)
+    with monkeypatch.context() as m:
+        m.setattr(RankCount, "box_aut_order", lambda self, i: 17)   # box 0 passes the budget
+        with pytest.raises(PropertyFailure, match=r"^box 1: predicted \|Aut\| 17, enumerated 18$"):
+            wreath_order_checks(z6_shift)
+    monkeypatch.setattr(RankCount, "aut_order", 35)
+    with pytest.raises(PropertyFailure, match=r"^predicted \|Aut\| 35, enumerated 36$"):
+        wreath_order_checks(z3)
 
 
 # Per zoo group, the most coset actions a union may join: three for the

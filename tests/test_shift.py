@@ -24,6 +24,7 @@ from equirank import (
     compose,
     direct_product,
     enumerate_aut,
+    end_monoid_order,
     enumerate_end,
     identity_map,
     make_cyclic,
@@ -33,6 +34,7 @@ from equirank import (
     minimal_memory_set,
     rule_from_map,
 )
+from equirank.actions import DEFAULT_CELL_BUDGET
 from equirank.groups import _count_text
 from equirank.shift import _shift_size
 
@@ -52,6 +54,18 @@ def s3():
 @pytest.fixture(scope="module")
 def z4():
     return build_shift(make_cyclic(4), 2)
+
+
+def test_end_order_of_a_full_shift_is_q_to_the_q_to_the_order():
+    # a CA on A^G is fixed by its local rule A^G -> A, so |End(A^G)| = q^(q^|G|);
+    # every space of these groups within the cell budget, for q in {2, 3, 4, 5, 7}
+    groups = [make_cyclic(n) for n in range(1, 7)] + [
+        make_symmetric(3), make_dihedral(4), direct_product(make_cyclic(2), make_cyclic(2))]
+    spaces = [(G, q) for G in groups for q in (2, 3, 4, 5, 7)
+              if G.order * q ** G.order <= DEFAULT_CELL_BUDGET]
+    assert len(spaces) == 43
+    for G, q in spaces:
+        assert end_monoid_order(build_shift(G, q).gset) == q ** q ** G.order, (G.name, q)
 
 
 def test_encode_decode_golden(z6, z4):

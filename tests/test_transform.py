@@ -38,8 +38,6 @@ from equirank import (
     point_push,
     point_swap,
     relative_rank,
-    sym_generators_check,
-    trans_generators_check,
     trivial_gset,
 )
 
@@ -725,19 +723,6 @@ def test_closure_matches_oracle_on_few_letters(case):
 def test_closure_matches_oracle_on_multiword_keys(case):
     # over 16 letters a packed row spans more than one 64-bit word
     _check_closure_against_oracle(*case)
-
-
-def test_sym_and_trans_generator_checks():
-    for n in range(1, 5):
-        assert sym_generators_check(n) is True
-    for n in range(1, 4):
-        assert trans_generators_check(n) is True
-    with pytest.raises(BudgetExceeded):
-        sym_generators_check(7)
-    with pytest.raises(BudgetExceeded):
-        trans_generators_check(6)
-    with pytest.raises(DomainError):
-        sym_generators_check(0)
 
 
 def _same_image(f: EquivariantMap) -> np.ndarray:

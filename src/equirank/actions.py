@@ -18,7 +18,8 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, PropertyFailure
-from .groups import FiniteGroup, _exact_int32, _RowKeys, _rule_break, _sorted_unique
+from .groups import (_POINT_BLOCK, FiniteGroup, _check_blocks, _exact_int32, _RowKeys,
+                     _rule_break, _sorted_unique, _spans)
 from .lattice import Subgroup, SubgroupLattice, build_lattice, containment
 
 DEFAULT_CELL_BUDGET = 1_000_000
@@ -28,8 +29,8 @@ DEFAULT_CELL_BUDGET = 1_000_000
 class StabilizerTable:
     """The distinct point stabilizers of a G-set.
 
-    `point_class[x]` is the position of x's stabilizer among the distinct
-    ones, `masks[a]` marks the group elements of stabilizer a, and
+    `point_class[x]` (int32) is the position of x's stabilizer among the
+    distinct ones, `masks[a]` marks the group elements of stabilizer a, and
     `within[a, b]` says stabilizer a is contained in stabilizer b.
     """
 
@@ -65,21 +66,31 @@ class GSet:
 
     @cached_property
     def orbit_of_point(self) -> np.ndarray:
-        """Per point, the number of its orbit (its position in `orbit_reps`):
-        how many orbit minima lie at or below its orbit's minimum, less one."""
+        """Per point (int32), the number of its orbit (its position in
+        `orbit_reps`): how many orbit minima lie at or below its orbit's
+        minimum, less one."""
         ranks = np.cumsum(self._is_orbit_minimum, dtype=np.int32)
         ranks -= 1
-        return np.take(ranks, self._orbit_minima)
-
-    @cached_property
-    def _orbit_minima(self) -> np.ndarray:
-        return self.action.min(axis=0)
+        out = np.empty(self.size, dtype=np.int32)
+        for b, minima in self._orbit_minima():
+            out[b] = ranks[minima]
+        return out
 
     @cached_property
     def _is_orbit_minimum(self) -> np.ndarray:
-        """Column x of the table is the orbit of x, so x is its orbit's
-        smallest point exactly when it is its column's minimum."""
-        return self._orbit_minima == np.arange(self.size, dtype=np.int32)
+        """Per point, whether it is its orbit's smallest point: the minimum
+        of its column of the table."""
+        out = np.empty(self.size, dtype=bool)
+        for b, minima in self._orbit_minima():
+            np.equal(minima, np.arange(*b.indices(self.size), dtype=np.int32), out=out[b])
+        return out
+
+    def _orbit_minima(self):
+        """Per block of points, the block and each point's orbit minimum:
+        column x of the table is the orbit of x.  Never kept whole;
+        `_is_orbit_minimum` and `orbit_of_point` each read them once."""
+        for b in _spans(self.size, _POINT_BLOCK):
+            yield b, self.action[:, b].min(axis=0)
 
     @cached_property
     def stabilizer_table(self) -> StabilizerTable:
@@ -89,14 +100,21 @@ class GSet:
         per group element with element 0 most significant, so the distinct
         keys, sorted, follow the lexicographic order of the flag columns.
         There are few of them, and each point finds its class by binary
-        search among them.
+        search among them.  Flags and classes are found a block of points
+        at a time, so no temporary grows with the G-set.
         """
         keys = _RowKeys([2] * self.group.order)
-        fixes = self.action == np.arange(self.size, dtype=np.int32)
-        packed = keys.pack(fixes.T)
+        blocks = _spans(self.size, _POINT_BLOCK)
+        packed = np.empty(self.size, dtype=keys.key_dtype)
+        for b in blocks:
+            fixes = self.action[:, b] == np.arange(*b.indices(self.size), dtype=np.int32)
+            packed[b] = keys.pack(fixes.T)
         distinct = _sorted_unique(packed)
+        point_class = np.empty(self.size, dtype=np.int32)
+        for b in blocks:
+            point_class[b] = np.searchsorted(distinct, packed[b])
         masks = keys.unpack(distinct, bool)
-        return StabilizerTable(np.searchsorted(distinct, packed), masks, containment(masks))
+        return StabilizerTable(point_class, masks, containment(masks))
 
     def stabilizer(self, x: int) -> Subgroup:
         table = self.stabilizer_table
@@ -110,7 +128,7 @@ class GSet:
             elements = elements.elements
         picked = np.asarray(elements)
         rows = self.action[picked if picked.dtype == bool else picked.astype(np.intp)]
-        return np.flatnonzero((rows == np.arange(self.size)).all(axis=0))
+        return np.flatnonzero((rows == np.arange(self.size, dtype=np.int32)).all(axis=0))
 
     def __repr__(self):
         return f"GSet({self.name or self.group.name}, {self.size} points)"
@@ -193,8 +211,11 @@ def restrict_to_invariant(gset: GSet, points, name: str = "") -> GSet:
 
 
 def burnside_orbit_count(gset: GSet) -> int:
-    """Number of orbits as the average number of fixed points per element."""
-    total = int((gset.action == np.arange(gset.size)).sum())
+    """Number of orbits as the average number of fixed points per element,
+    counted a block of the table at a time."""
+    total = sum(int(np.count_nonzero(
+        gset.action[rows, cols] == np.arange(*cols.indices(gset.size), dtype=np.int32)))
+        for rows, cols in _check_blocks(gset.action.shape))
     if total % gset.group.order != 0:
         raise PropertyFailure("fixed-point total is not divisible by the group order")
     return total // gset.group.order
@@ -308,25 +329,30 @@ class BoxDecomposition(RankCount):
     subgroup size, then elements), restricted to the classes that occur.
     Distinct stabilizer a (row a of `gset.stabilizer_table`) is subgroup
     `stabilizers[a]`, in box `box_of_stabilizer[a]`; `alpha[i]` counts the
-    G-orbits inside box i.  Box i's points are where `box_of_point` is i;
-    the point arrays of `sub_boxes` are derived from these arrays on first
-    use.
+    G-orbits inside box i.  The one per-point array stored here is
+    `box_of_point` (int32): box i's points are where it is i.  `stab_index`
+    and the point arrays of `sub_boxes` are derived from the G-set's
+    `point_class` when read.
     """
 
     gset: GSet
-    stab_index: np.ndarray                       # per point: subgroup index
     box_of_point: np.ndarray
     stabilizers: np.ndarray
     box_of_stabilizer: np.ndarray
 
+    @property
+    def stab_index(self) -> np.ndarray:
+        """Per point, the subgroup index of its stabilizer: a new array on
+        every read."""
+        return self.stabilizers[self.gset.stabilizer_table.point_class]
+
     @cached_property
     def sub_boxes(self) -> tuple[dict, ...]:
-        """Per box, {subgroup index: ascending array of the points with that
-        exact stabilizer}, keys ascending: one stable sort of the points by
-        distinct stabilizer, split at the class sizes."""
-        point_class = self.gset.stabilizer_table.point_class
-        by_stabilizer = np.split(np.argsort(point_class, kind="stable"),
-                                 np.cumsum(np.bincount(point_class))[:-1])
+        """Per box, {subgroup index: ascending int32 array of the points
+        with that exact stabilizer}, keys ascending: the points grouped by
+        distinct stabilizer (`_points_by_label`)."""
+        by_stabilizer = _points_by_label(self.gset.stabilizer_table.point_class,
+                                         len(self.stabilizers))
         out = tuple({} for _ in range(self.n_boxes))
         for a in np.argsort(self.stabilizers).tolist():
             out[self.box_of_stabilizer[a]][int(self.stabilizers[a])] = by_stabilizer[a]
@@ -365,6 +391,31 @@ class BoxDecomposition(RankCount):
         return self.lattice.group.order // self.box_normalizer(i).order
 
 
+def _points_by_label(labels: np.ndarray, n: int) -> list[np.ndarray]:
+    """The points 0..len(labels)-1 grouped by their label 0..n-1, each
+    group ascending, as int32 views of one array.
+
+    A stable counting sort, a block of points at a time: each block is
+    sorted by label, and its run of label a goes on at label a's next free
+    place, after the runs of the earlier blocks.
+    """
+    blocks = _spans(len(labels), _POINT_BLOCK)
+    counts = sum(np.bincount(labels[b], minlength=n) for b in blocks)
+    ends = np.cumsum(counts)
+    out = np.empty(len(labels), dtype=np.int32)
+    free = ends - counts                                # per label, its next free place
+    for b in blocks:
+        order = np.argsort(labels[b], kind="stable")
+        here = np.bincount(labels[b], minlength=n)
+        # the k-th point of the block's run of label a goes to free[a] + k
+        at = np.repeat(free - np.cumsum(here) + here, here)
+        at += np.arange(len(order))
+        order += b.start
+        out[at] = order
+        free += here
+    return np.split(out, ends[:-1])
+
+
 def decompose(gset: GSet) -> BoxDecomposition:
     """The box decomposition of a G-set, one object per G-set while it is held.
 
@@ -377,6 +428,13 @@ def decompose(gset: GSet) -> BoxDecomposition:
     up once in the group's subgroup lattice and placed in its box; boxes,
     sub-boxes and orbit counts are groupings of the points by distinct
     stabilizer.
+
+    Past the (|G|, m) int32 table, a decomposed G-set keeps 13 bytes a
+    point: `point_class` and `box_of_point` (int32), the orbit-minimum
+    flags (bool) and, once read, the points of `sub_boxes` (int32).  Every
+    pass over the points works a `_POINT_BLOCK` at a time, so no
+    temporary grows with m.  `tests/test_cli.py` holds a `boxes` report to
+    this bound.
     """
     held = gset.__dict__.get("_decomposition")        # weak reference, set below
     decomp = held() if held is not None else None
@@ -386,12 +444,13 @@ def decompose(gset: GSet) -> BoxDecomposition:
     table = gset.stabilizer_table
     subs = lattice.index_of_masks(table.masks)            # per distinct stabilizer
     box_classes, box_of_sub = np.unique(lattice.subgroup_class[subs], return_inverse=True)
-    box_of_point = box_of_sub.astype(np.int32)[table.point_class]
+    box_of_point = np.empty(gset.size, dtype=np.int32)
+    for b in _spans(gset.size, _POINT_BLOCK):
+        box_of_point[b] = box_of_sub[table.point_class[b]]
     alpha = np.bincount(box_of_point[gset.orbit_reps], minlength=len(box_classes))
     decomp = BoxDecomposition(
         gset=gset,
         lattice=lattice,
-        stab_index=subs[table.point_class],
         box_classes=tuple(box_classes.tolist()),
         box_of_point=box_of_point,
         stabilizers=subs,

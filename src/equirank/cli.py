@@ -613,6 +613,7 @@ def _as_table(report) -> str:
                 parts.append(f"\n{indent}{key}: {value}")
 
     lines(report, "")
+    del lines           # a recursive closure is a cycle that would keep `parts` past the join
     parts[0] = parts[0][1:]                             # no new line before the first
     return "".join(parts)
 
@@ -689,6 +690,11 @@ def _int_join(values: np.ndarray, sep: str, row_sep: str = "") -> list[str]:
     return parts
 
 
+# Characters `main` hands the text layer at once: each write encodes one
+# slice, never the whole report.
+_WRITE_SLICE = 1 << 16
+
+
 class _ReportEncoder(JSONEncoder):
     """The bytes of `json.dumps(report, sort_keys=True, indent=2,
     default=np.ndarray.tolist)` for CLI reports.
@@ -702,7 +708,8 @@ class _ReportEncoder(JSONEncoder):
     ints is written in one join, and a list of int lists (element lists)
     in one join per row, where the stock encoder steps a generator per item.
     Every piece is appended to one flat list, which `json.dumps` joins
-    once: the encode peaks at about twice the text it writes.
+    once: the encode peaks at about twice the text it writes, and the list
+    is freed as soon as it is joined.
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -751,6 +758,7 @@ class _ReportEncoder(JSONEncoder):
                 put(pad + "]")
 
         value(o, "\n")
+        del value       # a recursive closure is a cycle that would keep `parts` past the join
         return parts
 
 
@@ -769,7 +777,10 @@ def main(argv=None) -> int:
         text = _as_table(report)
     else:
         text = json.dumps(report, sort_keys=True, indent=2, cls=_ReportEncoder)
-    sys.stdout.write(text)              # encoded in full first: a failed encode writes nothing
+    # encoded in full first, so a failed encode writes nothing; written a
+    # slice at a time, so the text layer never holds a bytes copy of it all
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start:start + _WRITE_SLICE])
     sys.stdout.write("\n")
     return code
 

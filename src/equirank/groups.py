@@ -41,6 +41,12 @@ DEFAULT_GROUP_BUDGET = 10_080
 # ones, which made Light's test on S7 six times slower.
 _BLOCK_CELLS = 1 << 18
 
+# Points a per-point pass over a G-set takes at once.  numpy widens an int32
+# index array to intp on every gather and scatter, so a pass over all m
+# points at once would copy them at 8 bytes each; a block keeps that copy,
+# and the pass's other temporaries, near 128 KB each.
+_POINT_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -197,6 +203,11 @@ def _fill_by_generators(right: np.ndarray, identity: int, gen_rows: np.ndarray) 
     return out
 
 
+def _spans(n: int, step: int) -> list[slice]:
+    """Positions 0..n-1 as consecutive slices of `step` (the last may be shorter)."""
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _check_blocks(shape: tuple[int, int]) -> list[tuple[slice, slice]]:
     """The (rows, columns) blocks that a generator-rule check of an (n, m)
     table compares, in order; a quarter of `_BLOCK_CELLS` cells each.
@@ -333,6 +344,8 @@ class _RowKeys:
         self.words = len(columns)
         self.dtype = np.dtype(np.uint32 if self.words == 1 and math.prod(radices) <= 1 << 32
                               else np.uint64)
+        # the dtype of a key: one word, or a void scalar over all of them
+        self.key_dtype = self.dtype if self.words == 1 else np.dtype((np.void, 8 * self.words))
         self.word_of = [0] * self.length
         self.stride = [self.dtype.type(0)] * self.length
         for w, cols in enumerate(columns):
@@ -355,8 +368,7 @@ class _RowKeys:
         of a list of one array per word."""
         if self.words == 1:
             return words[0]
-        return np.ascontiguousarray(np.transpose(words), dtype=">u8").view(
-            np.dtype((np.void, 8 * self.words))).ravel()
+        return np.ascontiguousarray(np.transpose(words), dtype=">u8").view(self.key_dtype).ravel()
 
     def split(self, keys: np.ndarray) -> np.ndarray:
         """The (words, n) array whose columns are the words of n keys."""

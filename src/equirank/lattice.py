@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .groups import (_BLOCK_CELLS, FiniteGroup, _fill_by_generators, _group_by, _RowIndex,
-                     _sorted_unique)
+                     _sorted_unique, _spans)
 
 DEFAULT_LATTICE_ORDER_BUDGET = 360
 # The lattice keeps two dense subgroups x subgroups tables, `leq` (bool) and
@@ -46,8 +46,13 @@ class Subgroup:
 
     @cached_property
     def coset_min(self) -> np.ndarray:
-        """Per group element t, the smallest member of the left coset tH."""
-        return self.group.mul[:, list(self.elements)].min(axis=1)
+        """Per group element t, the smallest member of the left coset tH:
+        the minimum of row t of the product table over H's columns, a
+        block of `_BLOCK_CELLS` cells at a time."""
+        members = np.array(self.elements, dtype=np.intp)
+        blocks = _spans(self.group.order, max(1, _BLOCK_CELLS // len(members)))
+        return np.concatenate([np.take(self.group.mul[rows], members, axis=1).min(axis=1)
+                               for rows in blocks])
 
     def __contains__(self, g: int) -> bool:
         return g in self.element_set
@@ -78,17 +83,19 @@ def _check_subgroup(G: FiniteGroup, elements: tuple[int, ...]) -> None:
     e = np.asarray(elements)
     member = np.zeros(G.order, dtype=bool)
     member[e] = True
-    # per row a (in sorted order): the inverse test comes before any product (a, b)
+    # per row a (in sorted order): the inverse test comes before any product
+    # (a, b); rows are checked a block of `_BLOCK_CELLS` products at a time
     bad_inverse = ~member[G.inv[e]]
-    closed = member[G.mul[e[:, None], e]]
-    bad_row = bad_inverse | ~closed.all(axis=1)
-    if bad_row.any():
-        a = int(bad_row.argmax())
-        if bad_inverse[a]:
-            raise DomainError(f"subgroup not closed under inverses at {elements[a]}")
-        b = int((~closed[a]).argmax())
-        raise DomainError(
-            f"subgroup not closed under product at ({elements[a]},{elements[b]})")
+    for rows in _spans(len(e), max(1, _BLOCK_CELLS // len(e))):
+        closed = member[G.mul[e[rows, None], e]]
+        bad_row = bad_inverse[rows] | ~closed.all(axis=1)
+        if bad_row.any():
+            a = int(bad_row.argmax())
+            if bad_inverse[rows][a]:
+                raise DomainError(f"subgroup not closed under inverses at {elements[rows][a]}")
+            b = int((~closed[a]).argmax())
+            raise DomainError(
+                f"subgroup not closed under product at ({elements[rows][a]},{elements[b]})")
     if G.order % int(member.sum()) != 0:
         raise DomainError("subgroup order does not divide the group order")
 

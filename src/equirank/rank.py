@@ -67,9 +67,10 @@ def _push_maps(decomp: BoxDecomposition) -> tuple[EquivariantMap, ...]:
     points into `sub_boxes`.
     """
     maps = []
+    stab_index = decomp.stab_index
     for i, target in decomp.pushes:
         reps = np.sort(_box_orbit_reps(decomp, i))
-        y = reps[1] if target is None else np.flatnonzero(decomp.stab_index == target)[0]
+        y = reps[1] if target is None else np.flatnonzero(stab_index == target)[0]
         maps.append(point_push(decomp.gset, int(reps[0]), int(y)))
     return tuple(maps)
 
@@ -154,8 +155,9 @@ def collapse_type(tau: EquivariantMap, witness: int | None = None) -> CollapseTy
         witness = X.orbit_reps[src_id]
     elif X.orbit_of_point[_check_index(witness, X.size, "witness")] != src_id:
         raise DomainError(f"witness {witness!r} is not in the source orbit")
-    return _push_type(decomp, int(decomp.stab_index[witness]),
-                      int(decomp.stab_index[tau.image[witness]]))
+    cls = X.stabilizer_table.point_class
+    return _push_type(decomp, int(decomp.stabilizers[cls[witness]]),
+                      int(decomp.stabilizers[cls[tau.image[witness]]]))
 
 
 def collapse_type_census(X: GSet) -> set:
@@ -168,8 +170,9 @@ def collapse_type_census(X: GSet) -> set:
     """
     decomp = decompose(X)
     lat = decomp.lattice
-    orbits_with = {s: set(X.orbit_of_point[decomp.stab_index == s].tolist())
-                   for s in decomp.stabilizers.tolist()}
+    cls = X.stabilizer_table.point_class
+    orbits_with = {s: set(X.orbit_of_point[cls == a].tolist())
+                   for a, s in enumerate(decomp.stabilizers.tolist())}
     # a single orbit with both stabilizers leaves nothing to merge
     return {_push_type(decomp, s, t)
             for s, s_orbits in orbits_with.items() for t, t_orbits in orbits_with.items()

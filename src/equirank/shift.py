@@ -257,24 +257,29 @@ def _as_shift_map(space: ShiftSpace, tau) -> EquivariantMap:
 def minimal_memory_set(space: ShiftSpace, tau) -> tuple[int, ...]:
     """The unique minimal memory set of an equivariant map.
 
-    An element s belongs to the minimal set exactly when tau(x)(e)
-    depends on x(s) for some configuration x; the scan toggles each
-    coordinate over all of A^G.  The result is checked to be a valid
-    memory set: the restricted rule's image must equal tau's own.  Equal
-    to an equivariant map's, it needs no equivariance check of its own.
+    The result is checked to be a valid memory set: the image of the rule
+    `_minimal_rule` reads off must equal tau's own.  Equal to an
+    equivariant map's, it needs no equivariance check of its own.
     """
     tau = _as_shift_map(space, tau)
+    rule = _minimal_rule(space, tau)
+    if (_ca_image(space, rule) != tau.image).any():
+        raise PropertyFailure("dependence scan did not produce a valid memory set")
+    return rule.memory
+
+
+def _minimal_rule(space: ShiftSpace, tau: EquivariantMap) -> LocalRule:
+    """tau's local rule over the minimal memory set.
+
+    An element s belongs to the minimal set exactly when tau(x)(e)
+    depends on x(s) for some configuration x; the scan toggles each
+    coordinate over all of A^G.  The rule's table is the tensor of
+    tau(x)(e) with every axis outside the memory at digit 0.  The tensor
+    is freed on return, before the caller rebuilds the image.
+    """
     n, q = space.group.order, space.q
-    out_e = _identity_digits(space, tau)
-    tensor = out_e.reshape((q,) * n)
+    tensor = _identity_digits(space, tau).reshape((q,) * n)
     axes = [ax for ax in range(n)
             if (tensor != tensor.take([0], axis=ax)).any()]
-    memory = tuple(space.display[ax] for ax in axes)
-
-    # validity: the rule restricted to `memory` reproduces tau; its table
-    # is the tensor with every axis outside `memory` at digit 0
     table = tensor[tuple(slice(None) if ax in axes else 0 for ax in range(n))].reshape(-1)
-    rebuilt = _ca_image(space, LocalRule(space=space, memory=memory, table=table))
-    if (rebuilt != tau.image).any():
-        raise PropertyFailure("dependence scan did not produce a valid memory set")
-    return memory
+    return LocalRule(space=space, memory=tuple(space.display[ax] for ax in axes), table=table)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .actions import GSet, _check_index
 from .errors import BudgetExceeded, ClosureCapExceeded, DomainError, StabilizerError
-from .groups import (_BLOCK_CELLS, _check_blocks, _exact_int32, _RowKeys, _count_text, _runs,
-                     _sorted_unique)
+from .groups import (_BLOCK_CELLS, _POINT_BLOCK, _check_blocks, _exact_int32, _RowKeys,
+                     _count_text, _runs, _sorted_unique, _spans)
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -446,7 +446,8 @@ def closure(X: GSet, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MonoidClosur
 
 
 def map_rank(f: EquivariantMap) -> int:
-    """Number of distinct image points."""
+    """Number of distinct image points, marked a block of points at a time."""
     hit = np.zeros(f.gset.size, dtype=bool)
-    hit[f.image] = True
+    for b in _spans(f.gset.size, _POINT_BLOCK):
+        hit[f.image[b]] = True
     return int(np.count_nonzero(hit))

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -300,9 +301,14 @@ def test_coset_action_matches_oracle(zoo):
                                             for t in range(G.order)]
 
 
+@functools.cache
+def _s7():
+    return make_symmetric(7)
+
+
 def test_coset_action_refuses_its_table_before_gathering_it():
     # S7 on the cosets of an order-2 subgroup: 5040 x 2520 cells, 51 MB as int32
-    G = make_symmetric(7)
+    G = _s7()
     H = Subgroup(G, (0, 1))
     tracemalloc.start()
     try:
@@ -312,6 +318,21 @@ def test_coset_action_refuses_its_table_before_gathering_it():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+def test_a_whole_group_subgroup_is_checked_and_its_cosets_found_in_blocks():
+    # H = S7 itself: 5040^2 products to check and 5040 x 5040 cells to take
+    # coset minima over, each 102 MB as int32 if gathered at once
+    G = _s7()
+    tracemalloc.start()
+    try:
+        H = Subgroup(G, range(G.order))
+        X = coset_action(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.size == 1 and not H.coset_min.any()
     assert peak < 5 * 2 ** 20
 
 

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import equirank.lattice
 from equirank import (
     BudgetExceeded,
     DomainError,
@@ -114,6 +115,23 @@ def test_subgroup_validation_against_loop(zoo):
                     Subgroup(G, elements)
     with pytest.raises(DomainError, match="element 9 out of range"):
         Subgroup(make_symmetric(3), (0, 1, 9))
+
+
+def test_subgroup_validation_and_coset_minima_in_small_blocks(monkeypatch):
+    # blocks of a few products: the first failure found block by block is
+    # the loop's, and the coset minima are the whole rows' minima
+    monkeypatch.setattr(equirank.lattice, "_BLOCK_CELLS", 7)
+    G = make_symmetric(4)
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        size = int(rng.integers(1, G.order + 1))
+        elements = tuple(sorted({G.identity, *rng.choice(G.order, size - 1).tolist()}))
+        expected = oracles.subgroup_violation(G.mul, G.inv, G.identity, elements)
+        if expected is not None:
+            with pytest.raises(DomainError, match=re.escape(expected)):
+                Subgroup(G, elements)
+    for S in build_lattice(G).subgroups:
+        assert S.coset_min.tolist() == G.mul[:, list(S.elements)].min(axis=1).tolist()
 
 
 def test_generated_subgroup():

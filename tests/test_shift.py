@@ -35,7 +35,7 @@ from equirank import (
     rule_from_map,
 )
 from equirank.actions import DEFAULT_CELL_BUDGET
-from equirank.groups import _count_text
+from equirank.groups import _POINT_BLOCK, _count_text
 from equirank.shift import _shift_size
 
 import oracles
@@ -223,6 +223,14 @@ def test_xor_rule(z4):
     assert not tau.is_bijective() and map_rank(tau) == 8
     assert minimal_memory_set(z4, tau) == (0, 1)
 
+
+
+def test_map_rank_counts_the_image_over_several_point_blocks():
+    # Z1 acts trivially, so every image is equivariant; its points are
+    # marked three point blocks and a few points at a time
+    space = build_shift(make_cyclic(1), 3 * _POINT_BLOCK + 5)
+    image = np.random.default_rng(3).integers(0, space.size // 2, space.size)
+    assert map_rank(EquivariantMap(space.gset, image)) == len(np.unique(image))
 
 def test_ca_matches_pointwise_oracle(s3):
     rule = LocalRule(space=s3, memory=(0, 2), table=[0, 1, 1, 1])

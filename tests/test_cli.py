@@ -658,7 +658,7 @@ def test_boxes_report_keeps_13_bytes_a_point_past_the_action_table():
     # build, decompose and the report of S3 shift:q=7 (117,649 points): past
     # the int32 table, 13 bytes a point (the figure `actions.decompose`
     # states), plus 1 MB for the blocks every pass over the points works in
-    # and the lattice; the parent kept 45 bytes a point
+    # and the lattice
     tracemalloc.start()
     try:
         _, report = run(parse_specs(["boxes", "S3", "shift:q=7"]))

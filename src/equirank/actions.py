@@ -330,9 +330,9 @@ class BoxDecomposition(RankCount):
     Distinct stabilizer a (row a of `gset.stabilizer_table`) is subgroup
     `stabilizers[a]`, in box `box_of_stabilizer[a]`; `alpha[i]` counts the
     G-orbits inside box i.  The one per-point array stored here is
-    `box_of_point` (int32): box i's points are where it is i.  `stab_index`
-    and the point arrays of `sub_boxes` are derived from the G-set's
-    `point_class` when read.
+    `box_of_point` (int32): box i's points are where it is i.  From the
+    G-set's `point_class`, `stab_index` is derived on each read and the
+    point arrays of `sub_boxes` on the first.
     """
 
     gset: GSet
